@@ -156,6 +156,20 @@ def mc_mean(integrand, dim: int, points: int = 10_000_000, seed: int = 0,
     return mean, float(np.sqrt(var / points))
 
 
+# JSON type of each config key; a one-element list means "list of".
+_CONFIG_KINDS = {
+    "integrand": str,
+    "sizes": [int],
+    "dim": int,
+    "methods": [str],
+    "replicates": int,
+    "scenario": str,
+    "seed": int,
+    "f1_variant": str,
+}
+_KIND_NAMES = {int: "integer", str: "string"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark run: integrand, sizes, methods, scenario, seed."""
@@ -196,22 +210,41 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse a config strictly: an unknown key, a boolean or a
+        non-integral number is an error naming its key, never coerced."""
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        try:
-            return cls(
-                integrand=raw["integrand"],
-                sizes=SliceSizes(tuple(raw["sizes"])),
-                dim=int(raw["dim"]),
-                methods=tuple(raw["methods"]),
-                replicates=int(raw["replicates"]),
-                scenario=raw["scenario"],
-                seed=int(raw["seed"]),
-                f1_variant=raw.get("f1_variant", "literal"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"config missing key: {exc.args[0]}") from exc
+        unknown = sorted(set(raw) - set(_CONFIG_KINDS))
+        if unknown:
+            raise ValueError(f"unknown config key: {', '.join(map(repr, unknown))}")
+        for key in _CONFIG_KINDS:
+            if key not in raw and key != "f1_variant":
+                raise ValueError(f"config missing key: {key}")
+        for key, value in raw.items():
+            kind = _CONFIG_KINDS[key]
+            # type(...) is, not isinstance: bool is an int subclass, and a
+            # JSON 7.0 or 1.5 decodes to float.
+            if isinstance(kind, list):
+                if not isinstance(value, list) or any(type(v) is not kind[0] for v in value):
+                    raise ValueError(
+                        f"config key {key!r} must be a JSON list of "
+                        f"{_KIND_NAMES[kind[0]]}s, got {value!r}"
+                    )
+            elif type(value) is not kind:
+                raise ValueError(
+                    f"config key {key!r} must be a JSON {_KIND_NAMES[kind]}, got {value!r}"
+                )
+        return cls(
+            integrand=raw["integrand"],
+            sizes=SliceSizes(tuple(raw["sizes"])),
+            dim=raw["dim"],
+            methods=tuple(raw["methods"]),
+            replicates=raw["replicates"],
+            scenario=raw["scenario"],
+            seed=raw["seed"],
+            f1_variant=raw.get("f1_variant", "literal"),
+        )
 
     @classmethod
     def from_path(cls, path) -> "ExperimentConfig":

@@ -18,6 +18,15 @@ different (and not reproducible) matrices.
 
 Rank restoration preserves each slice's level multiset exactly, so the sweep
 never damages the stratification guarantees of the input design.
+
+An iteration is a deterministic map of the design, so once one iteration
+leaves a design unchanged, every later one would too. Both sweeps stop
+there: reduce_correlations ends its loop and repeats the last trace entries,
+and the batch sweep drops the replicate from its active set. Outputs and
+traces are bit-identical to running all iterations. The batch sweep also
+works through the batch in chunks of _CHUNK replicates, so its temporaries
+stay bounded whatever the replicate count; each replicate's arithmetic is
+row-wise, so chunking does not change a bit either.
 """
 
 from __future__ import annotations
@@ -35,6 +44,10 @@ __all__ = [
     "rms_correlation",
     "reduce_correlations",
 ]
+
+# Replicates _sweep_batch sweeps at once; bounds its temporaries to this many
+# designs' worth, whatever the batch size.
+_CHUNK = 256
 
 
 def residualize(response, covariate) -> np.ndarray:
@@ -178,11 +191,20 @@ def reduce_correlations(
             for l in range(p):
                 block[order[:, l], l] = mids[j]
 
-    for _ in range(iterations):
+    for it in range(iterations):
+        before = values.copy()
         residual_pass(forward=True)
         restore_all()
         residual_pass(forward=False)
         restore_all()
+        if np.array_equal(values, before):
+            # Fixed point: every later iteration maps the design to itself,
+            # so its trace entries repeat the last ones exactly.
+            pad = iterations - it
+            whole_trace.extend([whole_trace[-1]] * pad)
+            for row in slice_traces:
+                row.extend([row[-1]] * pad)
+            break
         whole_trace.append(rms_correlation(values))
         for j in range(t):
             slice_traces[j].append(_block_rms(blocks[j]))
@@ -205,12 +227,36 @@ def _sweep_batch(
     with its sorted midpoint vector. Only the surviving write per (pass, l)
     is computed: in a forward pass every l < p-1 ends up residualized against
     the last column, in a backward pass every l > 0 against the first, and
-    covariate columns are never modified within a pass, so this produces
-    exactly the same final state as the literal (k, l) loops.
+    covariate columns are never modified within a pass, so in exact
+    arithmetic this is the final state of the literal (k, l) loops. The
+    floats can differ in the last bit (row-wise einsum here, a BLAS dot
+    product in residualize), which decides the rank of residuals that tie
+    exactly; the two sweeps can then return different designs.
+
+    Replicates are swept _CHUNK at a time, so temporaries stay bounded
+    whatever R is. Within a chunk, a replicate that one iteration leaves
+    unchanged has reached a fixed point and drops out of later iterations.
     """
     R, n, p = stacked.shape
     if p < 2:
         return stacked
+    for first in range(0, R, _CHUNK):
+        chunk = stacked[first : first + _CHUNK]  # view: writes go through
+        live = np.arange(chunk.shape[0])
+        for _ in range(iterations):
+            state = chunk[live]
+            _sweep_iteration(state, blocks)
+            moved = (state != chunk[live]).reshape(live.size, -1).any(axis=1)
+            chunk[live] = state
+            live = live[moved]
+            if live.size == 0:
+                break
+    return stacked
+
+
+def _sweep_iteration(state: np.ndarray, blocks: list[tuple[slice, np.ndarray]]) -> None:
+    """One four-step iteration of _sweep_batch on ``state`` (m, n, p), in place."""
+    p = state.shape[2]
 
     def resid_rows(resp: np.ndarray, cov: np.ndarray) -> np.ndarray:
         cd = cov - cov.mean(axis=1, keepdims=True)
@@ -220,28 +266,23 @@ def _sweep_batch(
         slope = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         return resp - slope[:, None] * cd
 
-    def restore(rows: slice, mids: np.ndarray) -> None:
-        block = stacked[:, rows, :]  # view: rows is a slice, writes go through
-        order = np.argsort(block, axis=1, kind="stable")
-        np.put_along_axis(
-            block, order, np.broadcast_to(mids[None, :, None], block.shape), axis=1
-        )
+    def residual_pass(covariate: int, responses: range) -> None:
+        for rows, mids in blocks:
+            if mids.size < 2:
+                continue
+            base = state[:, rows, :].copy()
+            for l in responses:
+                state[:, rows, l] = resid_rows(base[:, :, l], base[:, :, covariate])
 
-    for _ in range(iterations):
+    def restore() -> None:
         for rows, mids in blocks:
-            if mids.size < 2:
-                continue
-            base = stacked[:, rows, :].copy()
-            for l in range(p - 1):
-                stacked[:, rows, l] = resid_rows(base[:, :, l], base[:, :, p - 1])
-        for rows, mids in blocks:
-            restore(rows, mids)
-        for rows, mids in blocks:
-            if mids.size < 2:
-                continue
-            base = stacked[:, rows, :].copy()
-            for l in range(1, p):
-                stacked[:, rows, l] = resid_rows(base[:, :, l], base[:, :, 0])
-        for rows, mids in blocks:
-            restore(rows, mids)
-    return stacked
+            block = state[:, rows, :]  # view: rows is a slice, writes go through
+            order = np.argsort(block, axis=1, kind="stable")
+            np.put_along_axis(
+                block, order, np.broadcast_to(mids[None, :, None], block.shape), axis=1
+            )
+
+    residual_pass(p - 1, range(p - 1))
+    restore()
+    residual_pass(0, range(1, p))
+    restore()

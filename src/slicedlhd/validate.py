@@ -24,21 +24,47 @@ MIDPOINT_TOL = 1e-12
 def is_lhd_column(column, bins: int) -> bool:
     """True iff each bin ((m-1)/bins, m/bins], m=1..bins, holds one entry.
 
-    Entries are classified by ceil(x * bins); midpoints never sit on a bin
-    edge, and jittered designs land on an edge only at x = m/bins exactly,
-    which ceil classifies into the correct (right-closed) bin. Out-of-range
-    entries fail the check rather than being clamped into a bin.
+    Entries are classified by ceil(x * bins); midpoints of the bins-level
+    grid never sit on a bin edge, and jittered designs land on an edge only
+    at x = m/bins exactly, which ceil classifies into the correct
+    (right-closed) bin. Out-of-range and non-finite entries fail the check
+    rather than being clamped into a bin.
     """
     col = np.asarray(column, dtype=np.float64)
     if col.ndim != 1:
         raise ValueError("column must be a 1-D vector")
     if col.size != bins:
         raise ValueError(f"column has {col.size} entries but bins={bins}")
-    if np.any(col <= 0.0) or np.any(col > 1.0):
-        return False
-    idx = np.ceil(col * bins).astype(np.int64)
-    np.clip(idx, 1, bins, out=idx)
-    return np.unique(idx).size == bins
+    return bool(_columns_fill_bins(col[:, None], bins, bins)[0])
+
+
+def _columns_fill_bins(values: np.ndarray, bins: int, n: int) -> np.ndarray:
+    """Per column of ``values``: does each of the ``bins`` bins hold one entry?
+
+    An entry equal to the midpoint (2a-1)/(2n) of the n-level grid is binned
+    exactly, as ceil(bins*(2a-1) / (2n)) in integers: a midpoint can sit on
+    a coarser bin edge, where float ceil(x * bins) may round it into the
+    next bin. Other entries in (0, 1] use ceil(x * bins); entries outside
+    (0, 1], NaN included, get bin 0, which no column may hold.
+    """
+    in_range, levels = _grid_levels(values, n)
+    on_grid = in_range & (values == level_midpoints(levels, n))
+    exact = -(-(bins * (2 * levels - 1)) // (2 * n))
+    approx = np.ceil(np.where(in_range, values, 0.0) * bins).astype(np.int64)
+    idx = np.where(on_grid, exact, approx)
+    want = np.arange(1, bins + 1)[:, None]
+    return np.all(np.sort(idx, axis=0) == want, axis=0)
+
+
+def _grid_levels(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of entries in (0, 1], and each entry's nearest level in 1..n.
+
+    Out-of-range entries get level n; they never reach the integer cast, so
+    NaN and huge values raise no cast warning.
+    """
+    in_range = (values > 0.0) & (values <= 1.0)
+    levels = levels_from_values(np.where(in_range, values, 1.0), n)
+    return in_range, np.clip(levels, 1, n)
 
 
 @dataclass(frozen=True)
@@ -94,17 +120,12 @@ def validate_sliced(design: Design) -> ValidationReport:
     p = design.p
     off = design.slice_offsets
 
-    column_ok = tuple(is_lhd_column(values[:, l], n) for l in range(p))
+    column_ok = tuple(_columns_fill_bins(values, n, n).tolist())
     slice_ok = tuple(
-        tuple(
-            is_lhd_column(values[off[j] : off[j + 1], l], design.sizes.sizes[j])
-            for l in range(p)
-        )
-        for j in range(design.sizes.t)
+        tuple(_columns_fill_bins(values[off[j] : off[j + 1]], nj, n).tolist())
+        for j, nj in enumerate(design.sizes.sizes)
     )
-    nearest = level_midpoints(
-        np.clip(levels_from_values(values, n), 1, n), n
-    )
+    nearest = level_midpoints(_grid_levels(values, n)[1], n)
     midpoints_exact = bool(np.all(np.abs(values - nearest) <= MIDPOINT_TOL))
     return ValidationReport(
         column_ok=column_ok,

@@ -155,6 +155,31 @@ def test_bench_rejects_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("replicates", 1.5),
+        ("replicates", 10.0),
+        ("sizes", [9, 7.9, 6]),
+        ("seed", True),
+        ("dim", False),
+        ("methods", "MLH"),
+        ("colour", "blue"),
+    ],
+)
+def test_bench_rejects_loose_config_values(tmp_path, capsys, key, value):
+    cfg = {
+        "integrand": "f2", "sizes": [9, 7, 6], "dim": 2,
+        "methods": ["MLH"], "replicates": 5,
+        "scenario": "all-complete", "seed": 11,
+    }
+    cfg[key] = value
+    path = tmp_path / "loose.cfg"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("bench", str(path)) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_bundled_configs_parse(tmp_path):
     # The bundled configs drive the full-scale reference runs (the
     # acceptance suite re-asserts the cell values); here just pin their

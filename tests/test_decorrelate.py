@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicedlhd import (
     Design,
@@ -14,6 +19,7 @@ from slicedlhd import (
     rms_correlation,
     validate_sliced,
 )
+from slicedlhd import decorrelate
 from slicedlhd.decorrelate import _sweep_batch
 
 from _goldens import (
@@ -220,3 +226,133 @@ def test_batch_sweep_matches_reference_exactly():
         for r, d in enumerate(designs):
             ref, _ = reduce_correlations(d, part, iterations=10)
             assert np.array_equal(stacked[r], ref.values), (sizes_tuple, p, r)
+
+
+def _blocks(sizes, part):
+    off = sizes.offsets()
+    return [(slice(off[j], off[j + 1]), part.group_midpoints(j)) for j in range(sizes.t)]
+
+
+def _unchunked_sweep(stacked, blocks, iterations):
+    # The batch sweep without chunks or early exit: every replicate runs
+    # every iteration, the whole batch at once.
+    out = stacked.copy()
+    for _ in range(iterations):
+        decorrelate._sweep_iteration(out, blocks)
+    return out
+
+
+def _assert_chunked_sweep_is_exact(stacked, blocks, iterations):
+    want = _unchunked_sweep(stacked, blocks, iterations)
+    alone = [_sweep_batch(d[None].copy(), blocks, iterations)[0] for d in stacked]
+    _sweep_batch(stacked, blocks, iterations=iterations)
+    assert np.array_equal(stacked, want)
+    assert np.array_equal(stacked, np.stack(alone))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4).filter(lambda s: sum(s) >= 2),
+    p=st.integers(2, 4),
+    chunk=st.integers(1, 4),
+    extra=st.integers(-3, 5),
+    fixed=st.lists(st.booleans(), min_size=9, max_size=9),
+    seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(1, 10),
+)
+def test_chunked_batch_sweep_equals_unchunked_sweep(
+    sizes, p, chunk, extra, fixed, seed, iterations
+):
+    # R runs below, at and above the chunk size; a small chunk keeps the
+    # many-chunk case cheap. Some replicates start at a fixed point, so they
+    # leave the active set after their first iteration.
+    sizes = SliceSizes(tuple(sizes))
+    part = partition_levels(sizes)
+    blocks = _blocks(sizes, part)
+    R = max(1, chunk + extra)
+    stacked = np.stack([
+        generate_sliced_lhd(sizes, p, RngStream(seed).split(r), partition=part).values
+        for r in range(R)
+    ])
+    for r in range(R):
+        if fixed[r % len(fixed)]:
+            stacked[r] = _unchunked_sweep(stacked[r:r + 1], blocks, 30)[0]
+    with mock.patch.object(decorrelate, "_CHUNK", chunk):
+        _assert_chunked_sweep_is_exact(stacked, blocks, iterations)
+
+
+@pytest.mark.parametrize(
+    "R", [decorrelate._CHUNK - 1, decorrelate._CHUNK, decorrelate._CHUNK + 1]
+)
+def test_chunked_batch_sweep_is_exact_at_chunk_size(R):
+    sizes = SliceSizes((5, 1, 4))
+    part = partition_levels(sizes)
+    stacked = np.stack([
+        generate_sliced_lhd(sizes, 2, RngStream(3).split(r), partition=part).values
+        for r in range(R)
+    ])
+    _assert_chunked_sweep_is_exact(stacked, _blocks(sizes, part), iterations=10)
+
+
+def test_sweep_of_a_fixed_point_changes_nothing():
+    design, part = _sweep_design()
+    fixed = Design(SWEEP_FINAL.copy(), design.sizes)
+    out, trace = reduce_correlations(fixed, part, iterations=5)
+    assert np.array_equal(out.values, SWEEP_FINAL)
+    assert trace.whole == (trace.whole[0],) * 6
+    assert all(row == (row[0],) * 6 for row in trace.per_slice)
+    stacked = np.stack([SWEEP_FINAL, SWEEP_START, SWEEP_FINAL])
+    _sweep_batch(stacked, _blocks(design.sizes, part), iterations=10)
+    assert np.array_equal(stacked[0], SWEEP_FINAL)
+    assert np.array_equal(stacked[1], SWEEP_FINAL)
+    assert np.array_equal(stacked[2], SWEEP_FINAL)
+
+
+def test_trace_repeats_its_tail_after_the_fixed_point():
+    # The oracle recomputes every trace entry from the state reached by
+    # one-iteration steps, so padding must equal what the sweep would
+    # have measured had it kept iterating.
+    design, part = _sweep_design()
+    iterations = 15
+    _, trace = reduce_correlations(design, part, iterations=iterations)
+    assert trace.iterations == iterations
+    assert len(trace.whole) == iterations + 1
+    assert all(len(row) == iterations + 1 for row in trace.per_slice)
+    off = design.slice_offsets
+    state = design
+    for k in range(iterations + 1):
+        if k:
+            state, _ = reduce_correlations(state, part, iterations=1)
+        assert trace.whole[k] == rms_correlation(state.values), k
+        for j, row in enumerate(trace.per_slice):
+            block = state.values[off[j]:off[j + 1]]
+            assert row[k] == (rms_correlation(block) if block.shape[0] > 1 else 0.0)
+    fixed_at = next(
+        k for k in range(1, iterations + 1) if trace.whole[k] == trace.whole[k - 1]
+    )
+    assert fixed_at < iterations
+    assert trace.whole[fixed_at:] == (trace.whole[fixed_at],) * (iterations + 1 - fixed_at)
+
+
+def test_batch_sweep_temporaries_stay_below_one_batch_copy():
+    # One block over all rows, as in the correlation-controlled single
+    # design: unchunked, its rank restore alone holds an index array the
+    # size of the whole batch.
+    sizes = SliceSizes((48,))
+    part = partition_levels(sizes)
+    R = 8 * decorrelate._CHUNK
+    gen = np.random.Generator(np.random.Philox(5))
+    mids = part.group_midpoints(0)
+    stacked = np.stack([
+        np.stack([gen.permutation(mids) for _ in range(5)], axis=1) for _ in range(R)
+    ])
+    blocks = _blocks(sizes, part)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _sweep_batch(stacked, blocks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < stacked.nbytes

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from slicedlhd import (
     generate_sliced_lhd,
     is_lhd_column,
     level_midpoints,
+    partition_levels,
     validate_sliced,
 )
 
@@ -115,3 +117,33 @@ def test_validate_sliced_out_of_range_fails_loudly():
     report = validate_sliced(d)
     assert not report.all_pass
     assert report.column_ok == (False,)
+
+
+def test_is_lhd_column_rejects_non_finite_entries():
+    assert not is_lhd_column(np.array([np.nan, 0.75]), 2)
+    assert not is_lhd_column(np.array([0.25, np.inf]), 2)
+    assert not is_lhd_column(np.array([-np.inf, 0.75]), 2)
+
+
+def test_validate_sliced_fails_nan_without_warning():
+    sizes = SliceSizes((1, 1))
+    d = Design(np.array([[np.nan, 0.25], [0.75, 0.75]]), sizes)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_sliced(d)
+    assert report.column_ok == (False, True)
+    assert report.slice_ok == ((False, True), (True, True))
+    assert not report.midpoints_exact
+
+
+def test_validate_sliced_bins_midpoints_on_slice_edges_exactly():
+    # n = 95: level 53's midpoint 105/190 is exactly 21/38, the right edge
+    # of bin 21 of the 38-run slice, but in floats 105/190 * 38 rounds to
+    # 21.000000000000004, whose ceil is bin 22.
+    sizes = SliceSizes((50, 7, 38))
+    assert np.ceil(level_midpoints(53, 95) * 38) == 22
+    part = partition_levels(sizes)
+    assert 53 in part.groups[2]
+    for seed in range(3):
+        d = generate_sliced_lhd(sizes, 2, RngStream(seed), partition=part)
+        assert validate_sliced(d).all_pass, seed
