@@ -11,6 +11,11 @@ scenarios, reporting root-mean-square estimation error over replicates:
   SLH   the sliced construction
   CSLH  SLH followed by the sweep (per-slice blocks)
 
+Each method is one row of _METHODS: its stream code, its grid (the row
+blocks of generate.method_blocks: "full", "own" or "sliced") and whether it
+is swept. All but RLH draw by permuting each block's midpoints per column;
+a swept method then runs one batch sweep over those same blocks.
+
 FSD (a flexible sliced design from other work) is recognized by name but
 not constructible here; requesting it is an error and reports mark its
 column unavailable.
@@ -33,9 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RngStream, SliceSizes, level_midpoints
+from .core import RngStream, SliceSizes, _is_integer
 from .decorrelate import SweepTrace, _sweep_batch
-from .partition import partition_levels
+from .generate import method_blocks
 
 __all__ = [
     "ExperimentConfig",
@@ -51,16 +56,17 @@ __all__ = [
     "write_trace_csv",
 ]
 
-# Stream codes keep each method's draws disjoint; 6 is reserved for the
+# Method -> (stream code, grid, swept); see the module docstring. Stream
+# codes keep each method's draws disjoint; 6 is reserved for the
 # unavailable FSD so codes stay stable if it ever lands.
-_METHOD_CODES = {
-    "RLH": 1,
-    "MLH": 2,
-    "CLH": 3,
-    "IMLH": 4,
-    "ICLH": 5,
-    "SLH": 7,
-    "CSLH": 8,
+_METHODS = {
+    "RLH": (1, "full", False),
+    "MLH": (2, "full", False),
+    "CLH": (3, "full", True),
+    "IMLH": (4, "own", False),
+    "ICLH": (5, "own", True),
+    "SLH": (7, "sliced", False),
+    "CSLH": (8, "sliced", True),
 }
 METHOD_ORDER = ("RLH", "MLH", "CLH", "IMLH", "ICLH", "FSD", "SLH", "CSLH")
 _ROLE_DESIGN, _ROLE_FAILURE, _ROLE_ASSIGNMENT = 0, 1, 2
@@ -184,6 +190,11 @@ class ExperimentConfig:
     f1_variant: str = "literal"
 
     def __post_init__(self):
+        for name in ("dim", "replicates", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.integrand not in ("f1", "f2", "custom"):
             raise ValueError(f"unknown integrand: {self.integrand!r}")
         if self.integrand == "f1" and self.dim != 5:
@@ -205,7 +216,7 @@ class ExperimentConfig:
         for m in methods:
             if m == "FSD":
                 raise ValueError("method unavailable: FSD")
-            if m not in _METHOD_CODES:
+            if m not in _METHODS:
                 raise ValueError(f"unknown method: {m!r}")
 
     @classmethod
@@ -323,74 +334,30 @@ def write_trace_csv(trace: SweepTrace, path) -> None:
 # batched design generation, one (method, replicate) stream each
 
 
-def _batch_single_grid(code: int, cfg: ExperimentConfig, jitter: bool) -> np.ndarray:
-    n, p, R = cfg.sizes.n, cfg.dim, cfg.replicates
+def _generators(code: int, cfg: ExperimentConfig, role: int):
+    """Replicate r's generator for one method and role, in replicate order."""
     base = RngStream(cfg.seed)
-    mids = level_midpoints(np.arange(1, n + 1), n)
-    out = np.empty((R, n, p))
-    for r in range(R):
-        gen = base.split(code, r, _ROLE_DESIGN).generator()
-        for l in range(p):
-            if jitter:
-                perm = gen.permutation(n) + 1
-                out[r, :, l] = (perm - gen.random(n)) / n
-            else:
-                out[r, :, l] = gen.permutation(mids)
-    return out
-
-
-def _batch_sliced(code: int, cfg: ExperimentConfig, group_mids: list[np.ndarray]) -> np.ndarray:
-    n, p, R = cfg.sizes.n, cfg.dim, cfg.replicates
-    off = cfg.sizes.offsets()
-    base = RngStream(cfg.seed)
-    out = np.empty((R, n, p))
-    for r in range(R):
-        gen = base.split(code, r, _ROLE_DESIGN).generator()
-        for j in range(cfg.sizes.t):
-            for l in range(p):
-                out[r, off[j] : off[j + 1], l] = gen.permutation(group_mids[j])
-    return out
+    return (base.split(code, r, role).generator() for r in range(cfg.replicates))
 
 
 def _batch_designs(method: str, cfg: ExperimentConfig) -> np.ndarray:
-    code = _METHOD_CODES[method]
-    sizes = cfg.sizes
-    off = sizes.offsets()
-    if method == "RLH":
-        return _batch_single_grid(code, cfg, jitter=True)
-    if method in ("MLH", "CLH"):
-        V = _batch_single_grid(code, cfg, jitter=False)
-        if method == "CLH":
-            mids = level_midpoints(np.arange(1, sizes.n + 1), sizes.n)
-            _sweep_batch(V, [(slice(0, sizes.n), mids)])
-        return V
-    if method in ("IMLH", "ICLH"):
-        own_mids = [level_midpoints(np.arange(1, nj + 1), nj) for nj in sizes.sizes]
-        V = _batch_sliced(code, cfg, own_mids)
-        if method == "ICLH":
-            for j in range(sizes.t):
-                _sweep_batch(
-                    V[:, off[j] : off[j + 1], :], [(slice(0, sizes.sizes[j]), own_mids[j])]
-                )
-        return V
-    if method in ("SLH", "CSLH"):
-        part = partition_levels(sizes)
-        gmids = [part.group_midpoints(j) for j in range(sizes.t)]
-        V = _batch_sliced(code, cfg, gmids)
-        if method == "CSLH":
-            blocks = [(slice(off[j], off[j + 1]), gmids[j]) for j in range(sizes.t)]
-            _sweep_batch(V, blocks)
-        return V
-    raise ValueError(f"unknown method: {method!r}")
-
-
-def _failed_slices(code: int, cfg: ExperimentConfig) -> np.ndarray:
-    base = RngStream(cfg.seed)
-    t = cfg.sizes.t
-    out = np.empty(cfg.replicates, dtype=np.int64)
-    for r in range(cfg.replicates):
-        gen = base.split(code, r, _ROLE_FAILURE).generator()
-        out[r] = gen.integers(t)
+    code, grid, swept = _METHODS[method]
+    n, p = cfg.sizes.n, cfg.dim
+    blocks = method_blocks(grid, cfg.sizes)
+    out = np.empty((cfg.replicates, n, p))
+    jitter = method == "RLH"
+    for r, gen in enumerate(_generators(code, cfg, _ROLE_DESIGN)):
+        if jitter:
+            # Permutation and jitter draws interleave column by column.
+            for l in range(p):
+                perm = gen.permutation(n) + 1
+                out[r, :, l] = (perm - gen.random(n)) / n
+        else:
+            for rows, mids in blocks:
+                for l in range(p):
+                    out[r, rows, l] = gen.permutation(mids)
+    if swept:
+        _sweep_batch(out, blocks)
     return out
 
 
@@ -399,13 +366,17 @@ def _estimates(method: str, cfg: ExperimentConfig, F: np.ndarray) -> np.ndarray:
     R, n = F.shape
     if cfg.scenario == SCENARIO_ALL:
         return F.mean(axis=1)
-    code = _METHOD_CODES[method]
+    code, grid, _ = _METHODS[method]
     sizes = np.asarray(cfg.sizes.sizes)
     off = cfg.sizes.offsets()
     t = cfg.sizes.t
-    fail = _failed_slices(code, cfg)
+    fail = np.fromiter(
+        (gen.integers(t) for gen in _generators(code, cfg, _ROLE_FAILURE)),
+        dtype=np.int64,
+        count=R,
+    )
     totals = F.sum(axis=1)
-    if method in ("IMLH", "ICLH", "SLH", "CSLH"):
+    if grid != "full":
         # Rows are already grouped by slice.
         block_sums = np.stack(
             [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(t)], axis=1
@@ -413,10 +384,8 @@ def _estimates(method: str, cfg: ExperimentConfig, F: np.ndarray) -> np.ndarray:
         dropped = block_sums[np.arange(R), fail]
     else:
         # Assign rows to computers uniformly at random, then drop one group.
-        base = RngStream(cfg.seed)
         dropped = np.empty(R)
-        for r in range(R):
-            gen = base.split(code, r, _ROLE_ASSIGNMENT).generator()
+        for r, gen in enumerate(_generators(code, cfg, _ROLE_ASSIGNMENT)):
             perm = gen.permutation(n)
             j = fail[r]
             dropped[r] = F[r, perm[off[j] : off[j + 1]]].sum()

@@ -41,6 +41,11 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bool and float are rejected, never truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def level_midpoints(levels, n: int) -> np.ndarray:
     """Map integer levels a in {1,...,n} to midpoints (2a-1)/(2n).
 
@@ -58,7 +63,10 @@ class SliceSizes:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(self.sizes)
+        if not all(map(_is_integer, sizes)):
+            raise ValueError(f"slice sizes must be integers, got {sizes!r}")
+        sizes = tuple(int(s) for s in sizes)
         if len(sizes) == 0:
             raise ValueError("at least one slice size is required")
         if any(s < 1 for s in sizes):

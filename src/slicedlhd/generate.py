@@ -1,6 +1,8 @@
 """Design generators: the sliced construction plus the baseline families.
 
-All generators take an RngStream and split it per (slice, column), so adding
+A midpoint family is a list of row blocks, each permuting its own sorted
+midpoints (see method_blocks); the benchmark draws and sweeps the same
+blocks. All generators split their RngStream per (block, column), so adding
 columns or slices never perturbs the draws of earlier ones and golden tests
 stay stable across refactors.
 """
@@ -17,6 +19,7 @@ from .core import (
     level_midpoints,
     uniform_permutation,
 )
+from .decorrelate import reduce_correlations
 from .partition import partition_levels
 
 __all__ = [
@@ -25,6 +28,39 @@ __all__ = [
     "generate_randomized_lhd",
     "generate_independent_lhds",
 ]
+
+
+def slice_blocks(sizes: SliceSizes, mids) -> list[tuple[slice, np.ndarray]]:
+    """Pair slice j's row range with the j-th entry of ``mids``, its sorted midpoints."""
+    off = sizes.offsets()
+    return [(slice(off[j], off[j + 1]), m) for j, m in enumerate(mids)]
+
+
+def method_blocks(grid: str, sizes: SliceSizes) -> list[tuple[slice, np.ndarray]]:
+    """The row blocks of a design family and the sorted midpoints each permutes.
+
+    ``grid`` is "full" (all n rows on the n-level grid), "own" (slice j on
+    its own n_j-level grid) or "sliced" (slice j on its partition group of
+    the n-level grid).
+    """
+    if grid == "full":
+        return [(slice(0, sizes.n), level_midpoints(np.arange(1, sizes.n + 1), sizes.n))]
+    if grid == "own":
+        return slice_blocks(
+            sizes, [level_midpoints(np.arange(1, nj + 1), nj) for nj in sizes.sizes]
+        )
+    if grid == "sliced":
+        return slice_blocks(sizes, map(partition_levels(sizes).group_midpoints, range(sizes.t)))
+    raise ValueError(f"unknown grid: {grid!r}")
+
+
+def _fill(blocks, n: int, p: int, rng: RngStream) -> np.ndarray:
+    """n x p values; block j, column l permutes its midpoints under rng.split(j, l)."""
+    values = np.empty((n, p), dtype=np.float64)
+    for j, (rows, mids) in enumerate(blocks):
+        for l in range(p):
+            values[rows, l] = mids[uniform_permutation(mids.size, rng.split(j, l)) - 1]
+    return values
 
 
 def generate_sliced_lhd(
@@ -49,15 +85,8 @@ def generate_sliced_lhd(
         partition = partition_levels(sizes)
     elif partition.sizes != sizes:
         raise ValueError("partition was built for different slice sizes")
-    n = sizes.n
-    values = np.empty((n, p), dtype=np.float64)
-    off = sizes.offsets()
-    for j in range(sizes.t):
-        group = np.asarray(partition.groups[j], dtype=np.int64)
-        for l in range(p):
-            order = uniform_permutation(len(group), rng.split(j, l)) - 1
-            values[off[j] : off[j + 1], l] = level_midpoints(group[order], n)
-    return Design(values, sizes)
+    blocks = slice_blocks(sizes, map(partition.group_midpoints, range(sizes.t)))
+    return Design(_fill(blocks, sizes.n, p, rng), sizes)
 
 
 def generate_midpoint_lhd(n: int, p: int, rng: RngStream) -> Design:
@@ -65,11 +94,7 @@ def generate_midpoint_lhd(n: int, p: int, rng: RngStream) -> Design:
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     sizes = SliceSizes((n,))
-    values = np.empty((n, p), dtype=np.float64)
-    for l in range(p):
-        perm = uniform_permutation(n, rng.split(0, l))
-        values[:, l] = level_midpoints(perm, n)
-    return Design(values, sizes)
+    return Design(_fill(method_blocks("full", sizes), n, p, rng), sizes)
 
 
 def generate_randomized_lhd(n: int, p: int, rng: RngStream) -> Design:
@@ -104,28 +129,20 @@ def generate_independent_lhds(
     generally not a Latin hypercube on the combined n-level grid, only each
     slice block is one at its own resolution. With ``decorrelate`` set, each
     block is passed through the correlation-reduction sweep independently
-    (for p >= 2; one-column designs have nothing to decorrelate).
+    (for p >= 2 and n_j >= 2; a single column or a single run has nothing to
+    decorrelate).
     """
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
-    # Imported here to avoid a module cycle: decorrelate depends on core only,
-    # but this generator is the one caller that needs the sweep.
-    from .decorrelate import reduce_correlations
-
-    values = np.empty((sizes.n, p), dtype=np.float64)
-    off = sizes.offsets()
-    for j, nj in enumerate(sizes.sizes):
-        block = np.empty((nj, p), dtype=np.float64)
-        for l in range(p):
-            perm = uniform_permutation(nj, rng.split(j, l))
-            block[:, l] = level_midpoints(perm, nj)
-        if decorrelate and p >= 2:
-            block_sizes = SliceSizes((nj,))
-            block_design = Design(block, block_sizes)
-            block_partition = partition_levels(block_sizes)
-            block_design, _ = reduce_correlations(
-                block_design, block_partition, iterations=iterations
+    blocks = method_blocks("own", sizes)
+    values = _fill(blocks, sizes.n, p, rng)
+    if decorrelate and p >= 2:
+        for rows, mids in blocks:
+            if mids.size < 2:
+                continue
+            own = SliceSizes((mids.size,))
+            swept, _ = reduce_correlations(
+                Design(values[rows], own), partition_levels(own), iterations=iterations
             )
-            block = block_design.values
-        values[off[j] : off[j + 1], :] = block
+            values[rows] = swept.values
     return Design(values, sizes)

@@ -121,6 +121,21 @@ def test_config_validation():
         ExperimentConfig.from_json('[1, 2]')
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.5), ("replicates", 2.5), ("replicates", True), ("dim", 2.0), ("seed", None)],
+)
+def test_config_rejects_loose_values_at_construction(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer"):
+        _config(**{key: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = _config(dim=np.int64(2), replicates=np.int32(3), seed=np.uint8(7))
+    assert (cfg.dim, cfg.replicates, cfg.seed) == (2, 3, 7)
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
 def test_fsd_is_recognized_but_unavailable():
     with pytest.raises(ValueError, match="method unavailable"):
         _config(methods=("FSD",))

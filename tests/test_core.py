@@ -72,6 +72,18 @@ def test_slice_sizes_rejects_bad_input():
         SliceSizes((3, -1))
 
 
+@pytest.mark.parametrize("sizes", [(3.7, 3), (3.0, 3), (True, 3), ("3", 3), (None,)])
+def test_slice_sizes_rejects_non_integers(sizes):
+    with pytest.raises(ValueError, match="slice sizes must be integers"):
+        SliceSizes(sizes)
+
+
+def test_slice_sizes_accept_numpy_integers():
+    s = SliceSizes((np.int64(3), np.int32(4), 5))
+    assert s.sizes == (3, 4, 5)
+    assert all(type(v) is int for v in s.sizes)
+
+
 def test_level_partition_validates_cover():
     sizes = SliceSizes((2, 3))
     LevelPartition(((4, 1), (2, 3, 5)), sizes)  # ok, any order in

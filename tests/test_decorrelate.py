@@ -3,13 +3,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicedlhd import (
     Design,
     RngStream,
     SliceSizes,
+    generate_independent_lhds,
     generate_sliced_lhd,
     levels_from_values,
     partition_levels,
@@ -21,6 +22,7 @@ from slicedlhd import (
 )
 from slicedlhd import decorrelate
 from slicedlhd.decorrelate import _sweep_batch
+from slicedlhd.generate import method_blocks, slice_blocks
 
 from _goldens import (
     GROUPS_6_7,
@@ -212,25 +214,16 @@ def test_batch_sweep_matches_reference_exactly():
     for sizes_tuple, p in cases:
         sizes = SliceSizes(sizes_tuple)
         part = partition_levels(sizes)
-        off = sizes.offsets()
         designs = [
             generate_sliced_lhd(sizes, p, RngStream(seed), partition=part)
             for seed in range(6)
         ]
         stacked = np.stack([d.values for d in designs])
-        blocks = [
-            (slice(off[j], off[j + 1]), part.group_midpoints(j))
-            for j in range(sizes.t)
-        ]
+        blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
         _sweep_batch(stacked, blocks, iterations=10)
         for r, d in enumerate(designs):
             ref, _ = reduce_correlations(d, part, iterations=10)
             assert np.array_equal(stacked[r], ref.values), (sizes_tuple, p, r)
-
-
-def _blocks(sizes, part):
-    off = sizes.offsets()
-    return [(slice(off[j], off[j + 1]), part.group_midpoints(j)) for j in range(sizes.t)]
 
 
 def _unchunked_sweep(stacked, blocks, iterations):
@@ -268,7 +261,7 @@ def test_chunked_batch_sweep_equals_unchunked_sweep(
     # leave the active set after their first iteration.
     sizes = SliceSizes(tuple(sizes))
     part = partition_levels(sizes)
-    blocks = _blocks(sizes, part)
+    blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
     R = max(1, chunk + extra)
     stacked = np.stack([
         generate_sliced_lhd(sizes, p, RngStream(seed).split(r), partition=part).values
@@ -281,6 +274,34 @@ def test_chunked_batch_sweep_equals_unchunked_sweep(
         _assert_chunked_sweep_is_exact(stacked, blocks, iterations)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    p=st.integers(2, 4),
+    chunk=st.integers(1, 4),
+    extra=st.integers(-3, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[1, 6, 1, 3], p=3, chunk=2, extra=3, seed=5)
+def test_one_sweep_over_own_grid_blocks_equals_per_block_sweeps(sizes, p, chunk, extra, seed):
+    # ICLH sweeps all its own-grid blocks in one call. Blocks are swept
+    # independently and a block at its fixed point maps to itself, so this
+    # equals sweeping each block's rows alone, single-run blocks included.
+    # A small chunk puts R below, at and above it.
+    sizes = SliceSizes(tuple(sizes))
+    blocks = method_blocks("own", sizes)
+    R = max(1, chunk + extra)
+    stacked = np.stack([
+        generate_independent_lhds(sizes, p, RngStream(seed).split(r)).values for r in range(R)
+    ])
+    per_block = stacked.copy()
+    with mock.patch.object(decorrelate, "_CHUNK", chunk):
+        for rows, mids in blocks:
+            _sweep_batch(per_block[:, rows, :], [(slice(0, mids.size), mids)])
+        _sweep_batch(stacked, blocks)
+    assert np.array_equal(stacked, per_block)
+
+
 @pytest.mark.parametrize(
     "R", [decorrelate._CHUNK - 1, decorrelate._CHUNK, decorrelate._CHUNK + 1]
 )
@@ -291,7 +312,8 @@ def test_chunked_batch_sweep_is_exact_at_chunk_size(R):
         generate_sliced_lhd(sizes, 2, RngStream(3).split(r), partition=part).values
         for r in range(R)
     ])
-    _assert_chunked_sweep_is_exact(stacked, _blocks(sizes, part), iterations=10)
+    blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
+    _assert_chunked_sweep_is_exact(stacked, blocks, iterations=10)
 
 
 def test_sweep_of_a_fixed_point_changes_nothing():
@@ -302,7 +324,8 @@ def test_sweep_of_a_fixed_point_changes_nothing():
     assert trace.whole == (trace.whole[0],) * 6
     assert all(row == (row[0],) * 6 for row in trace.per_slice)
     stacked = np.stack([SWEEP_FINAL, SWEEP_START, SWEEP_FINAL])
-    _sweep_batch(stacked, _blocks(design.sizes, part), iterations=10)
+    blocks = slice_blocks(design.sizes, map(part.group_midpoints, range(design.sizes.t)))
+    _sweep_batch(stacked, blocks, iterations=10)
     assert np.array_equal(stacked[0], SWEEP_FINAL)
     assert np.array_equal(stacked[1], SWEEP_FINAL)
     assert np.array_equal(stacked[2], SWEEP_FINAL)
@@ -346,7 +369,7 @@ def test_batch_sweep_temporaries_stay_below_one_batch_copy():
     stacked = np.stack([
         np.stack([gen.permutation(mids) for _ in range(5)], axis=1) for _ in range(R)
     ])
-    blocks = _blocks(sizes, part)
+    blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()

@@ -3,6 +3,7 @@ import pytest
 
 import slicedlhd.generate as generate_mod
 from slicedlhd import (
+    Design,
     RngStream,
     SliceSizes,
     generate_independent_lhds,
@@ -12,9 +13,11 @@ from slicedlhd import (
     is_lhd_column,
     level_midpoints,
     partition_levels,
+    reduce_correlations,
     rms_correlation,
     validate_sliced,
 )
+from slicedlhd.generate import method_blocks
 
 from _goldens import COLUMN_NUMER_2_5_10, GROUPS_2_5_10, PERMS_2_5_10, SIZES_2_5_10
 
@@ -131,3 +134,45 @@ def test_independent_lhds_keep_block_grids_under_decorrelation():
         block = d.values[off[j]:off[j + 1]]
         for l in range(3):
             assert np.array_equal(np.sort(block[:, l]), mids)
+
+
+def test_independent_lhds_decorrelate_skips_single_run_slices():
+    # A one-run block has nothing to decorrelate; the other blocks are
+    # swept on their own grids exactly as alone.
+    sizes = SliceSizes((1, 5))
+    plain = generate_independent_lhds(sizes, 3, RngStream(4))
+    swept = generate_independent_lhds(sizes, 3, RngStream(4), decorrelate=True)
+    assert np.array_equal(swept.values[:1], [[0.5, 0.5, 0.5]])
+    own = SliceSizes((5,))
+    ref, _ = reduce_correlations(Design(plain.values[1:], own), partition_levels(own))
+    assert np.array_equal(swept.values[1:], ref.values)
+
+
+@pytest.mark.parametrize("sizes", [(2, 5, 10), (1, 4), (6,), (3, 1, 1, 7)])
+def test_method_blocks_tile_the_rows_on_their_grids(sizes):
+    sizes = SliceSizes(sizes)
+    n = sizes.n
+    full_grid = level_midpoints(np.arange(1, n + 1), n)
+    for grid in ("full", "own", "sliced"):
+        blocks = method_blocks(grid, sizes)
+        assert np.array_equal(
+            np.concatenate([np.arange(n)[rows] for rows, _ in blocks]), np.arange(n)
+        )
+        for rows, mids in blocks:
+            assert mids.size == len(range(n)[rows])
+    [(_, mids)] = method_blocks("full", sizes)
+    assert np.array_equal(mids, full_grid)
+    for (_, mids), nj in zip(method_blocks("own", sizes), sizes.sizes):
+        assert np.array_equal(mids, level_midpoints(np.arange(1, nj + 1), nj))
+    sliced = np.concatenate([mids for _, mids in method_blocks("sliced", sizes)])
+    assert np.array_equal(np.sort(sliced), full_grid)
+    with pytest.raises(ValueError, match="unknown grid"):
+        method_blocks("half", sizes)
+
+
+def test_midpoint_lhd_is_the_one_slice_sliced_lhd():
+    for n, p, seed in [(1, 2, 0), (7, 3, 4), (30, 5, 9)]:
+        single = generate_midpoint_lhd(n, p, RngStream(seed))
+        sliced = generate_sliced_lhd(SliceSizes((n,)), p, RngStream(seed))
+        assert single.sizes == sliced.sizes
+        assert np.array_equal(single.values, sliced.values)
