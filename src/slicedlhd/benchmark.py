@@ -27,7 +27,9 @@ rows to computers uniformly at random in the configured group sizes.
 
 Everything is deterministic given the config seed: each (method, replicate)
 pair gets its own RNG stream, so replicates can be computed in any order or
-in parallel without changing results.
+in parallel without changing results. A batch's streams are keyed together
+by RngStream.generators, which draws exactly what one SeedSequence + Philox
+per stream would.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RngStream, SliceSizes, _is_integer
+from .core import RngStream, SliceSizes, _as_integer
 from .decorrelate import SweepTrace, _sweep_batch
 from .generate import method_blocks
 
@@ -191,10 +193,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("dim", "replicates", "seed"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
         if self.integrand not in ("f1", "f2", "custom"):
             raise ValueError(f"unknown integrand: {self.integrand!r}")
         if self.integrand == "f1" and self.dim != 5:
@@ -205,6 +204,8 @@ class ExperimentConfig:
             raise ValueError("dim must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.scenario not in (SCENARIO_ALL, SCENARIO_ONE_FAILS):
             raise ValueError(f"unknown scenario: {self.scenario!r}")
         if self.scenario == SCENARIO_ONE_FAILS and self.sizes.t < 2:
@@ -335,9 +336,9 @@ def write_trace_csv(trace: SweepTrace, path) -> None:
 
 
 def _generators(code: int, cfg: ExperimentConfig, role: int):
-    """Replicate r's generator for one method and role, in replicate order."""
-    base = RngStream(cfg.seed)
-    return (base.split(code, r, role).generator() for r in range(cfg.replicates))
+    """Replicate r's generator for one method and role, in replicate order;
+    each is valid until the next one is drawn (see RngStream.generators)."""
+    return RngStream(cfg.seed).generators((code,), cfg.replicates, (role,))
 
 
 def _batch_designs(method: str, cfg: ExperimentConfig) -> np.ndarray:

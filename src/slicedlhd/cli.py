@@ -249,6 +249,9 @@ def main(argv=None) -> int:
         if args.iterations < 1:
             print("error: --iterations must be >= 1", file=sys.stderr)
             return 2
+        if args.seed < 0:
+            print("error: --seed must be >= 0", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

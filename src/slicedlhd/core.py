@@ -4,6 +4,13 @@ Everything downstream (partitioning, generation, decorrelation, benchmarking)
 builds on the small vocabulary defined here: slice size vectors, level
 partitions, design matrices, and a reproducible RNG stream that can be split
 per (slice, column) or per (method, replicate) without aliasing.
+
+A stream's generator is numpy's own SeedSequence + Philox. For a run of
+sibling streams, such as one per benchmark replicate, ``RngStream.generators``
+reproduces SeedSequence's hash in uint32 array arithmetic: the seed and fixed
+path words are hashed once, the replicate word and the words after it for a
+whole chunk of replicates at once, and one Philox is re-keyed to each result.
+It draws the same numbers as the per-stream path at a small part of its cost.
 """
 
 from __future__ import annotations
@@ -44,6 +51,13 @@ def ceil_div(a: int, b: int) -> int:
 def _is_integer(value) -> bool:
     """A Python or numpy integer; bool and float are rejected, never truncated."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_integer(name: str, value) -> int:
+    """``value`` as a Python int, or a ValueError naming ``name`` if it is not an integer."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def level_midpoints(levels, n: int) -> np.ndarray:
@@ -174,24 +188,144 @@ class RngStream:
     A stream is identified by (seed, path). ``split`` extends the path;
     distinct paths never alias because they map to distinct SeedSequence
     spawn keys. ``generator`` materializes a fresh counter-based generator,
-    so the same stream always replays the same draws.
+    so the same stream always replays the same draws. ``generators`` yields
+    the generators of a run of sibling streams, keyed in one batched hash.
+    The seed and every path component must be nonnegative integers.
     """
 
     seed: int
     path: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "path", tuple(int(x) for x in self.path))
-        if any(x < 0 for x in self.path):
-            raise ValueError("stream path components must be nonnegative")
+        seed = _as_integer("stream seed", self.seed)
+        if seed < 0:
+            raise ValueError(f"stream seed must be nonnegative, got {seed}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "path", _path_components(self.path))
 
     def split(self, *components: int) -> "RngStream":
-        return RngStream(self.seed, self.path + tuple(int(c) for c in components))
+        return RngStream(self.seed, self.path + components)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
+
+    def generators(self, head, count: int, tail=()):
+        """The generator of ``self.split(*head, r, *tail)`` for each r < count, in order.
+
+        Draws the same numbers as calling ``generator`` on each of those
+        streams, but computes the Philox keys of up to _KEY_CHUNK replicates
+        in one vectorized SeedSequence hash and re-keys a single Philox for
+        each. The one
+        Generator is yielded every time, so each yielded generator is valid
+        only until the next one is drawn.
+        """
+        head = self.path + _path_components(head)
+        tail = _path_components(tail)
+        count = _as_integer("count", count)
+        if not 0 <= count <= _M32 + 1:
+            raise ValueError(f"count must be in [0, 2**32], got {count}")
+        return _rekeyed(*_seed_pool(self.seed, head), count, tail)
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
+_M32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Replicates keyed per vectorized hash: bounds the key arrays for any count.
+_KEY_CHUNK = 1024
+
+
+def _path_components(components) -> tuple[int, ...]:
+    """Stream path components as Python ints; each must be a nonnegative integer."""
+    out = tuple(_as_integer("stream path component", c) for c in components)
+    if any(c < 0 for c in out):
+        raise ValueError("stream path components must be nonnegative")
+    return out
+
+
+def _words(x: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a nonnegative int, low first; 0 is one word."""
+    out = [x & _M32]
+    x >>= 32
+    while x:
+        out.append(x & _M32)
+        x >>= 32
+    return out
+
+
+# Each step works on Python ints and on uint32 arrays alike: products are
+# masked before they meet an array, and array arithmetic wraps mod 2**32.
+def _hashmix(value, h, mult=_MULT_A):
+    value = value ^ h
+    h = h * mult & _M32
+    value = value * h & _M32
+    return value ^ value >> 16, h
+
+
+def _mix(x, y):
+    x = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return x ^ x >> 16
+
+
+def _seed_pool(seed: int, head: tuple[int, ...]):
+    """SeedSequence's pool and hash constant after the seed words and ``head``.
+
+    The spawn key is never empty here (it holds the replicate), so the seed
+    words are zero-padded to the pool size, as SeedSequence does.
+    """
+    words = _words(seed)
+    words += [0] * (_POOL - len(words))
+    pool, h = [], _INIT_A
+    for w in words[:_POOL]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    return _mix_words(pool, h, words[_POOL:] + [w for c in head for w in _words(c)])
+
+
+def _mix_words(pool, h, words):
+    """Mix each word into every pool entry, as SeedSequence does past the pool size."""
+    pool = list(pool)
+    for w in words:
+        for dst in range(_POOL):
+            v, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], v)
+    return pool, h
+
+
+def _philox_keys(pool, h, replicate_words: np.ndarray, tail) -> list[list[int]]:
+    """``generate_state(2, uint64)`` after mixing each replicate word, then ``tail``."""
+    pool, _ = _mix_words(pool, h, [replicate_words] + [w for c in tail for w in _words(c)])
+    out, h = [], _INIT_B
+    for v in pool:
+        v, h = _hashmix(v, h, _MULT_B)
+        out.append(v.astype(np.uint64))
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1).tolist()
+
+
+def _rekeyed(pool, h, count: int, tail: tuple[int, ...]):
+    """One Generator, re-keyed in turn to each replicate's key from ``_philox_keys``."""
+    bitgen = np.random.Philox(0)
+    # The state a new Philox starts in (counter 0, empty buffer), held in
+    # lists, which the state setter reads faster than arrays.
+    state = bitgen.state
+    state["buffer"] = state["buffer"].tolist()
+    keyed = state["state"]
+    keyed["counter"] = keyed["counter"].tolist()
+    gen = np.random.Generator(bitgen)
+    for first in range(0, count, _KEY_CHUNK):
+        replicates = np.arange(first, min(first + _KEY_CHUNK, count)).astype(np.uint32)
+        for key in _philox_keys(pool, h, replicates, tail):
+            keyed["key"] = key
+            bitgen.state = state
+            yield gen
 
 
 def uniform_permutation(m: int, rng: RngStream) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Design, LevelPartition, level_midpoints, levels_from_values
+from .core import Design, LevelPartition, _as_integer, level_midpoints, levels_from_values
 
 __all__ = [
     "SweepTrace",
@@ -137,6 +137,7 @@ def reduce_correlations(
     design on the full grid works too, which is how the correlation-controlled
     single-design baseline is realized).
     """
+    iterations = _as_integer("iterations", iterations)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if design.p < 2:

@@ -16,6 +16,7 @@ from .core import (
     LevelPartition,
     RngStream,
     SliceSizes,
+    _as_integer,
     level_midpoints,
     uniform_permutation,
 )
@@ -79,6 +80,7 @@ def generate_sliced_lhd(
     ``partition`` lets callers reuse a precomputed partition (it is a pure
     function of ``sizes``); pass None to compute it here.
     """
+    p = _as_integer("p", p)
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
     if partition is None:
@@ -91,6 +93,7 @@ def generate_sliced_lhd(
 
 def generate_midpoint_lhd(n: int, p: int, rng: RngStream) -> Design:
     """Single-slice design with each column a permutation of the n midpoints."""
+    n, p = _as_integer("n", n), _as_integer("p", p)
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     sizes = SliceSizes((n,))
@@ -104,6 +107,7 @@ def generate_randomized_lhd(n: int, p: int, rng: RngStream) -> Design:
     U_il independent uniform(0,1), so values land in ((m-1)/n, m/n] rather
     than at midpoints.
     """
+    n, p = _as_integer("n", n), _as_integer("p", p)
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     sizes = SliceSizes((n,))
@@ -132,6 +136,7 @@ def generate_independent_lhds(
     (for p >= 2 and n_j >= 2; a single column or a single run has nothing to
     decorrelate).
     """
+    p, iterations = _as_integer("p", p), _as_integer("iterations", iterations)
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
     blocks = method_blocks("own", sizes)

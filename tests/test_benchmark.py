@@ -21,6 +21,7 @@ from slicedlhd import (
     generate_sliced_lhd,
     partition_levels,
 )
+from slicedlhd import benchmark
 from slicedlhd.benchmark import RmseReport, method_estimates
 
 
@@ -130,6 +131,12 @@ def test_config_rejects_loose_values_at_construction(key, value):
         _config(**{key: value})
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        _config(seed=-1)
+    assert _config(seed=0).seed == 0
+
+
 def test_config_accepts_numpy_integers():
     cfg = _config(dim=np.int64(2), replicates=np.int32(3), seed=np.uint8(7))
     assert (cfg.dim, cfg.replicates, cfg.seed) == (2, 3, 7)
@@ -159,17 +166,35 @@ def test_run_experiment_is_deterministic():
     assert a.rmse == b.rmse
 
 
+_ALL_METHODS = ("RLH", "MLH", "CLH", "IMLH", "ICLH", "SLH", "CSLH")
+_SCENARIOS = ("all-complete", "one-slice-fails")
+
+
 def test_replicate_streams_are_prefix_stable():
     # Replicate r draws from its own stream, so extending the run must not
-    # change earlier replicates.
-    short = method_estimates("CSLH", _config(replicates=20))
-    long = method_estimates("CSLH", _config(replicates=60))
-    assert np.array_equal(short, long[:20])
-    short2 = method_estimates("RLH", _config(replicates=20,
-                                             scenario="one-slice-fails"))
-    long2 = method_estimates("RLH", _config(replicates=60,
-                                            scenario="one-slice-fails"))
-    assert np.array_equal(short2, long2[:20])
+    # change earlier replicates, for any method's design, failure and
+    # assignment streams.
+    for method in _ALL_METHODS:
+        for scenario in _SCENARIOS:
+            short = method_estimates(method, _config(replicates=20, scenario=scenario))
+            long = method_estimates(method, _config(replicates=60, scenario=scenario))
+            assert np.array_equal(short, long[:20]), (method, scenario)
+
+
+@pytest.mark.parametrize("scenario", _SCENARIOS)
+@pytest.mark.parametrize("method", _ALL_METHODS)
+def test_batched_streams_match_per_replicate_streams(monkeypatch, method, scenario):
+    # The batched stream builder must draw what one SeedSequence + Philox
+    # per (method, replicate, role) draws, through every method's path.
+    cfg = _config(replicates=45, scenario=scenario)
+    batched = method_estimates(method, cfg)
+
+    def per_replicate(code, cfg, role):
+        base = RngStream(cfg.seed)
+        return (base.split(code, r, role).generator() for r in range(cfg.replicates))
+
+    monkeypatch.setattr(benchmark, "_generators", per_replicate)
+    assert np.array_equal(batched, method_estimates(method, cfg))
 
 
 def test_methods_draw_from_disjoint_streams():

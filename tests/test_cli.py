@@ -180,6 +180,23 @@ def test_bench_rejects_loose_config_values(tmp_path, capsys, key, value):
     assert repr(key) in capsys.readouterr().err
 
 
+def test_negative_seeds_exit_2(tmp_path, capsys, monkeypatch):
+    cfg = {
+        "integrand": "f2", "sizes": [9, 7, 6], "dim": 2,
+        "methods": ["MLH"], "replicates": 5,
+        "scenario": "all-complete", "seed": -1,
+    }
+    path = tmp_path / "negative.cfg"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("bench", str(path)) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert run_cli("generate", "--sizes", "3,4", "--dim", "2", "--seed", "-1") == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+    monkeypatch.setenv("SLICEDLHD_SEED", "-5")
+    assert run_cli("generate", "--sizes", "3,4", "--dim", "2") == 2
+    assert "--seed must be >= 0" in capsys.readouterr().err
+
+
 def test_bundled_configs_parse(tmp_path):
     # The bundled configs drive the full-scale reference runs (the
     # acceptance suite re-asserts the cell values); here just pin their

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import slicedlhd.core as core
 
 from slicedlhd import (
     Design,
@@ -136,6 +138,31 @@ def test_rng_stream_is_pure_and_splits():
         s.split(-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "1", None])
+def test_rng_stream_rejects_non_integer_seeds(seed):
+    with pytest.raises(ValueError, match="^stream seed must be an integer"):
+        RngStream(seed)
+
+
+@pytest.mark.parametrize("path", [(2.7,), (1, 2.0), (True,), ("3",)])
+def test_rng_stream_rejects_non_integer_path_components(path):
+    with pytest.raises(ValueError, match="^stream path component must be an integer"):
+        RngStream(1, path)
+    with pytest.raises(ValueError, match="^stream path component must be an integer"):
+        RngStream(1).split(*path)
+
+
+def test_rng_stream_rejects_negative_seed_at_construction():
+    with pytest.raises(ValueError, match="^stream seed must be nonnegative"):
+        RngStream(-1)
+
+
+def test_rng_stream_accepts_numpy_integers():
+    s = RngStream(np.int64(3), (np.uint8(2),)).split(np.int32(5))
+    assert s == RngStream(3, (2, 5))
+    assert type(s.seed) is int and all(type(c) is int for c in s.path)
+
+
 def test_rng_stream_distinct_seeds_differ():
     a = RngStream(1).split(0).generator().random(8)
     b = RngStream(2).split(0).generator().random(8)
@@ -159,3 +186,81 @@ def test_uniform_permutation_m2_is_balanced():
         perm = uniform_permutation(2, base.split(i))
         hits += perm[0] == 1
     assert 4700 <= hits <= 5300
+
+
+_words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(
+        st.integers(0, 2**32 - 1),  # one word
+        st.integers(2**32, 2**128 - 1),  # two to four words
+        st.integers(2**128, 2**130),  # more words than the pool holds
+    ),
+    path=st.lists(_words, max_size=2),
+    head=st.lists(_words, max_size=3),
+    tail=st.lists(_words, max_size=3),
+    count=st.integers(1, 600),
+)
+def test_batched_keys_match_seed_sequence(seed, path, head, tail, count):
+    # Each yielded generator's Philox holds exactly the state numpy's own
+    # SeedSequence + Philox path gives: the key bit for bit, counter 0 and
+    # an empty buffer.
+    base = RngStream(seed, tuple(path))
+    for r, gen in enumerate(base.generators(tuple(head), count, tuple(tail))):
+        spawn_key = tuple(path) + tuple(head) + (r,) + tuple(tail)
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+        got = gen.bit_generator.state
+        want = np.random.Philox(seq).state
+        assert np.array_equal(got["state"]["key"], seq.generate_state(2, np.uint64))
+        assert np.array_equal(got["state"]["counter"], want["state"]["counter"])
+        assert np.array_equal(got["buffer"], want["buffer"])
+        assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
+            want[k] for k in ("buffer_pos", "has_uint32", "uinteger")
+        ]
+    assert r == count - 1
+
+
+_DRAWS = {
+    "permutation-int": lambda gen: gen.permutation(23),
+    "permutation-array": lambda gen: gen.permutation(level_midpoints(np.arange(1, 12), 11)),
+    "random": lambda gen: gen.random(5),
+    "integers": lambda gen: gen.integers(4, size=3),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(_DRAWS))
+@pytest.mark.parametrize("role", [0, 1, 2])
+def test_batched_generators_draw_as_per_replicate_generators(monkeypatch, draw, role):
+    # A small key chunk makes the 300 replicates span several vectorized hashes.
+    monkeypatch.setattr(core, "_KEY_CHUNK", 7)
+    seed, code, fn = 20240817_000123, 3, _DRAWS[draw]
+    batched = [fn(gen) for gen in RngStream(seed).generators((code,), 300, (role,))]
+    assert len(batched) == 300
+    for r, got in enumerate(batched):
+        want = fn(RngStream(seed).split(code, r, role).generator())
+        assert np.array_equal(got, want)
+
+
+def test_batched_generators_yield_nothing_for_zero_count():
+    assert list(RngStream(5).generators((1,), 0, (2,))) == []
+
+
+@pytest.mark.parametrize(
+    "head, count, tail, message",
+    [
+        ((2.7,), 3, (), "^stream path component must be an integer"),
+        ((1,), 3, (True,), "^stream path component must be an integer"),
+        ((-1,), 3, (), "^stream path components must be nonnegative"),
+        ((1,), 3, (-2,), "^stream path components must be nonnegative"),
+        ((1,), 2.0, (), "^count must be an integer"),
+        ((1,), True, (), "^count must be an integer"),
+        ((1,), -1, (), r"^count must be in \[0, 2\*\*32\]"),
+        ((1,), 2**32 + 1, (), r"^count must be in \[0, 2\*\*32\]"),
+    ],
+)
+def test_batched_generators_reject_loose_inputs(head, count, tail, message):
+    # Rejected when called, with the messages RngStream itself uses.
+    with pytest.raises(ValueError, match=message):
+        RngStream(1).generators(head, count, tail)

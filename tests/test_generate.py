@@ -176,3 +176,31 @@ def test_midpoint_lhd_is_the_one_slice_sliced_lhd():
         sliced = generate_sliced_lhd(SliceSizes((n,)), p, RngStream(seed))
         assert single.sizes == sliced.sizes
         assert np.array_equal(single.values, sliced.values)
+
+
+@pytest.mark.parametrize("p", [2.5, 2.0, True, "2"])
+def test_generators_reject_non_integer_p(p):
+    sizes, rng = SliceSizes((3, 4)), RngStream(1)
+    for call in (
+        lambda: generate_sliced_lhd(sizes, p, rng),
+        lambda: generate_midpoint_lhd(7, p, rng),
+        lambda: generate_randomized_lhd(7, p, rng),
+        lambda: generate_independent_lhds(sizes, p, rng),
+    ):
+        with pytest.raises(ValueError, match="^p must be an integer"):
+            call()
+
+
+@pytest.mark.parametrize("n", [7.0, 6.5])
+def test_single_slice_generators_reject_non_integer_n(n):
+    for gen in (generate_midpoint_lhd, generate_randomized_lhd):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            gen(n, 2, RngStream(1))
+
+
+@pytest.mark.parametrize("decorrelate", [False, True])
+def test_independent_lhds_reject_non_integer_iterations(decorrelate):
+    with pytest.raises(ValueError, match="^iterations must be an integer"):
+        generate_independent_lhds(
+            SliceSizes((3, 4)), 2, RngStream(1), decorrelate=decorrelate, iterations=2.5
+        )
