@@ -214,6 +214,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown f1 variant: {self.f1_variant!r}")
         methods = tuple(self.methods)
         object.__setattr__(self, "methods", methods)
+        if not methods:
+            raise ValueError("methods must name at least one method")
+        repeated = sorted({m for m in methods if methods.count(m) > 1})
+        if repeated:
+            raise ValueError(f"methods names {', '.join(map(repr, repeated))} more than once")
         for m in methods:
             if m == "FSD":
                 raise ValueError("method unavailable: FSD")
@@ -347,6 +352,11 @@ def _batch_designs(method: str, cfg: ExperimentConfig) -> np.ndarray:
     blocks = method_blocks(grid, cfg.sizes)
     out = np.empty((cfg.replicates, n, p))
     jitter = method == "RLH"
+    if not jitter:
+        # Shuffle each block's sorted midpoints in place: permutation(mids)
+        # is shuffle of a copy, so the draws are the same.
+        for rows, mids in blocks:
+            out[:, rows, :] = mids[:, None]
     for r, gen in enumerate(_generators(code, cfg, _ROLE_DESIGN)):
         if jitter:
             # Permutation and jitter draws interleave column by column.
@@ -354,9 +364,9 @@ def _batch_designs(method: str, cfg: ExperimentConfig) -> np.ndarray:
                 perm = gen.permutation(n) + 1
                 out[r, :, l] = (perm - gen.random(n)) / n
         else:
-            for rows, mids in blocks:
+            for rows, _ in blocks:
                 for l in range(p):
-                    out[r, rows, l] = gen.permutation(mids)
+                    gen.shuffle(out[r, rows, l])
     if swept:
         _sweep_batch(out, blocks)
     return out
@@ -399,7 +409,13 @@ def _integrand_values(cfg: ExperimentConfig, V: np.ndarray, custom) -> np.ndarra
         return eval_f1(V, variant=cfg.f1_variant)
     if cfg.integrand == "f2":
         return eval_f2(V)
-    return np.asarray(custom(V), dtype=np.float64)
+    F = np.asarray(custom(V), dtype=np.float64)
+    if F.shape != V.shape[:2]:
+        raise ValueError(
+            f"custom integrand must return shape {V.shape[:2]} (replicates, runs), "
+            f"got {F.shape}"
+        )
+    return F
 
 
 def _true_mean(cfg: ExperimentConfig, custom_true_mean) -> float:

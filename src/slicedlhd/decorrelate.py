@@ -21,12 +21,17 @@ never damages the stratification guarantees of the input design.
 
 An iteration is a deterministic map of the design, so once one iteration
 leaves a design unchanged, every later one would too. Both sweeps stop
-there: reduce_correlations ends its loop and repeats the last trace entries,
-and the batch sweep drops the replicate from its active set. Outputs and
-traces are bit-identical to running all iterations. The batch sweep also
-works through the batch in chunks of _CHUNK replicates, so its temporaries
-stay bounded whatever the replicate count; each replicate's arithmetic is
-row-wise, so chunking does not change a bit either.
+there: reduce_correlations ends its loop and repeats the last trace entries.
+Outputs and traces are bit-identical to running all iterations.
+
+The batch sweep (the benchmark's) works through the batch in chunks of
+_CHUNK replicates, so its temporaries stay bounded whatever the replicate
+count. A pass reads only its own block's rows, so within a chunk each block
+is copied once into a contiguous (replicate, column, row) array and swept
+there to its own fixed point: a (replicate, block) pair that one iteration
+leaves unchanged drops out while the replicate's other blocks go on. Every
+sum runs along a block row, in the same order as one replicate swept alone,
+so neither the chunks nor the per-block stop changes a bit.
 """
 
 from __future__ import annotations
@@ -235,55 +240,71 @@ def _sweep_batch(
     exactly; the two sweeps can then return different designs.
 
     Replicates are swept _CHUNK at a time, so temporaries stay bounded
-    whatever R is. Within a chunk, a replicate that one iteration leaves
-    unchanged has reached a fixed point and drops out of later iterations.
+    whatever R is. A pass reads only its own block's rows, so each block of
+    a chunk is swept on its own, to its own fixed point (_sweep_block).
     """
     R, n, p = stacked.shape
     if p < 2:
         return stacked
     for first in range(0, R, _CHUNK):
         chunk = stacked[first : first + _CHUNK]  # view: writes go through
-        live = np.arange(chunk.shape[0])
-        for _ in range(iterations):
-            state = chunk[live]
-            _sweep_iteration(state, blocks)
-            moved = (state != chunk[live]).reshape(live.size, -1).any(axis=1)
-            chunk[live] = state
-            live = live[moved]
-            if live.size == 0:
-                break
+        for rows, mids in blocks:
+            if mids.size >= 2:
+                _sweep_block(chunk[:, rows, :], mids, iterations)
     return stacked
 
 
-def _sweep_iteration(state: np.ndarray, blocks: list[tuple[slice, np.ndarray]]) -> None:
-    """One four-step iteration of _sweep_batch on ``state`` (m, n, p), in place."""
-    p = state.shape[2]
+def _sweep_block(dest: np.ndarray, mids: np.ndarray, iterations: int) -> None:
+    """Sweep the block ``dest`` (m, n_j, p), a view, to its fixed point.
 
-    def resid_rows(resp: np.ndarray, cov: np.ndarray) -> np.ndarray:
-        cd = cov - cov.mean(axis=1, keepdims=True)
-        rd = resp - resp.mean(axis=1, keepdims=True)
-        den = np.einsum("ij,ij->i", cd, cd)
-        num = np.einsum("ij,ij->i", cd, rd)
-        slope = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        return resp - slope[:, None] * cd
+    The block is copied once into a contiguous (m, p, n_j) array, replicate
+    i's column l at [i, l]. A replicate that one iteration leaves unchanged
+    is at its fixed point: it is written back and drops out.
+    """
+    state = dest.transpose(0, 2, 1).copy()
+    m, p, n_j = state.shape
+    # Flat start of each (replicate, column) row, for the rank-restore scatter.
+    offsets = np.arange(0, state.size, n_j).reshape(m, p, 1)
+    live = np.arange(m)
+    for _ in range(iterations):
+        before = state.copy()
+        _residual_pass(state, p - 1, slice(0, p - 1))
+        _rank_restore_rows(state, mids, offsets[: live.size])
+        _residual_pass(state, 0, slice(1, p))
+        _rank_restore_rows(state, mids, offsets[: live.size])
+        moved = (state != before).reshape(live.size, -1).any(axis=1)
+        del before  # lowers the peak while the live set is compacted
+        if not moved.all():
+            dest[live[~moved]] = state[~moved].transpose(0, 2, 1)
+            state, live = state[moved], live[moved]
+            if live.size == 0:
+                return
+    dest[live] = state.transpose(0, 2, 1)
 
-    def residual_pass(covariate: int, responses: range) -> None:
-        for rows, mids in blocks:
-            if mids.size < 2:
-                continue
-            base = state[:, rows, :].copy()
-            for l in responses:
-                state[:, rows, l] = resid_rows(base[:, :, l], base[:, :, covariate])
 
-    def restore() -> None:
-        for rows, mids in blocks:
-            block = state[:, rows, :]  # view: rows is a slice, writes go through
-            order = np.argsort(block, axis=1, kind="stable")
-            np.put_along_axis(
-                block, order, np.broadcast_to(mids[None, :, None], block.shape), axis=1
-            )
+def _residual_pass(state: np.ndarray, covariate: int, responses: slice) -> None:
+    """Residualize the ``responses`` columns of ``state`` (m, p, n_j) on the
+    ``covariate`` column, row by row, all read as the pass starts.
 
-    residual_pass(p - 1, range(p - 1))
-    restore()
-    residual_pass(0, range(1, p))
-    restore()
+    Each sum runs along one contiguous row: add.reduce / n_j is np.mean's
+    own arithmetic, and the einsum row reduction is the one whose last bits
+    set the order of exactly tied residuals, so neither may change."""
+    centred = state - np.add.reduce(state, axis=2, keepdims=True) / state.shape[2]
+    cd = centred[:, covariate, :]
+    # [i, k] = sum_j centred[i, k, j] * cd[i, j]; at k = covariate that is
+    # the covariate's own sum of squares, the slopes' denominator.
+    num = np.einsum("ikj,ij->ik", centred, cd)
+    den = num[:, covariate, None]
+    num = num[:, responses]
+    slope = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    # The responses' centred rows are spent: reuse them for slope * cd.
+    shift = np.multiply(slope[:, :, None], cd[:, None, :], out=centred[:, responses, :])
+    state[:, responses, :] -= shift
+
+
+def _rank_restore_rows(state: np.ndarray, mids: np.ndarray, offsets: np.ndarray) -> None:
+    """Map each (replicate, column) row of ``state`` onto ``mids`` by rank,
+    ties by position: one stable argsort, one flat scatter."""
+    order = np.argsort(state, axis=2, kind="stable")
+    order += offsets
+    np.put(state, order, mids)  # mids repeats along each row of order

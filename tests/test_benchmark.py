@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ def test_config_accepts_numpy_integers():
     assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
+@pytest.mark.parametrize(
+    "methods, message",
+    [((), "^methods must name at least one method$"),
+     (("CLH", "CLH"), "^methods names 'CLH' more than once$"),
+     (("SLH", "MLH", "SLH", "MLH"), "^methods names 'MLH', 'SLH' more than once$")],
+)
+def test_config_rejects_empty_or_repeated_methods(methods, message):
+    with pytest.raises(ValueError, match=message):
+        _config(methods=methods)
+
+
 def test_fsd_is_recognized_but_unavailable():
     with pytest.raises(ValueError, match="method unavailable"):
         _config(methods=("FSD",))
@@ -270,6 +282,22 @@ def test_custom_integrand_requires_callable_and_mean():
         run_experiment(cfg, custom_integrand=lambda x: x[..., 0])
     with pytest.raises(ValueError):
         run_experiment(cfg, custom_true_mean=0.5)
+
+
+@pytest.mark.parametrize(
+    "integrand, got",
+    [(lambda x: 1.0, "()"),
+     (lambda x: x[..., :1], "(4, 6, 1)"),
+     (lambda x: x[..., 0].T, "(6, 4)")],
+)
+def test_custom_integrand_of_the_wrong_shape_is_named(integrand, got):
+    cfg = ExperimentConfig(
+        integrand="custom", sizes=SliceSizes((3, 3)), dim=2,
+        methods=("MLH",), replicates=4, scenario="all-complete", seed=1,
+    )
+    want = r"must return shape \(4, 6\) \(replicates, runs\), got " + re.escape(got) + "$"
+    with pytest.raises(ValueError, match=want):
+        run_experiment(cfg, custom_integrand=integrand, custom_true_mean=0.5)
 
 
 def test_one_slice_fails_drops_the_right_rows():

@@ -180,6 +180,21 @@ def test_bench_rejects_loose_config_values(tmp_path, capsys, key, value):
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("methods", [[], ["CLH", "CLH"]])
+def test_bench_rejects_empty_or_repeated_methods(tmp_path, capsys, methods):
+    cfg = {
+        "integrand": "f2", "sizes": [9, 7, 6], "dim": 2,
+        "methods": methods, "replicates": 5,
+        "scenario": "all-complete", "seed": 11,
+    }
+    path = tmp_path / "methods.cfg"
+    path.write_text(json.dumps(cfg))
+    assert run_cli("bench", str(path)) == 2
+    captured = capsys.readouterr()
+    assert "methods" in captured.err
+    assert captured.out == ""
+
+
 def test_negative_seeds_exit_2(tmp_path, capsys, monkeypatch):
     cfg = {
         "integrand": "f2", "sizes": [9, 7, 6], "dim": 2,

@@ -11,6 +11,7 @@ from slicedlhd import (
     RngStream,
     SliceSizes,
     generate_independent_lhds,
+    generate_midpoint_lhd,
     generate_sliced_lhd,
     levels_from_values,
     partition_levels,
@@ -226,12 +227,51 @@ def test_batch_sweep_matches_reference_exactly():
             assert np.array_equal(stacked[r], ref.values), (sizes_tuple, p, r)
 
 
+def _reference_iteration(state, blocks):
+    # One four-step iteration of the batch sweep in its earlier
+    # column-by-column form, on state (m, n, p) in place, kept here frozen
+    # as the oracle for _sweep_batch: per response column, on strided row
+    # views of the whole batch. The einsum row reductions set the tie order
+    # the pinned RMSE bits depend on, so the sweep must match this bit for
+    # bit.
+    p = state.shape[2]
+
+    def resid_rows(resp, cov):
+        cd = cov - cov.mean(axis=1, keepdims=True)
+        rd = resp - resp.mean(axis=1, keepdims=True)
+        den = np.einsum("ij,ij->i", cd, cd)
+        num = np.einsum("ij,ij->i", cd, rd)
+        slope = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        return resp - slope[:, None] * cd
+
+    def residual_pass(covariate, responses):
+        for rows, mids in blocks:
+            if mids.size < 2:
+                continue
+            base = state[:, rows, :].copy()
+            for l in responses:
+                state[:, rows, l] = resid_rows(base[:, :, l], base[:, :, covariate])
+
+    def restore():
+        for rows, mids in blocks:
+            block = state[:, rows, :]
+            order = np.argsort(block, axis=1, kind="stable")
+            np.put_along_axis(
+                block, order, np.broadcast_to(mids[None, :, None], block.shape), axis=1
+            )
+
+    residual_pass(p - 1, range(p - 1))
+    restore()
+    residual_pass(0, range(1, p))
+    restore()
+
+
 def _unchunked_sweep(stacked, blocks, iterations):
-    # The batch sweep without chunks or early exit: every replicate runs
+    # The reference sweep without chunks or early exit: every replicate runs
     # every iteration, the whole batch at once.
     out = stacked.copy()
     for _ in range(iterations):
-        decorrelate._sweep_iteration(out, blocks)
+        _reference_iteration(out, blocks)
     return out
 
 
@@ -243,35 +283,76 @@ def _assert_chunked_sweep_is_exact(stacked, blocks, iterations):
     assert np.array_equal(stacked, np.stack(alone))
 
 
+def _draw(grid, sizes, p, stream):
+    # One design on the rows and midpoints of method_blocks(grid, sizes).
+    if grid == "full":
+        return generate_midpoint_lhd(sizes.n, p, stream).values
+    if grid == "own":
+        return generate_independent_lhds(sizes, p, stream).values
+    return generate_sliced_lhd(sizes, p, stream).values
+
+
+# numpy sums up to 8 terms one by one, up to 128 in 8 unrolled partial sums
+# and more by halving, so block sizes on either side of 8 and 128 take each
+# summation path; 1 is the unswept single-run block.
+_BLOCK_SIZES = st.one_of(
+    st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 130, 257]), st.integers(1, 40)
+)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4).filter(lambda s: sum(s) >= 2),
-    p=st.integers(2, 4),
+    grid=st.sampled_from(["full", "own", "sliced"]),
+    sizes=st.lists(_BLOCK_SIZES, min_size=1, max_size=4).filter(lambda s: sum(s) >= 2),
+    p=st.integers(2, 8),
     chunk=st.integers(1, 4),
     extra=st.integers(-3, 5),
     fixed=st.lists(st.booleans(), min_size=9, max_size=9),
     seed=st.integers(0, 2**32 - 1),
+    first=st.integers(0, 200),
     iterations=st.integers(1, 10),
 )
+@example(grid="sliced", sizes=[5, 1, 4], p=2, chunk=1, extra=0,
+         fixed=[False] * 9, seed=3, first=97, iterations=10)
 def test_chunked_batch_sweep_equals_unchunked_sweep(
-    sizes, p, chunk, extra, fixed, seed, iterations
+    grid, sizes, p, chunk, extra, fixed, seed, first, iterations
 ):
-    # R runs below, at and above the chunk size; a small chunk keeps the
+    # The oracle is the frozen reference iteration, run unchunked. Replicate
+    # r is the design of RngStream(seed).split(first + r), so the example is
+    # the known exact residual tie: sizes (5,1,4), p = 2, split 97. R runs
+    # below, at and above a small patched chunk size, which keeps the
     # many-chunk case cheap. Some replicates start at a fixed point, so they
     # leave the active set after their first iteration.
     sizes = SliceSizes(tuple(sizes))
-    part = partition_levels(sizes)
-    blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
+    blocks = method_blocks(grid, sizes)
     R = max(1, chunk + extra)
-    stacked = np.stack([
-        generate_sliced_lhd(sizes, p, RngStream(seed).split(r), partition=part).values
-        for r in range(R)
-    ])
+    stacked = np.stack([_draw(grid, sizes, p, RngStream(seed).split(first + r)) for r in range(R)])
     for r in range(R):
         if fixed[r % len(fixed)]:
             stacked[r] = _unchunked_sweep(stacked[r:r + 1], blocks, 30)[0]
     with mock.patch.object(decorrelate, "_CHUNK", chunk):
         _assert_chunked_sweep_is_exact(stacked, blocks, iterations)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.sampled_from(["full", "own", "sliced"]),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(lambda s: sum(s) >= 2),
+    p=st.integers(2, 8),
+    R=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(1, 10),
+)
+def test_batch_sweep_keeps_each_block_midpoint_multiset(grid, sizes, p, R, seed, iterations):
+    # Rank restoration puts every swept block's midpoints back, each once,
+    # in every column: the sweep never touches stratification.
+    sizes = SliceSizes(tuple(sizes))
+    blocks = method_blocks(grid, sizes)
+    stacked = np.stack([_draw(grid, sizes, p, RngStream(seed).split(r)) for r in range(R)])
+    _sweep_batch(stacked, blocks, iterations=iterations)
+    for rows, mids in blocks:
+        got = np.sort(stacked[:, rows, :], axis=1)
+        assert np.array_equal(got, np.broadcast_to(mids[None, :, None], got.shape))
 
 
 @settings(max_examples=60, deadline=None)
