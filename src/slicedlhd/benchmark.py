@@ -20,6 +20,9 @@ FSD (a flexible sliced design from other work) is recognized by name but
 not constructible here; requesting it is an error and reports mark its
 column unavailable.
 
+f1's true mean is exact. f2's is the adaptive-quadrature float, stored as
+a constant (see true_mean_f2), so no run needs more than numpy.
+
 Scenario 1 ("all-complete") estimates with the mean over all n outputs.
 Scenario 2 ("one-slice-fails") drops one computer's rows, chosen uniformly
 at random, and averages the survivors; methods without slices first assign
@@ -117,36 +120,27 @@ def true_mean_f1() -> float:
     return -5.0
 
 
-_F2_MEAN_CACHE: dict[tuple[float, float], float] = {}
+# Adaptive quadrature (scipy's dblquad at epsabs = epsrel = 1e-11) gives
+# f2's mean as this float, 1.2500000000000677, not 5/4. Every f2 RMSE is
+# measured against it, so storing 5/4 instead would move every f2 RMSE bit.
+_F2_MEAN = float.fromhex("0x1.4000000000131p+0")
 
 
-def true_mean_f2(epsabs: float = 1e-11, epsrel: float = 1e-11) -> float:
-    """Mean of f2 over the unit square by adaptive quadrature.
-
-    The closed form is 5/4; the quadrature oracle is kept as the runtime
-    source of truth so the benchmark never depends on a hand-derived
-    constant, and tests check the two agree.
-    """
-    key = (epsabs, epsrel)
-    if key not in _F2_MEAN_CACHE:
-        from scipy import integrate
-
-        val, _err = integrate.dblquad(
-            lambda y, x: np.log(x ** -0.5 + y ** -0.5),
-            0.0,
-            1.0,
-            0.0,
-            1.0,
-            epsabs=epsabs,
-            epsrel=epsrel,
-        )
-        _F2_MEAN_CACHE[key] = float(val)
-    return _F2_MEAN_CACHE[key]
+def true_mean_f2() -> float:
+    """Mean of f2 over the unit square (5/4 in closed form) as the stored
+    adaptive-quadrature float; the tests recompute it bit for bit."""
+    return _F2_MEAN
 
 
 def mc_mean(integrand, dim: int, points: int = 10_000_000, seed: int = 0,
             chunk: int = 1_000_000) -> tuple[float, float]:
     """Plain Monte Carlo mean and its standard error, for oracle cross-checks."""
+    points = _as_integer("points", points)
+    chunk = _as_integer("chunk", chunk)
+    if points < 1:
+        raise ValueError("points must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     gen = RngStream(seed).split(99).generator()
     total = 0.0
     total_sq = 0.0

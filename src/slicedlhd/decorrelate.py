@@ -14,7 +14,10 @@ the block state as it was at the START of that pass. Writes do not chain:
 when several k touch the same l inside one pass, the last write wins (k = p
 in the forward pass, k = 1 in the backward pass). This stale-read behavior
 is deliberate and pinned by golden tests; chaining the updates produces
-different (and not reproducible) matrices.
+different (and not reproducible) matrices. So both sweeps compute only the
+surviving writes: forward, every column l < p against column p; backward,
+every column l > 1 against column 1. Each is the very call the literal
+loops make last, so reduce_correlations returns their result bit for bit.
 
 Rank restoration preserves each slice's level multiset exactly, so the sweep
 never damages the stratification guarantees of the input design.
@@ -175,21 +178,15 @@ def reduce_correlations(
     whole_trace = [rms_correlation(values) if p >= 2 else 0.0]
     slice_traces = [[_block_rms(blocks[j])] for j in range(t)]
 
-    def residual_pass(forward: bool) -> None:
+    def residual_pass(covariate: int, responses: range) -> None:
+        # Only the surviving write of each response is computed (see the
+        # module docstring). The covariate is never written and each
+        # response once, so every read sees the block as the pass began.
         for block in blocks:
             if block.shape[0] < 2:
                 continue
-            base = block.copy()  # state at the start of the pass, per block
-            if forward:
-                pairs = ((k, l) for k in range(1, p) for l in range(k))
-            else:
-                pairs = (
-                    (k, l)
-                    for k in range(p - 2, -1, -1)
-                    for l in range(p - 1, k, -1)
-                )
-            for k, l in pairs:
-                block[:, l] = residualize(base[:, l], base[:, k])
+            for l in responses:
+                block[:, l] = residualize(block[:, l], block[:, covariate])
 
     def restore_all() -> None:
         for j, block in enumerate(blocks):
@@ -199,9 +196,9 @@ def reduce_correlations(
 
     for it in range(iterations):
         before = values.copy()
-        residual_pass(forward=True)
+        residual_pass(p - 1, range(p - 1))
         restore_all()
-        residual_pass(forward=False)
+        residual_pass(0, range(1, p))
         restore_all()
         if np.array_equal(values, before):
             # Fixed point: every later iteration maps the design to itself,
@@ -230,14 +227,12 @@ def _sweep_batch(
     """Vectorized sweep over a batch of designs, in place.
 
     ``stacked`` has shape (R, n, p); ``blocks`` pairs each slice's row range
-    with its sorted midpoint vector. Only the surviving write per (pass, l)
-    is computed: in a forward pass every l < p-1 ends up residualized against
-    the last column, in a backward pass every l > 0 against the first, and
-    covariate columns are never modified within a pass, so in exact
-    arithmetic this is the final state of the literal (k, l) loops. The
-    floats can differ in the last bit (row-wise einsum here, a BLAS dot
-    product in residualize), which decides the rank of residuals that tie
-    exactly; the two sweeps can then return different designs.
+    with its sorted midpoint vector. Like reduce_correlations it computes
+    only the surviving write per (pass, l) (see the module docstring), but
+    its floats can differ from reduce_correlations' in the last bit
+    (row-wise einsum here, a BLAS dot product in residualize). That decides
+    the rank of residuals that tie exactly, so the two sweeps can then
+    return different designs.
 
     Replicates are swept _CHUNK at a time, so temporaries stay bounded
     whatever R is. A pass reads only its own block's rows, so each block of

@@ -62,6 +62,7 @@ from _goldens import (
     SWEEP_FINAL,
     SWEEP_START,
 )
+from _quadrature import f2_quadrature
 
 SEED = 20240817
 REPLICATES = 10_000
@@ -310,11 +311,14 @@ def test_true_mean_oracles():
                       points=10**7, seed=102)
     print(f"mc f1 x3: {est:.6f} (se {se:.2e})")
     assert abs(est - (-5.0)) <= 3 * se
-    # 2-D integrand: quadrature stable to 1e-8 under tolerance refinement,
-    # and a plain-MC cross-check agrees.
-    coarse = true_mean_f2(1e-9, 1e-9)
-    fine = true_mean_f2(1e-11, 1e-11)
+    # 2-D integrand: the stored mean is the quadrature's float bit for bit,
+    # the quadrature is stable to 1e-8 under tolerance refinement and agrees
+    # with 5/4, and a plain-MC cross-check agrees.
+    coarse = f2_quadrature(1e-9)
+    fine = f2_quadrature(1e-11)
     print(f"quadrature f2: {fine:.10f} (refinement delta {abs(fine - coarse):.2e})")
+    assert true_mean_f2() == fine
     assert abs(fine - coarse) <= 1e-8
+    assert abs(fine - 1.25) <= 1e-9
     est, se = mc_mean(eval_f2, 2, points=10**6, seed=103)
     assert abs(est - fine) <= 3 * se

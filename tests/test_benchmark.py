@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from slicedlhd import (
 )
 from slicedlhd import benchmark
 from slicedlhd.benchmark import RmseReport, method_estimates
+
+from _quadrature import f2_quadrature
 
 
 def _config(**overrides):
@@ -78,9 +82,12 @@ def test_eval_f2_goldens():
 
 def test_true_means():
     assert true_mean_f1() == -5.0
-    # Quadrature agrees with the closed form 5/4 and is mesh-stable.
+    # The stored f2 mean is the quadrature's float, which agrees with the
+    # closed form 5/4 and is mesh-stable.
+    fine = f2_quadrature(1e-11)
+    assert true_mean_f2() == fine
     assert abs(true_mean_f2() - 1.25) < 1e-9
-    assert abs(true_mean_f2(1e-9, 1e-9) - true_mean_f2(1e-11, 1e-11)) < 1e-8
+    assert abs(f2_quadrature(1e-9) - fine) < 1e-8
 
 
 def test_mc_mean_cross_checks():
@@ -90,6 +97,55 @@ def test_mc_mean_cross_checks():
     est1, se1 = mc_mean(lambda x: eval_f1(x, variant="x3"), 5,
                         points=200_000, seed=6)
     assert abs(est1 + 5.0) < 4 * se1
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(points=0), "^points must be >= 1$"),
+        (dict(points=-5), "^points must be >= 1$"),
+        (dict(points=2.5), "^points must be an integer, got 2.5$"),
+        (dict(chunk=0), "^chunk must be >= 1$"),
+        (dict(chunk=-1), "^chunk must be >= 1$"),
+        (dict(chunk=1.5), "^chunk must be an integer, got 1.5$"),
+    ],
+)
+def test_mc_mean_rejects_bad_points_and_chunk(kwargs, message):
+    # Unchecked, chunk=0 loops forever, points=0 divides by zero and
+    # points=-5 returns (-0.0, 0.0); each is an error naming its argument.
+    with pytest.raises(ValueError, match=message):
+        mc_mean(eval_f2, 2, **kwargs)
+
+
+_NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import slicedlhd
+from slicedlhd import cli
+assert slicedlhd.true_mean_f2() == float.fromhex("0x1.4000000000131p+0")
+for path in sys.argv[1:]:
+    assert cli.main(["bench", path]) == 0, path
+"""
+
+
+def test_no_runtime_path_imports_scipy(tmp_path):
+    # The library, its f2 mean and `slicedlhd bench` on f2 in both
+    # scenarios run with scipy unimportable: numpy is the only runtime
+    # dependency.
+    paths = []
+    for scenario in ("all-complete", "one-slice-fails"):
+        path = tmp_path / f"{scenario}.cfg"
+        path.write_text(_config(
+            methods=("RLH", "MLH", "CLH", "IMLH", "ICLH", "SLH", "CSLH"),
+            sizes=SliceSizes((3, 2)), replicates=4, scenario=scenario,
+        ).to_json())
+        paths.append(str(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, *paths],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("true mean: 1.2500000000000677") == 2, proc.stdout
 
 
 def test_config_json_round_trip(tmp_path):

@@ -180,6 +180,61 @@ def test_sweep_two_run_design():
     assert np.allclose(trace.whole, (1.0, 1.0))
 
 
+def _literal_sweep(design, part, iterations):
+    # reduce_correlations as the literal (k, l) loops of the module
+    # docstring, every write made and every iteration run, with its trace.
+    values = design.values.copy()
+    off, p, n = design.slice_offsets, design.p, design.n
+    blocks = [values[off[j]:off[j + 1]] for j in range(design.sizes.t)]
+
+    def block_rms(block):
+        return rms_correlation(block) if block.shape[0] > 1 else 0.0
+
+    whole = [rms_correlation(values)]
+    per_slice = [[block_rms(b)] for b in blocks]
+    forward = [(k, l) for k in range(1, p) for l in range(k)]
+    backward = [(k, l) for k in range(p - 2, -1, -1) for l in range(p - 1, k, -1)]
+    for _ in range(iterations):
+        for pairs in (forward, backward):
+            for block in blocks:
+                if block.shape[0] < 2:
+                    continue
+                base = block.copy()
+                for k, l in pairs:
+                    block[:, l] = residualize(base[:, l], base[:, k])
+            for j, block in enumerate(blocks):
+                for l in range(p):
+                    block[:, l] = rank_restore(block[:, l], part.groups[j], n)
+        whole.append(rms_correlation(values))
+        for row, block in zip(per_slice, blocks):
+            row.append(block_rms(block))
+    return values, tuple(whole), tuple(map(tuple, per_slice))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 60), min_size=1, max_size=6).filter(lambda s: sum(s) >= 2),
+    p=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.integers(0, 200),
+    iterations=st.integers(1, 10),
+)
+@example(sizes=[5, 1, 4], p=2, seed=3, first=97, iterations=10)
+@example(sizes=[1, 6, 1], p=4, seed=0, first=0, iterations=10)
+def test_reduce_correlations_equals_literal_loops(sizes, p, seed, first, iterations):
+    # Computing only the surviving write per (pass, l) must leave values and
+    # traces bit for bit as the literal loops leave them. The first example
+    # is the known exact residual tie, the second has one-row slices.
+    sizes = SliceSizes(tuple(sizes))
+    part = partition_levels(sizes)
+    design = generate_sliced_lhd(sizes, p, RngStream(seed).split(first), partition=part)
+    out, trace = reduce_correlations(design, part, iterations=iterations)
+    values, whole, per_slice = _literal_sweep(design, part, iterations)
+    assert np.array_equal(out.values, values)
+    assert trace.whole == whole
+    assert trace.per_slice == per_slice
+
+
 def test_sweep_input_checks():
     design, part = _sweep_design()
     with pytest.raises(ValueError):
