@@ -13,8 +13,11 @@ scenarios, reporting root-mean-square estimation error over replicates:
 
 Each method is one row of _METHODS: its stream code, its grid (the row
 blocks of generate.method_blocks: "full", "own" or "sliced") and whether it
-is swept. All but RLH draw by permuting each block's midpoints per column;
-a swept method then runs one batch sweep over those same blocks.
+is swept. All but RLH draw each replicate by permuting each block's
+midpoints with one Generator.permuted call along the rows, which runs
+shuffle's Fisher-Yates on each column in turn and so draws exactly what a
+shuffle per column would; RLH shuffles its levels and subtracts its jitter
+in place. A swept method then runs one batch sweep over those same blocks.
 
 FSD (a flexible sliced design from other work) is recognized by name but
 not constructible here; requesting it is an error and reports mark its
@@ -345,22 +348,28 @@ def _batch_designs(method: str, cfg: ExperimentConfig) -> np.ndarray:
     n, p = cfg.sizes.n, cfg.dim
     blocks = method_blocks(grid, cfg.sizes)
     out = np.empty((cfg.replicates, n, p))
-    jitter = method == "RLH"
-    if not jitter:
-        # Shuffle each block's sorted midpoints in place: permutation(mids)
-        # is shuffle of a copy, so the draws are the same.
-        for rows, mids in blocks:
-            out[:, rows, :] = mids[:, None]
-    for r, gen in enumerate(_generators(code, cfg, _ROLE_DESIGN)):
-        if jitter:
-            # Permutation and jitter draws interleave column by column.
+    if method == "RLH":
+        # Column l is (permutation(n) + 1 - random(n)) / n, its permutation
+        # and jitter draws interleaved column by column. permutation(n) is
+        # shuffle of 1..n, so shuffling the levels in place draws the same.
+        out[...] = np.arange(1, n + 1)[:, None]
+        jitter = np.empty((p, n))
+        for r, gen in enumerate(_generators(code, cfg, _ROLE_DESIGN)):
             for l in range(p):
-                perm = gen.permutation(n) + 1
-                out[r, :, l] = (perm - gen.random(n)) / n
-        else:
-            for rows, _ in blocks:
-                for l in range(p):
-                    gen.shuffle(out[r, rows, l])
+                gen.shuffle(out[r, :, l])
+                gen.random(out=jitter[l])
+            out[r] -= jitter.T
+            out[r] /= n
+        return out
+    # Permute each block's sorted midpoints in place, one call per block:
+    # permuted(axis=0) runs shuffle's Fisher-Yates on each column in turn,
+    # so it draws what a shuffle per column (or permutation(mids)) would.
+    for rows, mids in blocks:
+        out[:, rows, :] = mids[:, None]
+    for r, gen in enumerate(_generators(code, cfg, _ROLE_DESIGN)):
+        for rows, _ in blocks:
+            slab = out[r, rows]
+            gen.permuted(slab, axis=0, out=slab)
     if swept:
         _sweep_batch(out, blocks)
     return out

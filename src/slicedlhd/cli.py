@@ -101,6 +101,9 @@ def _cmd_generate(args) -> int:
     if args.decorrelate and args.dim < 2:
         print("error: --decorrelate needs at least two dimensions", file=sys.stderr)
         return 2
+    if args.decorrelate and sizes.n < 2:
+        print("error: --decorrelate needs at least two runs", file=sys.stderr)
+        return 2
     partition = partition_levels(sizes)
     design = generate_sliced_lhd(sizes, args.dim, RngStream(args.seed), partition=partition)
     trace = None

@@ -24,11 +24,10 @@ MIDPOINT_TOL = 1e-12
 def is_lhd_column(column, bins: int) -> bool:
     """True iff each bin ((m-1)/bins, m/bins], m=1..bins, holds one entry.
 
-    Entries are classified by ceil(x * bins); midpoints of the bins-level
-    grid never sit on a bin edge, and jittered designs land on an edge only
-    at x = m/bins exactly, which ceil classifies into the correct
-    (right-closed) bin. Out-of-range and non-finite entries fail the check
-    rather than being clamped into a bin.
+    Entries are classified by ceil(x * bins), except that an entry equal
+    to a bin edge m/bins goes into bin m, which the edge closes: float
+    ceil can round 7/25 into bin 8 of 25. Out-of-range and non-finite
+    entries fail the check rather than being clamped into a bin.
     """
     col = np.asarray(column, dtype=np.float64)
     if col.ndim != 1:
@@ -44,13 +43,17 @@ def _columns_fill_bins(values: np.ndarray, bins: int, n: int) -> np.ndarray:
     An entry equal to the midpoint (2a-1)/(2n) of the n-level grid is binned
     exactly, as ceil(bins*(2a-1) / (2n)) in integers: a midpoint can sit on
     a coarser bin edge, where float ceil(x * bins) may round it into the
-    next bin. Other entries in (0, 1] use ceil(x * bins); entries outside
-    (0, 1], NaN included, get bin 0, which no column may hold.
+    next bin. So is an entry equal to a bin edge m/bins, which closes bin
+    m (7/25 * 25 rounds to 7.000000000000001). Other entries in (0, 1] use
+    ceil(x * bins); entries outside (0, 1], NaN included, get bin 0, which
+    no column may hold.
     """
     in_range, levels = _grid_levels(values, n)
     on_grid = in_range & (values == level_midpoints(levels, n))
     exact = -(-(bins * (2 * levels - 1)) // (2 * n))
-    approx = np.ceil(np.where(in_range, values, 0.0) * bins).astype(np.int64)
+    scaled = np.where(in_range, values, 0.0) * bins
+    edge = np.rint(scaled)
+    approx = np.where(edge / bins == values, edge, np.ceil(scaled)).astype(np.int64)
     idx = np.where(on_grid, exact, approx)
     want = np.arange(1, bins + 1)[:, None]
     return np.all(np.sort(idx, axis=0) == want, axis=0)

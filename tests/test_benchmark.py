@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slicedlhd import (
     ExperimentConfig,
@@ -26,6 +28,8 @@ from slicedlhd import (
 )
 from slicedlhd import benchmark
 from slicedlhd.benchmark import RmseReport, method_estimates
+from slicedlhd.decorrelate import _sweep_batch
+from slicedlhd.generate import method_blocks
 
 from _quadrature import f2_quadrature
 
@@ -263,6 +267,92 @@ def test_batched_streams_match_per_replicate_streams(monkeypatch, method, scenar
 
     monkeypatch.setattr(benchmark, "_generators", per_replicate)
     assert np.array_equal(batched, method_estimates(method, cfg))
+
+
+def _reference_designs(method, cfg):
+    # The benchmark's draw as one numpy call per (replicate, block, column):
+    # RLH's column l is (permutation(n) + 1 - random(n)) / n, every other
+    # method shuffles each block's midpoints column by column.
+    code, grid, swept = benchmark._METHODS[method]
+    n, p = cfg.sizes.n, cfg.dim
+    blocks = method_blocks(grid, cfg.sizes)
+    out = np.empty((cfg.replicates, n, p))
+    for rows, mids in blocks:
+        out[:, rows, :] = mids[:, None]
+    for r, gen in enumerate(benchmark._generators(code, cfg, benchmark._ROLE_DESIGN)):
+        if method == "RLH":
+            for l in range(p):
+                perm = gen.permutation(n) + 1
+                out[r, :, l] = (perm - gen.random(n)) / n
+        else:
+            for rows, _ in blocks:
+                for l in range(p):
+                    gen.shuffle(out[r, rows, l])
+    if swept:
+        _sweep_batch(out, blocks)
+    return out
+
+
+# Block sizes 2^k + 1 make numpy's masked bounded draw reject most often.
+_BLOCK_SIZE = st.one_of(
+    st.sampled_from((1, 2)),
+    st.integers(1, 5).map(lambda k: 2**k),
+    st.integers(1, 5).map(lambda k: 2**k + 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(_BLOCK_SIZE, min_size=1, max_size=4),
+    p=st.integers(1, 8),
+    R=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[16, 1], p=8, R=40, seed=0)
+@example(sizes=[1], p=1, R=1, seed=0)
+def test_batch_designs_match_per_column_draws(sizes, p, R, seed):
+    # One permuted call per block and RLH's in-place draw take exactly the
+    # numbers, in exactly the order, of one call per column.
+    cfg = _config(integrand="custom", sizes=SliceSizes(tuple(sizes)), dim=p,
+                  replicates=R, seed=seed)
+    for method in _ALL_METHODS:
+        got = benchmark._batch_designs(method, cfg)
+        assert np.array_equal(got, _reference_designs(method, cfg)), method
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 9, 16, 17, 33, 64, 65, 70])
+@pytest.mark.parametrize("p", [1, 2, 5, 9])
+def test_permuted_along_rows_is_a_shuffle_per_column(m, p):
+    # numpy's RNG algorithms may change between versions (NEP 19). The
+    # benchmark's pinned draws rely on Generator.permuted(slab, axis=0,
+    # out=slab) running shuffle's Fisher-Yates on each column in column
+    # order, leaving the stream where those shuffles leave it.
+    one = RngStream(m).split(p).generator()
+    per_column = RngStream(m).split(p).generator()
+    # A block of rows of one replicate, as _batch_designs permutes it.
+    batch = np.arange(3 * (m + 4) * p, dtype=np.float64).reshape(3, m + 4, p)
+    slab = batch[1, 2:m + 2]
+    want = slab.copy()
+    one.permuted(slab, axis=0, out=slab)
+    for l in range(p):
+        per_column.shuffle(want[:, l])
+    assert np.array_equal(slab, want)
+    assert one.integers(2**63) == per_column.integers(2**63)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 33, 48])
+def test_shuffled_levels_and_jitter_buffer_draw_as_permutation_and_random(n):
+    # RLH's draw relies on the same equivalences: shuffling the levels
+    # 1..n in place is permutation(n) + 1, and random(out=buf) is random(n).
+    inplace = RngStream(n).generator()
+    fresh = RngStream(n).generator()
+    levels = np.arange(1.0, n + 1)
+    buf = np.empty(n)
+    inplace.shuffle(levels)
+    inplace.random(out=buf)
+    assert np.array_equal(levels, fresh.permutation(n) + 1)
+    assert np.array_equal(buf, fresh.random(n))
+    assert inplace.integers(2**63) == fresh.integers(2**63)
 
 
 def test_methods_draw_from_disjoint_streams():

@@ -69,6 +69,17 @@ def test_trace_requires_decorrelate(tmp_path):
                    "--trace-out", str(tmp_path / "t.csv")) == 2
 
 
+def test_decorrelate_needs_two_runs(tmp_path, capsys):
+    # A one-run design has nothing to correlate: a bad argument (exit 2),
+    # not a validation failure (exit 1) or a traceback.
+    out = tmp_path / "design.txt"
+    assert run_cli("generate", "--sizes", "1", "--dim", "2", "--decorrelate",
+                   "-o", str(out)) == 2
+    assert capsys.readouterr().err == "error: --decorrelate needs at least two runs\n"
+    assert not out.exists()
+    assert run_cli("generate", "--sizes", "1", "--dim", "2", "-o", str(out)) == 0
+
+
 def test_bad_arguments_exit_2(tmp_path, capsys):
     assert run_cli("generate", "--sizes", "0,5") == 2
     assert run_cli("generate", "--sizes", "abc") == 2

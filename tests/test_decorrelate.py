@@ -13,6 +13,7 @@ from slicedlhd import (
     generate_independent_lhds,
     generate_midpoint_lhd,
     generate_sliced_lhd,
+    level_midpoints,
     levels_from_values,
     partition_levels,
     rank_restore,
@@ -157,6 +158,28 @@ def test_sweep_preserves_structure_fuzz():
             for l in range(p):
                 got = sorted(levels[off[j]:off[j + 1], l].tolist())
                 assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(lambda s: sum(s) >= 2),
+    p=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(1, 10),
+)
+def test_reduce_correlations_keeps_each_slice_level_multiset(sizes, p, seed, iterations):
+    # Every column of every slice leaves the sweep on the full grid, holding
+    # exactly its partition group's levels, so the design stays sliced.
+    sizes = SliceSizes(tuple(sizes))
+    part = partition_levels(sizes)
+    design = generate_sliced_lhd(sizes, p, RngStream(seed), partition=part)
+    out, _ = reduce_correlations(design, part, iterations=iterations)
+    levels = levels_from_values(out.values, out.n)
+    assert np.array_equal(out.values, level_midpoints(levels, out.n))
+    off = sizes.offsets()
+    for j, group in enumerate(part.groups):
+        got = np.sort(levels[off[j]:off[j + 1]], axis=0)
+        assert np.array_equal(got, np.broadcast_to(np.asarray(group)[:, None], got.shape)), j
 
 
 def test_sweep_handles_tiny_slices():

@@ -1,16 +1,22 @@
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slicedlhd import (
     Design,
     RngStream,
     SliceSizes,
+    generate_independent_lhds,
+    generate_randomized_lhd,
     generate_sliced_lhd,
     is_lhd_column,
     level_midpoints,
+    levels_from_values,
     partition_levels,
     validate_sliced,
 )
@@ -44,8 +50,13 @@ def test_is_lhd_column_range_guards():
 
 
 def test_is_lhd_column_bin_edges_close_right():
-    # m/bins sits in bin m, not bin m+1.
+    # m/bins sits in bin m, not bin m+1. In floats 7/25 * 25 is
+    # 7.000000000000001, whose ceil is bin 8, so every edge column is checked.
     assert is_lhd_column(np.array([1 / 3, 2 / 3, 1.0]), 3)
+    for bins in range(1, 201):
+        edges = np.arange(1, bins + 1) / bins
+        assert is_lhd_column(edges, bins), bins
+        assert is_lhd_column(edges[::-1].copy(), bins), bins
 
 
 def test_is_lhd_column_input_checks():
@@ -147,3 +158,86 @@ def test_validate_sliced_bins_midpoints_on_slice_edges_exactly():
     for seed in range(3):
         d = generate_sliced_lhd(sizes, 2, RngStream(seed), partition=part)
         assert validate_sliced(d).all_pass, seed
+
+
+def _brute_force_fills(column, bins, n):
+    # Does each right-closed bin ((m-1)/bins, m/bins] hold one entry,
+    # counted in exact rationals? A float equal to a midpoint (2a-1)/(2n)
+    # of the design's grid or to a bin edge m/bins stands for that rational,
+    # any other float for its own exact value.
+    named = {(2 * a - 1) / (2 * n): Fraction(2 * a - 1, 2 * n) for a in range(1, n + 1)}
+    named.update({m / bins: Fraction(m, bins) for m in range(1, bins + 1)})
+    counts = [0] * bins
+    for x in column.tolist():
+        if not 0.0 < x <= 1.0:  # NaN included
+            continue
+        v = named.get(x, Fraction(x))
+        counts[next(m for m in range(bins) if v <= Fraction(m + 1, bins))] += 1
+    return counts == [1] * bins
+
+
+def _brute_force_exact(values, n):
+    mids = [(2 * a - 1) / (2 * n) for a in range(1, n + 1)]
+    return all(any(abs(x - m) <= 1e-12 for m in mids) for x in values.ravel().tolist())
+
+
+def _constructed(family, sizes, p, rng):
+    if family == "sliced":
+        return generate_sliced_lhd(sizes, p, rng).values
+    if family == "own":
+        return generate_independent_lhds(sizes, p, rng).values
+    return generate_randomized_lhd(sizes.n, p, rng).values
+
+
+_MUTATIONS = ("swap", "shift", "edge", "edge column", "zero", "above one", "nan")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(("sliced", "own", "randomized")),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+    p=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    mutations=st.lists(
+        st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 2**16), st.integers(0, 2**16)),
+        max_size=3,
+    ),
+)
+@example(family="sliced", sizes=[25], p=1, seed=0, mutations=[("edge column", 0, 0)])
+@example(family="sliced", sizes=[50, 7, 38], p=2, seed=1, mutations=[])
+def test_validate_sliced_agrees_with_brute_force_counter(family, sizes, p, seed, mutations):
+    # Construction outputs and mutated copies, at entry (i, l) picked by u:
+    # swapped with an entry of another slice, shifted one level, set to a
+    # bin edge of the whole grid or of a slice, 0, above 1 or NaN; or
+    # column l set to a permutation of the edges m/n. The examples are the
+    # 7/25 edge and the (50, 7, 38) midpoint on a slice edge.
+    sizes = SliceSizes(tuple(sizes))
+    n, off = sizes.n, sizes.offsets()
+    values = _constructed(family, sizes, p, RngStream(seed))
+    for kind, u, w in mutations:
+        i, l = u % n, u // n % p
+        x = values[i, l]
+        if kind == "swap":
+            j = int(np.searchsorted(off, i, side="right")) - 1
+            others = [k for k in range(n) if not off[j] <= k < off[j + 1]] or [i]
+            k = others[w % len(others)]
+            values[[i, k], l] = values[[k, i], l]
+        elif kind == "shift" and 0.0 < x <= 1.0 and n > 1:
+            a = int(levels_from_values(x, n))
+            values[i, l] = level_midpoints(a + 1 if a < n else a - 1, n)
+        elif kind == "edge":
+            bins = ((n,) + sizes.sizes)[w % (sizes.t + 1)]
+            values[i, l] = (w % bins + 1) / bins
+        elif kind == "edge column":
+            values[:, l] = np.random.default_rng(w).permutation(np.arange(1, n + 1)) / n
+        elif kind in ("zero", "above one", "nan"):
+            values[i, l] = {"zero": 0.0, "above one": np.nextafter(1.0, 2.0), "nan": np.nan}[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_sliced(Design(values, sizes))
+    assert report.column_ok == tuple(_brute_force_fills(values[:, l], n, n) for l in range(p))
+    assert report.slice_ok == tuple(
+        tuple(_brute_force_fills(values[off[j]:off[j + 1], l], nj, n) for l in range(p))
+        for j, nj in enumerate(sizes.sizes)
+    )
+    assert report.midpoints_exact == _brute_force_exact(values, n)
