@@ -28,8 +28,11 @@ a constant (see true_mean_f2), so no run needs more than numpy.
 
 Scenario 1 ("all-complete") estimates with the mean over all n outputs.
 Scenario 2 ("one-slice-fails") drops one computer's rows, chosen uniformly
-at random, and averages the survivors; methods without slices first assign
-rows to computers uniformly at random in the configured group sizes.
+at random, and averages the survivors. Rows are grouped by computer as
+contiguous blocks of the configured group sizes: the slices or own-grid
+blocks already are, and the full-grid methods (RLH, MLH, CLH) first assign
+rows to computers uniformly at random by shuffling each replicate's values
+with its assignment stream. Every method then drops one contiguous block.
 
 Everything is deterministic given the config seed: each (method, replicate)
 pair gets its own RNG stream, so replicates can be computed in any order or
@@ -41,7 +44,7 @@ per stream would.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +164,8 @@ def mc_mean(integrand, dim: int, points: int = 10_000_000, seed: int = 0,
     return mean, float(np.sqrt(var / points))
 
 
-# JSON type of each config key; a one-element list means "list of".
+# JSON type of each config key (an ExperimentConfig field, which gives the
+# key order and whether it is required); a one-element list means "list of".
 _CONFIG_KINDS = {
     "integrand": str,
     "sizes": [int],
@@ -232,9 +236,9 @@ class ExperimentConfig:
         unknown = sorted(set(raw) - set(_CONFIG_KINDS))
         if unknown:
             raise ValueError(f"unknown config key: {', '.join(map(repr, unknown))}")
-        for key in _CONFIG_KINDS:
-            if key not in raw and key != "f1_variant":
-                raise ValueError(f"config missing key: {key}")
+        for f in fields(cls):
+            if f.name not in raw and f.default is MISSING:
+                raise ValueError(f"config missing key: {f.name}")
         for key, value in raw.items():
             kind = _CONFIG_KINDS[key]
             # type(...) is, not isinstance: bool is an int subclass, and a
@@ -249,35 +253,16 @@ class ExperimentConfig:
                 raise ValueError(
                     f"config key {key!r} must be a JSON {_KIND_NAMES[kind]}, got {value!r}"
                 )
-        return cls(
-            integrand=raw["integrand"],
-            sizes=SliceSizes(tuple(raw["sizes"])),
-            dim=raw["dim"],
-            methods=tuple(raw["methods"]),
-            replicates=raw["replicates"],
-            scenario=raw["scenario"],
-            seed=raw["seed"],
-            f1_variant=raw.get("f1_variant", "literal"),
-        )
+        return cls(**{**raw, "sizes": SliceSizes(tuple(raw["sizes"]))})
 
     @classmethod
     def from_path(cls, path) -> "ExperimentConfig":
         return cls.from_json(Path(path).read_text())
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "integrand": self.integrand,
-                "sizes": list(self.sizes.sizes),
-                "dim": self.dim,
-                "methods": list(self.methods),
-                "replicates": self.replicates,
-                "scenario": self.scenario,
-                "seed": self.seed,
-                "f1_variant": self.f1_variant,
-            },
-            indent=2,
-        )
+        raw = {f.name: getattr(self, f.name) for f in fields(self)}
+        raw["sizes"] = self.sizes.sizes
+        return json.dumps(raw, indent=2)
 
 
 @dataclass(frozen=True)
@@ -390,19 +375,19 @@ def _estimates(method: str, cfg: ExperimentConfig, F: np.ndarray) -> np.ndarray:
         count=R,
     )
     totals = F.sum(axis=1)
-    if grid != "full":
-        # Rows are already grouped by slice.
-        block_sums = np.stack(
-            [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(t)], axis=1
-        )
-        dropped = block_sums[np.arange(R), fail]
-    else:
-        # Assign rows to computers uniformly at random, then drop one group.
-        dropped = np.empty(R)
+    if grid == "full":
+        # Assign rows to computers uniformly at random: shuffle each
+        # replicate's values in place (the draws of permutation(n)), so
+        # each computer's group is a contiguous block. A C-ordered F (a
+        # copy only for a custom F-ordered one) sums each group pairwise
+        # along its row, as a gathered 1-D group would.
+        F = np.ascontiguousarray(F)
         for r, gen in enumerate(_generators(code, cfg, _ROLE_ASSIGNMENT)):
-            perm = gen.permutation(n)
-            j = fail[r]
-            dropped[r] = F[r, perm[off[j] : off[j + 1]]].sum()
+            gen.shuffle(F[r])
+    block_sums = np.stack(
+        [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(t)], axis=1
+    )
+    dropped = block_sums[np.arange(R), fail]
     kept = n - sizes[fail]
     return (totals - dropped) / kept
 
@@ -412,7 +397,9 @@ def _integrand_values(cfg: ExperimentConfig, V: np.ndarray, custom) -> np.ndarra
         return eval_f1(V, variant=cfg.f1_variant)
     if cfg.integrand == "f2":
         return eval_f2(V)
-    F = np.asarray(custom(V), dtype=np.float64)
+    # A copy: the failure step shuffles F in place, and a caller's array
+    # must not be written.
+    F = np.array(custom(V), dtype=np.float64)
     if F.shape != V.shape[:2]:
         raise ValueError(
             f"custom integrand must return shape {V.shape[:2]} (replicates, runs), "

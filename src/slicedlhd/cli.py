@@ -153,10 +153,13 @@ def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
         # No header: integer-looking content is levels-format numerators.
         fmt = "levels" if np.all(arr == np.rint(arr)) and np.all(arr >= 1) else "values"
     if fmt == "levels":
-        numer = np.rint(arr).astype(np.int64)
-        if not np.array_equal(arr, numer) or np.any(numer % 2 != 1):
+        # Checked in floats, finiteness first, so inf, nan and 1e300 fail
+        # here without a cast; every float of magnitude 2**53 or more is
+        # an even integer, so the float test is exact.
+        if not (np.all(np.isfinite(arr)) and np.all(arr == np.rint(arr))
+                and np.all(arr % 2 == 1)):
             raise ValueError("levels format expects odd integer numerators")
-        values = numer / (2.0 * sizes.n)
+        values = arr / (2.0 * sizes.n)
     elif fmt == "values":
         values = arr
     else:

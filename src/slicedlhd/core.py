@@ -216,9 +216,8 @@ class RngStream:
         Draws the same numbers as calling ``generator`` on each of those
         streams, but computes the Philox keys of up to _KEY_CHUNK replicates
         in one vectorized SeedSequence hash and re-keys a single Philox for
-        each. The one
-        Generator is yielded every time, so each yielded generator is valid
-        only until the next one is drawn.
+        each. The one Generator is yielded every time, so each yielded
+        generator is valid only until the next one is drawn.
         """
         head = self.path + _path_components(head)
         tail = _path_components(tail)

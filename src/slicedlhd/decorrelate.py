@@ -175,7 +175,7 @@ def reduce_correlations(
     values = design.values.copy()
     blocks = [values[off[j] : off[j + 1], :] for j in range(t)]
 
-    whole_trace = [rms_correlation(values) if p >= 2 else 0.0]
+    whole_trace = [rms_correlation(values)]
     slice_traces = [[_block_rms(blocks[j])] for j in range(t)]
 
     def residual_pass(covariate: int, responses: range) -> None:

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,6 +355,160 @@ def test_shuffled_levels_and_jitter_buffer_draw_as_permutation_and_random(n):
     assert np.array_equal(levels, fresh.permutation(n) + 1)
     assert np.array_equal(buf, fresh.random(n))
     assert inplace.integers(2**63) == fresh.integers(2**63)
+
+
+def _reference_estimates(method, cfg, F):
+    # The failure step with the full-grid assignment as one gathered
+    # permutation(n) per replicate; F is only read.
+    R, n = F.shape
+    if cfg.scenario == "all-complete":
+        return F.mean(axis=1)
+    code, grid, _ = benchmark._METHODS[method]
+    sizes = np.asarray(cfg.sizes.sizes)
+    off = cfg.sizes.offsets()
+    t = cfg.sizes.t
+    fail = np.fromiter(
+        (gen.integers(t) for gen in benchmark._generators(code, cfg, benchmark._ROLE_FAILURE)),
+        dtype=np.int64,
+        count=R,
+    )
+    totals = F.sum(axis=1)
+    if grid != "full":
+        block_sums = np.stack(
+            [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(t)], axis=1
+        )
+        dropped = block_sums[np.arange(R), fail]
+    else:
+        dropped = np.empty(R)
+        for r, gen in enumerate(benchmark._generators(code, cfg, benchmark._ROLE_ASSIGNMENT)):
+            perm = gen.permutation(n)
+            j = fail[r]
+            dropped[r] = F[r, perm[off[j] : off[j + 1]]].sum()
+    kept = n - sizes[fail]
+    return (totals - dropped) / kept
+
+
+def _mixed_integrand(exponent_step, layout):
+    # Signed values of magnitude 1e-3..1e3 that vary with the design, so a
+    # changed summation order or a wrong row moves the last bits; returned
+    # C-ordered, Fortran-ordered or as a strided view.
+    def integrand(V):
+        R, n, _ = V.shape
+        scale = 10.0 ** ((np.arange(n) * exponent_step) % 7 - 3)
+        F = np.sin(13.0 * V).sum(axis=-1) * scale
+        if layout == "fortran":
+            return np.asfortranarray(F)
+        if layout == "strided":
+            return np.repeat(F, 2, axis=1)[:, ::2]
+        return F
+    return integrand
+
+
+# numpy's pairwise sum switches at 8 and unrolls blocks of 128 values.
+_GROUP_SIZE = st.one_of(
+    st.sampled_from((1, 2, 7, 8, 9, 127, 128, 129)),
+    st.integers(1, 40),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(_GROUP_SIZE, min_size=1, max_size=4),
+    p=st.integers(1, 3),
+    R=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    exponent_step=st.integers(1, 6),
+    layout=st.sampled_from(("c", "fortran", "strided")),
+)
+@example(sizes=[129, 8], p=2, R=3, seed=0, exponent_step=3, layout="fortran")
+@example(sizes=[7, 8, 9, 127, 128, 129], p=1, R=40, seed=5, exponent_step=1, layout="c")
+@example(sizes=[1], p=1, R=1, seed=0, exponent_step=1, layout="c")
+def test_failure_step_matches_gathered_assignment(sizes, p, R, seed, exponent_step, layout):
+    # Shuffling a full-grid replicate's values with its assignment stream
+    # and dropping a contiguous group gives exactly the estimate of
+    # gathering the group through permutation(n), for every method.
+    integrand = _mixed_integrand(exponent_step, layout)
+    base = _config(integrand="custom", sizes=SliceSizes(tuple(sizes)), dim=p,
+                   replicates=R, seed=seed)
+    scenarios = _SCENARIOS if len(sizes) > 1 else ("all-complete",)
+    for method in _ALL_METHODS:
+        V = benchmark._batch_designs(method, base)
+        for scenario in scenarios:
+            cfg = dataclasses.replace(base, scenario=scenario)
+            got = benchmark._estimates(method, cfg, benchmark._integrand_values(cfg, V, integrand))
+            want = _reference_estimates(method, cfg, integrand(V))
+            assert np.array_equal(got, want), (method, scenario)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 33, 48, 65, 129, 257])
+def test_shuffled_row_is_the_row_gathered_by_a_permutation(n):
+    # numpy's RNG algorithms may change between versions (NEP 19). The
+    # full-grid failure step relies on shuffle(row) drawing what
+    # permutation(n) draws and leaving the row as row[permutation(n)], with
+    # the stream left where permutation(n) leaves it.
+    shuffled = RngStream(n).split(2).generator()
+    fresh = RngStream(n).split(2).generator()
+    F = np.linspace(-1.0, 1.0, 3 * n).reshape(3, n)
+    want = F[1][fresh.permutation(n)]
+    shuffled.shuffle(F[1])
+    assert np.array_equal(F[1], want)
+    assert shuffled.integers(2**63) == fresh.integers(2**63)
+
+
+def test_custom_integrand_array_is_never_written():
+    # The failure step shuffles the integrand values in place; an
+    # integrand that hands back the same cached array must find it as it
+    # left it, and every method must see it unchanged.
+    cfg = ExperimentConfig(
+        integrand="custom", sizes=SliceSizes((5, 4, 3)), dim=2,
+        methods=("RLH", "MLH", "CLH"), replicates=6,
+        scenario="one-slice-fails", seed=2,
+    )
+    cached = np.linspace(0.0, 1.0, 6 * 12).reshape(6, 12)
+    before = cached.copy()
+    first = run_experiment(cfg, custom_integrand=lambda x: cached, custom_true_mean=0.5)
+    assert np.array_equal(cached, before)
+    again = run_experiment(cfg, custom_integrand=lambda x: before.copy(), custom_true_mean=0.5)
+    assert first.rmse == again.rmse
+
+
+# RMSE bits of each bundled config cut to 300 replicates, as float.hex,
+# recorded with the gathered full-grid assignment (commit 6b37ce2). They
+# cover f1 complete and f2 with one slice failing, besides the other two.
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+_RMSE_BITS_300 = {
+    "table1-f1-failures": {
+        "RLH": "0x1.86ac2b65d320cp-3", "MLH": "0x1.7b7fac1c48fedp-3",
+        "CLH": "0x1.6ed3e4ea05783p-3", "IMLH": "0x1.2c735d6920e68p-3",
+        "ICLH": "0x1.284ceb9577ed4p-3", "SLH": "0x1.513e525fcdc9ap-3",
+        "CSLH": "0x1.5d266546e8acdp-3",
+    },
+    "table1-f1": {
+        "RLH": "0x1.8aa93b2bb0528p-5", "MLH": "0x1.270087fd8f60bp-5",
+        "CLH": "0x1.270087fd8f610p-5", "IMLH": "0x1.2475e15eb06adp-3",
+        "ICLH": "0x1.2475e15eb06afp-3", "SLH": "0x1.270087fd8f611p-5",
+        "CSLH": "0x1.270087fd8f611p-5",
+    },
+    "table1-f2-failures": {
+        "RLH": "0x1.30b068f5f9023p-4", "MLH": "0x1.0981acf884b94p-4",
+        "CLH": "0x1.0e9b3a3ce890cp-4", "IMLH": "0x1.4aec6df4f9a04p-5",
+        "ICLH": "0x1.3be5082f1c3a5p-5", "SLH": "0x1.5769efeb78066p-5",
+        "CSLH": "0x1.4a177ec758c67p-5",
+    },
+    "table1-f2": {
+        "RLH": "0x1.fe1dfcc286285p-6", "MLH": "0x1.2792f01963265p-6",
+        "CLH": "0x1.f0be15e0f55dep-7", "IMLH": "0x1.3c007239dcecfp-5",
+        "ICLH": "0x1.38cb30961da46p-5", "SLH": "0x1.22a3a5070811cp-6",
+        "CSLH": "0x1.f1108e147e1cep-7",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RMSE_BITS_300))
+def test_bundled_config_rmse_bits_at_300_replicates(name):
+    cfg = ExperimentConfig.from_path(_CONFIGS / f"{name}.cfg")
+    report = run_experiment(dataclasses.replace(cfg, replicates=300))
+    assert {m: v.hex() for m, v in report.rmse.items()} == _RMSE_BITS_300[name]
 
 
 def test_methods_draw_from_disjoint_streams():

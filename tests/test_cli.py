@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,27 @@ def test_unparseable_design_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert run_cli("validate", str(missing), "--sizes", "1,1") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "header, bad",
+    [("# format: levels\n", "inf"), ("# format: levels\n", "nan"),
+     ("# format: levels\n", "1e300"), ("# format: levels\n", "-inf"),
+     ("", "inf")],
+    ids=["inf", "nan", "1e300", "-inf", "headerless-inf"],
+)
+def test_non_finite_or_huge_levels_exit_2_with_one_line(tmp_path, capsys, header, bad):
+    # A header-less file holding inf reads as levels (inf == rint(inf)).
+    # Either way the file fails with the one error line: no numpy cast
+    # warning before it.
+    path = tmp_path / "design.txt"
+    path.write_text(f"{header}1 3\n3 1\n5 {bad}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("validate", str(path), "--sizes", "1,2") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: levels format expects odd integer numerators\n"
+    assert captured.out == ""
 
 
 def test_unwritable_output_exits_3(tmp_path, capsys):
