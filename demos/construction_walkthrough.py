@@ -44,7 +44,8 @@ for j, grp in enumerate(part.groups):
     print(f"G_{j + 1} = {set(grp)}")
 print()
 
-design = generate_sliced_lhd(sizes, 3, RngStream(42), partition=part)
+# The generator derives these groups from the sizes itself.
+design = generate_sliced_lhd(sizes, 3, RngStream(42))
 print("one sampled 17x3 design (levels 2a-1 over 34):")
 with np.printoptions(linewidth=100):
     print((design.values * 2 * n).astype(int))

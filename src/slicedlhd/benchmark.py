@@ -378,10 +378,7 @@ def _estimates(method: str, cfg: ExperimentConfig, F: np.ndarray) -> np.ndarray:
     if grid == "full":
         # Assign rows to computers uniformly at random: shuffle each
         # replicate's values in place (the draws of permutation(n)), so
-        # each computer's group is a contiguous block. A C-ordered F (a
-        # copy only for a custom F-ordered one) sums each group pairwise
-        # along its row, as a gathered 1-D group would.
-        F = np.ascontiguousarray(F)
+        # each computer's group is a contiguous block.
         for r, gen in enumerate(_generators(code, cfg, _ROLE_ASSIGNMENT)):
             gen.shuffle(F[r])
     block_sums = np.stack(
@@ -397,9 +394,10 @@ def _integrand_values(cfg: ExperimentConfig, V: np.ndarray, custom) -> np.ndarra
         return eval_f1(V, variant=cfg.f1_variant)
     if cfg.integrand == "f2":
         return eval_f2(V)
-    # A copy: the failure step shuffles F in place, and a caller's array
-    # must not be written.
-    F = np.array(custom(V), dtype=np.float64)
+    # A C-ordered copy: the failure step shuffles F in place, so a caller's
+    # array must not be written, and every sum then runs pairwise along a
+    # row, whatever the layout the integrand returned.
+    F = np.array(custom(V), dtype=np.float64, order="C")
     if F.shape != V.shape[:2]:
         raise ValueError(
             f"custom integrand must return shape {V.shape[:2]} (replicates, runs), "

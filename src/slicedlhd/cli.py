@@ -24,7 +24,6 @@ from .benchmark import ExperimentConfig, render_table, run_experiment, write_tra
 from .core import Design, RngStream, SliceSizes
 from .decorrelate import reduce_correlations
 from .generate import generate_sliced_lhd
-from .partition import partition_levels
 from .validate import validate_sliced
 
 __all__ = ["main"]
@@ -95,20 +94,29 @@ def _write_text(path: str | None, text: str) -> int:
 
 def _cmd_generate(args) -> int:
     sizes: SliceSizes = args.sizes
-    if args.trace_out and not args.decorrelate:
-        print("error: --trace-out requires --decorrelate", file=sys.stderr)
-        return 2
-    if args.decorrelate and args.dim < 2:
-        print("error: --decorrelate needs at least two dimensions", file=sys.stderr)
-        return 2
-    if args.decorrelate and sizes.n < 2:
-        print("error: --decorrelate needs at least two runs", file=sys.stderr)
-        return 2
-    partition = partition_levels(sizes)
-    design = generate_sliced_lhd(sizes, args.dim, RngStream(args.seed), partition=partition)
+    if args.seed is None:
+        try:
+            args.seed = _default_seed()
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    # Every argument check of generate, in the order they are reported.
+    checks = (
+        (args.dim < 1, "--dim must be >= 1"),
+        (args.iterations < 1, "--iterations must be >= 1"),
+        (args.seed < 0, "--seed must be >= 0"),
+        (args.trace_out and not args.decorrelate, "--trace-out requires --decorrelate"),
+        (args.decorrelate and args.dim < 2, "--decorrelate needs at least two dimensions"),
+        (args.decorrelate and sizes.n < 2, "--decorrelate needs at least two runs"),
+    )
+    for failed, message in checks:
+        if failed:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
+    design = generate_sliced_lhd(sizes, args.dim, RngStream(args.seed))
     trace = None
     if args.decorrelate:
-        design, trace = reduce_correlations(design, partition, iterations=args.iterations)
+        design, trace = reduce_correlations(design, iterations=args.iterations)
     rc = _write_text(args.output, _design_text(design, args.seed, args.decorrelate, args.format))
     if rc != 0:
         return rc
@@ -242,22 +250,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if getattr(args, "seed", None) is None and args.command == "generate":
-        try:
-            args.seed = _default_seed()
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.command == "generate":
-        if args.dim < 1:
-            print("error: --dim must be >= 1", file=sys.stderr)
-            return 2
-        if args.iterations < 1:
-            print("error: --iterations must be >= 1", file=sys.stderr)
-            return 2
-        if args.seed < 0:
-            print("error: --seed must be >= 0", file=sys.stderr)
-            return 2
     return args.func(args)
 
 

@@ -4,8 +4,8 @@ One iteration is four steps, applied slice block by slice block:
 
   1. forward pass: for k = 2..p, l = 1..k-1, replace column l of the block
      by its simple-linear-regression residual against column k;
-  2. rank restore: map each column back onto the slice's midpoint multiset
-     by rank (stable ties);
+  2. rank restore: map each column back onto the values it held in the
+     input design, by rank (stable ties);
   3. backward pass: same as 1 with k = p-1..1, l = p..k+1;
   4. rank restore again.
 
@@ -19,8 +19,8 @@ surviving writes: forward, every column l < p against column p; backward,
 every column l > 1 against column 1. Each is the very call the literal
 loops make last, so reduce_correlations returns their result bit for bit.
 
-Rank restoration preserves each slice's level multiset exactly, so the sweep
-never damages the stratification guarantees of the input design.
+Rank restoration preserves each slice column's multiset of values exactly,
+so the sweep never damages the stratification guarantees of the input design.
 
 An iteration is a deterministic map of the design, so once one iteration
 leaves a design unchanged, every later one would too. Both sweeps stop
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Design, LevelPartition, _as_integer, level_midpoints, levels_from_values
+from .core import Design, LevelPartition, _as_integer, level_midpoints
 
 __all__ = [
     "SweepTrace",
@@ -135,15 +135,19 @@ class SweepTrace:
 
 def reduce_correlations(
     design: Design,
-    partition: LevelPartition,
+    partition: LevelPartition | None = None,
     iterations: int = 10,
 ) -> tuple[Design, SweepTrace]:
     """Run the four-step sweep ``iterations`` times; returns a new design.
 
-    The input design's slice blocks must carry exactly the partition's level
-    multisets (this is what generate_sliced_lhd produces; a single-slice
-    design on the full grid works too, which is how the correlation-controlled
-    single-design baseline is realized).
+    Rank restoration maps each slice column back onto its own sorted values,
+    read from the input design, so any finite design can be swept: a sliced
+    design keeps its partition groups, a stack of independent designs each
+    block's own grid, and a jittered design its jittered values.
+
+    ``partition`` is not used, as the design carries its own strata. It is
+    still accepted, and must be for the design's slice sizes, so that calls
+    written for the earlier signature keep working.
     """
     iterations = _as_integer("iterations", iterations)
     if iterations < 1:
@@ -152,28 +156,22 @@ def reduce_correlations(
         raise ValueError("correlation reduction needs at least two columns")
     if design.n < 2:
         raise ValueError("correlation reduction needs at least two rows")
-    if partition.sizes != design.sizes:
+    if partition is not None and partition.sizes != design.sizes:
         raise ValueError("partition slice sizes do not match the design")
+    if not np.isfinite(design.values).all():
+        raise ValueError("design values must be finite")
 
-    n = design.n
     p = design.p
     off = design.slice_offsets
     t = design.sizes.t
 
-    # Check the per-block level multisets once, before touching anything.
-    for j in range(t):
-        want = np.asarray(partition.groups[j], dtype=np.int64)
-        block_levels = levels_from_values(design.values[off[j] : off[j + 1], :], n)
-        for l in range(p):
-            got = np.sort(block_levels[:, l])
-            if not np.array_equal(got, want):
-                raise ValueError(
-                    f"slice {j} column {l} does not carry the partition's levels"
-                )
-
-    mids = [partition.group_midpoints(j) for j in range(t)]
     values = design.values.copy()
     blocks = [values[off[j] : off[j + 1], :] for j in range(t)]
+    # Each slice column's own values, sorted, one contiguous row per column:
+    # rank restore puts exactly these back.
+    own = [block.T.copy() for block in blocks]
+    for rows in own:
+        rows.sort(axis=1)
 
     whole_trace = [rms_correlation(values)]
     slice_traces = [[_block_rms(blocks[j])] for j in range(t)]
@@ -189,10 +187,10 @@ def reduce_correlations(
                 block[:, l] = residualize(block[:, l], block[:, covariate])
 
     def restore_all() -> None:
-        for j, block in enumerate(blocks):
+        for block, rows in zip(blocks, own):
             order = np.argsort(block, axis=0, kind="stable")
             for l in range(p):
-                block[order[:, l], l] = mids[j]
+                block[order[:, l], l] = rows[l]
 
     for it in range(iterations):
         before = values.copy()

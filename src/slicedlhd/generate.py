@@ -75,20 +75,19 @@ def generate_sliced_lhd(
     Each column is a permutation of the full midpoint grid
     {1/(2n), ..., (2n-1)/(2n)}, and slice j's rows are a Latin hypercube at
     slice j's own coarser resolution. Per slice j and column l the group
-    G_j is permuted under the split stream rng.split(j, l).
+    G_j of partition_levels(sizes) is permuted under the split stream
+    rng.split(j, l).
 
-    ``partition`` lets callers reuse a precomputed partition (it is a pure
-    function of ``sizes``); pass None to compute it here.
+    ``partition`` is not used, as the groups are a pure function of
+    ``sizes``. It is still accepted, and must be partition_levels(sizes),
+    so that calls written for the earlier signature keep working.
     """
     p = _as_integer("p", p)
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
-    if partition is None:
-        partition = partition_levels(sizes)
-    elif partition.sizes != sizes:
-        raise ValueError("partition was built for different slice sizes")
-    blocks = slice_blocks(sizes, map(partition.group_midpoints, range(sizes.t)))
-    return Design(_fill(blocks, sizes.n, p, rng), sizes)
+    if partition is not None and partition != partition_levels(sizes):
+        raise ValueError("partition is not the partition of these slice sizes")
+    return Design(_fill(method_blocks("sliced", sizes), sizes.n, p, rng), sizes)
 
 
 def generate_midpoint_lhd(n: int, p: int, rng: RngStream) -> Design:
@@ -131,23 +130,15 @@ def generate_independent_lhds(
 
     Block j lives on its own grid {(2i-1)/(2n_j)}; the stacked matrix is
     generally not a Latin hypercube on the combined n-level grid, only each
-    slice block is one at its own resolution. With ``decorrelate`` set, each
-    block is passed through the correlation-reduction sweep independently
-    (for p >= 2 and n_j >= 2; a single column or a single run has nothing to
-    decorrelate).
+    slice block is one at its own resolution. With ``decorrelate`` set, the
+    stack goes through the correlation-reduction sweep in one call, which
+    sweeps each block on its own grid (for p >= 2; a single column or a
+    single run has nothing to decorrelate).
     """
     p, iterations = _as_integer("p", p), _as_integer("iterations", iterations)
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
-    blocks = method_blocks("own", sizes)
-    values = _fill(blocks, sizes.n, p, rng)
-    if decorrelate and p >= 2:
-        for rows, mids in blocks:
-            if mids.size < 2:
-                continue
-            own = SliceSizes((mids.size,))
-            swept, _ = reduce_correlations(
-                Design(values[rows], own), partition_levels(own), iterations=iterations
-            )
-            values[rows] = swept.values
-    return Design(values, sizes)
+    design = Design(_fill(method_blocks("own", sizes), sizes.n, p, rng), sizes)
+    if decorrelate and p >= 2 and max(sizes.sizes) >= 2:
+        design, _ = reduce_correlations(design, iterations=iterations)
+    return design

@@ -179,7 +179,7 @@ def test_sweep_walkthrough_goldens():
         levels_from_values(SWEEP_AFTER_FORWARD, 13),
     )
     # Ten full iterations land on the final matrix exactly.
-    out, _ = reduce_correlations(design, part, iterations=10)
+    out, _ = reduce_correlations(design, iterations=10)
     assert np.array_equal(out.values, SWEEP_FINAL)
 
 
@@ -209,8 +209,8 @@ def test_sweep_structure_preservation_fuzz():
             continue
         p = int(gen.integers(2, 7))
         part = partition_levels(sizes)
-        design = generate_sliced_lhd(sizes, p, RngStream(9000 + case), partition=part)
-        out, _ = reduce_correlations(design, part, iterations=10)
+        design = generate_sliced_lhd(sizes, p, RngStream(9000 + case))
+        out, _ = reduce_correlations(design, iterations=10)
         assert validate_sliced(out).all_pass, (sizes.sizes, p, case)
         levels = levels_from_values(out.values, out.n)
         off = sizes.offsets()
@@ -222,12 +222,11 @@ def test_sweep_structure_preservation_fuzz():
 
 def test_sweep_reduces_mean_correlation():
     sizes = SliceSizes((6, 7))
-    part = partition_levels(sizes)
     before = []
     after = []
     for seed in range(100):
-        design = generate_sliced_lhd(sizes, 3, RngStream(seed), partition=part)
-        _, trace = reduce_correlations(design, part, iterations=10)
+        design = generate_sliced_lhd(sizes, 3, RngStream(seed))
+        _, trace = reduce_correlations(design, iterations=10)
         before.append(trace.whole[0])
         after.append(trace.whole[-1])
     mean_before = float(np.mean(before))

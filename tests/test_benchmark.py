@@ -426,7 +426,8 @@ _GROUP_SIZE = st.one_of(
 def test_failure_step_matches_gathered_assignment(sizes, p, R, seed, exponent_step, layout):
     # Shuffling a full-grid replicate's values with its assignment stream
     # and dropping a contiguous group gives exactly the estimate of
-    # gathering the group through permutation(n), for every method.
+    # gathering the group through permutation(n), for every method. The
+    # oracle reads the C-ordered copy the failure step is handed.
     integrand = _mixed_integrand(exponent_step, layout)
     base = _config(integrand="custom", sizes=SliceSizes(tuple(sizes)), dim=p,
                    replicates=R, seed=seed)
@@ -436,8 +437,27 @@ def test_failure_step_matches_gathered_assignment(sizes, p, R, seed, exponent_st
         for scenario in scenarios:
             cfg = dataclasses.replace(base, scenario=scenario)
             got = benchmark._estimates(method, cfg, benchmark._integrand_values(cfg, V, integrand))
-            want = _reference_estimates(method, cfg, integrand(V))
+            F = np.array(integrand(V), order="C")
+            want = _reference_estimates(method, cfg, F)
             assert np.array_equal(got, want), (method, scenario)
+
+
+@pytest.mark.parametrize("sizes", [(9, 7, 4), (129, 8), (100, 100, 100)])
+def test_custom_estimates_do_not_depend_on_the_result_layout(sizes):
+    # numpy sums the rows of a Fortran-ordered array one value after
+    # another and those of a C-ordered one pairwise, which can differ in
+    # the last bits. The same values returned C-ordered, Fortran-ordered or
+    # as a strided view must give the same estimates, bit for bit.
+    base = _config(integrand="custom", sizes=SliceSizes(sizes), dim=2, replicates=5, seed=4)
+    for method in _ALL_METHODS:
+        for scenario in _SCENARIOS:
+            cfg = dataclasses.replace(base, scenario=scenario)
+            c, fortran, strided = (
+                method_estimates(method, cfg, _mixed_integrand(3, layout))
+                for layout in ("c", "fortran", "strided")
+            )
+            assert np.array_equal(fortran, c), (method, scenario)
+            assert np.array_equal(strided, c), (method, scenario)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 33, 48, 65, 129, 257])
@@ -626,9 +646,8 @@ def test_one_slice_fails_drops_the_right_rows():
 
 def test_write_trace_csv_round_trip(tmp_path):
     sizes = SliceSizes((6, 7))
-    part = partition_levels(sizes)
-    d = generate_sliced_lhd(sizes, 3, RngStream(0), partition=part)
-    _, trace = reduce_correlations(d, part, iterations=10)
+    d = generate_sliced_lhd(sizes, 3, RngStream(0))
+    _, trace = reduce_correlations(d, iterations=10)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().strip().splitlines()

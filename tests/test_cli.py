@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from slicedlhd import SliceSizes
-from slicedlhd.cli import main
+from slicedlhd import RngStream, SliceSizes, generate_sliced_lhd, reduce_correlations
+from slicedlhd.cli import _parse_design_file, main
 
 from _goldens import COLUMN_NUMER_2_5_10
 
@@ -27,6 +33,40 @@ def test_generate_validate_round_trip(tmp_path, capsys):
     assert run_cli("validate", str(out), "--sizes", "2,5,10") == 0
     captured = capsys.readouterr()
     assert "overall: all-pass" in captured.out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+    dim=st.integers(1, 5),
+    seed=st.integers(0, 2**64),
+    fmt=st.sampled_from(["levels", "values"]),
+    decorrelate=st.booleans(),
+    iterations=st.integers(1, 10),
+)
+@example(sizes=[1], dim=1, seed=0, fmt="levels", decorrelate=True, iterations=1)
+@example(sizes=[2, 5, 10], dim=3, seed=7, fmt="values", decorrelate=True, iterations=10)
+def test_generate_then_validate_round_trip_property(sizes, dim, seed, fmt, decorrelate, iterations):
+    # generate writes what the library builds and validate passes it, in
+    # either format; --decorrelate only where it is a valid request.
+    decorrelate = decorrelate and dim >= 2 and sum(sizes) >= 2
+    text = ",".join(map(str, sizes))
+    argv = ["generate", "--sizes", text, "--dim", str(dim), "--seed", str(seed),
+            "--format", fmt]
+    if decorrelate:
+        argv += ["--decorrelate", "--iterations", str(iterations)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "design.txt")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run_cli(*argv, "-o", path) == 0
+            assert run_cli("validate", path, "--sizes", text) == 0
+        assert "overall: all-pass" in out.getvalue()
+        parsed = _parse_design_file(path, SliceSizes(tuple(sizes)))
+    design = generate_sliced_lhd(SliceSizes(tuple(sizes)), dim, RngStream(seed))
+    if decorrelate:
+        design, _ = reduce_correlations(design, iterations=iterations)
+    assert np.array_equal(parsed.values, design.values)
 
 
 def test_validate_exposes_wrong_slicing(tmp_path, capsys):
@@ -91,6 +131,25 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
                    "--decorrelate") == 2
     assert run_cli("nonsense") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--dim", "0"], "--dim must be >= 1"),
+        (["--iterations", "0", "--trace-out", "t.csv"], "--iterations must be >= 1"),
+        (["--seed", "-1", "--dim", "1", "--decorrelate"], "--seed must be >= 0"),
+        (["--trace-out", "t.csv"], "--trace-out requires --decorrelate"),
+        (["--dim", "1", "--decorrelate"], "--decorrelate needs at least two dimensions"),
+    ],
+)
+def test_generate_argument_errors_exit_2_with_one_line(capsys, extra, message):
+    # Each bad generate argument gives exit 2 and one line naming it; where
+    # several are bad, the first of the checks above is reported.
+    assert run_cli("generate", "--sizes", "3,4", *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_unparseable_design_file_exits_2(tmp_path, capsys):

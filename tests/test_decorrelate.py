@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from slicedlhd import (
@@ -12,6 +12,7 @@ from slicedlhd import (
     SliceSizes,
     generate_independent_lhds,
     generate_midpoint_lhd,
+    generate_randomized_lhd,
     generate_sliced_lhd,
     level_midpoints,
     levels_from_values,
@@ -114,7 +115,7 @@ def test_forward_pass_plus_restore_matches_golden():
 
 def test_ten_iterations_reach_golden_fixed_point():
     design, part = _sweep_design()
-    out, trace = reduce_correlations(design, part, iterations=10)
+    out, trace = reduce_correlations(design, iterations=10)
     assert np.array_equal(out.values, SWEEP_FINAL)
     # The input design is untouched.
     assert np.array_equal(design.values, SWEEP_START)
@@ -129,11 +130,10 @@ def test_ten_iterations_reach_golden_fixed_point():
 
 def test_sweep_reduces_whole_design_correlation_on_average():
     sizes = SliceSizes((6, 7))
-    part = partition_levels(sizes)
     before = after = 0.0
     for seed in range(100):
         d = generate_sliced_lhd(sizes, 3, RngStream(seed))
-        out, trace = reduce_correlations(d, part, iterations=10)
+        out, trace = reduce_correlations(d, iterations=10)
         before += trace.whole[0]
         after += trace.whole[-1]
     assert after < before
@@ -148,8 +148,8 @@ def test_sweep_preserves_structure_fuzz():
             continue
         p = int(gen.integers(2, 5))
         part = partition_levels(sizes)
-        d = generate_sliced_lhd(sizes, p, RngStream(1000 + case), partition=part)
-        out, _ = reduce_correlations(d, part, iterations=3)
+        d = generate_sliced_lhd(sizes, p, RngStream(1000 + case))
+        out, _ = reduce_correlations(d, iterations=3)
         assert validate_sliced(out).all_pass
         levels = levels_from_values(out.values, out.n)
         off = sizes.offsets()
@@ -160,33 +160,55 @@ def test_sweep_preserves_structure_fuzz():
                 assert got == want
 
 
-@settings(max_examples=40, deadline=None)
+def _sweep_input(family, sizes, p, seed):
+    # A design of each family cut into slices of ``sizes``. Only the sliced
+    # family comes from a level partition: the independent family stacks
+    # each slice's own grid, the jittered one holds no midpoints at all.
+    rng = RngStream(seed)
+    if family == "sliced":
+        return generate_sliced_lhd(sizes, p, rng)
+    if family == "independent":
+        return generate_independent_lhds(sizes, p, rng)
+    return Design(generate_randomized_lhd(sizes.n, p, rng).values, sizes)
+
+
+@settings(max_examples=60, deadline=None)
 @given(
+    family=st.sampled_from(["sliced", "independent", "jittered"]),
     sizes=st.lists(st.integers(1, 30), min_size=1, max_size=5).filter(lambda s: sum(s) >= 2),
     p=st.integers(2, 6),
     seed=st.integers(0, 2**32 - 1),
     iterations=st.integers(1, 10),
 )
-def test_reduce_correlations_keeps_each_slice_level_multiset(sizes, p, seed, iterations):
-    # Every column of every slice leaves the sweep on the full grid, holding
-    # exactly its partition group's levels, so the design stays sliced.
+@example(family="independent", sizes=[1, 6, 1], p=3, seed=0, iterations=10)
+@example(family="jittered", sizes=[1, 1], p=2, seed=0, iterations=1)
+def test_reduce_correlations_keeps_each_slice_level_multiset(family, sizes, p, seed, iterations):
+    # Every column of every slice leaves the sweep holding exactly the
+    # values it came in with, whatever made the design. So a sliced design
+    # leaves on the full grid, holding its partition group's levels, and
+    # stays sliced. A stack of one-run independent designs is constant,
+    # which has no correlation to reduce.
+    assume(family != "independent" or max(sizes) >= 2)
     sizes = SliceSizes(tuple(sizes))
-    part = partition_levels(sizes)
-    design = generate_sliced_lhd(sizes, p, RngStream(seed), partition=part)
-    out, _ = reduce_correlations(design, part, iterations=iterations)
-    levels = levels_from_values(out.values, out.n)
-    assert np.array_equal(out.values, level_midpoints(levels, out.n))
+    design = _sweep_input(family, sizes, p, seed)
+    out, _ = reduce_correlations(design, iterations=iterations)
     off = sizes.offsets()
-    for j, group in enumerate(part.groups):
-        got = np.sort(levels[off[j]:off[j + 1]], axis=0)
-        assert np.array_equal(got, np.broadcast_to(np.asarray(group)[:, None], got.shape)), j
+    for j in range(sizes.t):
+        got = np.sort(out.values[off[j]:off[j + 1]], axis=0)
+        assert np.array_equal(got, np.sort(design.values[off[j]:off[j + 1]], axis=0)), j
+    if family == "sliced":
+        levels = levels_from_values(out.values, out.n)
+        assert np.array_equal(out.values, level_midpoints(levels, out.n))
+        for j, group in enumerate(partition_levels(sizes).groups):
+            got = np.sort(levels[off[j]:off[j + 1]], axis=0)
+            assert np.array_equal(got, np.broadcast_to(np.asarray(group)[:, None], got.shape)), j
 
 
 def test_sweep_handles_tiny_slices():
     sizes = SliceSizes((1, 1, 5))
     part = partition_levels(sizes)
-    d = generate_sliced_lhd(sizes, 3, RngStream(0), partition=part)
-    out, trace = reduce_correlations(d, part, iterations=2)
+    d = generate_sliced_lhd(sizes, 3, RngStream(0))
+    out, trace = reduce_correlations(d, iterations=2)
     assert validate_sliced(out).all_pass
     # Single-row blocks cannot be correlated; their trace stays at zero.
     assert trace.per_slice[0] == (0.0,) * 3
@@ -196,8 +218,8 @@ def test_sweep_handles_tiny_slices():
 def test_sweep_two_run_design():
     sizes = SliceSizes((2,))
     part = partition_levels(sizes)
-    d = generate_sliced_lhd(sizes, 2, RngStream(0), partition=part)
-    out, trace = reduce_correlations(d, part, iterations=1)
+    d = generate_sliced_lhd(sizes, 2, RngStream(0))
+    out, trace = reduce_correlations(d, iterations=1)
     assert validate_sliced(out).all_pass
     # Two points are always perfectly correlated in magnitude.
     assert np.allclose(trace.whole, (1.0, 1.0))
@@ -250,8 +272,8 @@ def test_reduce_correlations_equals_literal_loops(sizes, p, seed, first, iterati
     # is the known exact residual tie, the second has one-row slices.
     sizes = SliceSizes(tuple(sizes))
     part = partition_levels(sizes)
-    design = generate_sliced_lhd(sizes, p, RngStream(seed).split(first), partition=part)
-    out, trace = reduce_correlations(design, part, iterations=iterations)
+    design = generate_sliced_lhd(sizes, p, RngStream(seed).split(first))
+    out, trace = reduce_correlations(design, iterations=iterations)
     values, whole, per_slice = _literal_sweep(design, part, iterations)
     assert np.array_equal(out.values, values)
     assert trace.whole == whole
@@ -259,20 +281,28 @@ def test_reduce_correlations_equals_literal_loops(sizes, p, seed, first, iterati
 
 
 def test_sweep_input_checks():
+    design, _ = _sweep_design()
+    with pytest.raises(ValueError):
+        reduce_correlations(design, iterations=0)
+    with pytest.raises(ValueError):
+        reduce_correlations(Design(design.values[:, :1], design.sizes))
+    for bad in (np.nan, np.inf, -np.inf):
+        values = design.values.copy()
+        values[4, 1] = bad
+        with pytest.raises(ValueError, match="^design values must be finite$"):
+            reduce_correlations(Design(values, design.sizes))
+
+
+def test_partition_argument_is_checked_and_unused():
+    # Still accepted for calls written for the earlier signature: the
+    # design's own partition changes nothing, one of other slice sizes is
+    # rejected.
     design, part = _sweep_design()
-    with pytest.raises(ValueError):
-        reduce_correlations(design, part, iterations=0)
-    with pytest.raises(ValueError):
-        reduce_correlations(
-            Design(design.values[:, :1], design.sizes), part
-        )
-    other = partition_levels(SliceSizes((7, 6)))
-    with pytest.raises(ValueError):
-        reduce_correlations(design, other)
-    # A design that does not carry the partition's levels is rejected.
-    shifted = Design(np.roll(design.values, 1, axis=0), design.sizes)
-    with pytest.raises(ValueError):
-        reduce_correlations(shifted, part)
+    out, trace = reduce_correlations(design, part, iterations=10)
+    assert np.array_equal(out.values, SWEEP_FINAL)
+    assert trace == reduce_correlations(design)[1]
+    with pytest.raises(ValueError, match="^partition slice sizes do not match the design$"):
+        reduce_correlations(design, partition_levels(SliceSizes((7, 6))))
 
 
 def test_rms_correlation_basics():
@@ -294,14 +324,14 @@ def test_batch_sweep_matches_reference_exactly():
         sizes = SliceSizes(sizes_tuple)
         part = partition_levels(sizes)
         designs = [
-            generate_sliced_lhd(sizes, p, RngStream(seed), partition=part)
+            generate_sliced_lhd(sizes, p, RngStream(seed))
             for seed in range(6)
         ]
         stacked = np.stack([d.values for d in designs])
         blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
         _sweep_batch(stacked, blocks, iterations=10)
         for r, d in enumerate(designs):
-            ref, _ = reduce_correlations(d, part, iterations=10)
+            ref, _ = reduce_correlations(d, iterations=10)
             assert np.array_equal(stacked[r], ref.values), (sizes_tuple, p, r)
 
 
@@ -468,7 +498,7 @@ def test_chunked_batch_sweep_is_exact_at_chunk_size(R):
     sizes = SliceSizes((5, 1, 4))
     part = partition_levels(sizes)
     stacked = np.stack([
-        generate_sliced_lhd(sizes, 2, RngStream(3).split(r), partition=part).values
+        generate_sliced_lhd(sizes, 2, RngStream(3).split(r)).values
         for r in range(R)
     ])
     blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
@@ -478,7 +508,7 @@ def test_chunked_batch_sweep_is_exact_at_chunk_size(R):
 def test_sweep_of_a_fixed_point_changes_nothing():
     design, part = _sweep_design()
     fixed = Design(SWEEP_FINAL.copy(), design.sizes)
-    out, trace = reduce_correlations(fixed, part, iterations=5)
+    out, trace = reduce_correlations(fixed, iterations=5)
     assert np.array_equal(out.values, SWEEP_FINAL)
     assert trace.whole == (trace.whole[0],) * 6
     assert all(row == (row[0],) * 6 for row in trace.per_slice)
@@ -496,7 +526,7 @@ def test_trace_repeats_its_tail_after_the_fixed_point():
     # have measured had it kept iterating.
     design, part = _sweep_design()
     iterations = 15
-    _, trace = reduce_correlations(design, part, iterations=iterations)
+    _, trace = reduce_correlations(design, iterations=iterations)
     assert trace.iterations == iterations
     assert len(trace.whole) == iterations + 1
     assert all(len(row) == iterations + 1 for row in trace.per_slice)
@@ -504,7 +534,7 @@ def test_trace_repeats_its_tail_after_the_fixed_point():
     state = design
     for k in range(iterations + 1):
         if k:
-            state, _ = reduce_correlations(state, part, iterations=1)
+            state, _ = reduce_correlations(state, iterations=1)
         assert trace.whole[k] == rms_correlation(state.values), k
         for j, row in enumerate(trace.per_slice):
             block = state.values[off[j]:off[j + 1]]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slicedlhd.generate as generate_mod
 from slicedlhd import (
@@ -71,8 +73,14 @@ def test_sliced_lhd_columns_stable_under_dim_growth():
 
 
 def test_sliced_lhd_rejects_foreign_partition():
-    part = partition_levels(SliceSizes((3, 4)))
-    with pytest.raises(ValueError):
+    # The partition argument is kept for calls written for the earlier
+    # signature: partition_levels(sizes) changes nothing, any other is
+    # rejected.
+    sizes = SliceSizes((3, 4))
+    part = partition_levels(sizes)
+    same = generate_sliced_lhd(sizes, 2, RngStream(0), partition=part)
+    assert np.array_equal(same.values, generate_sliced_lhd(sizes, 2, RngStream(0)).values)
+    with pytest.raises(ValueError, match="^partition is not the partition"):
         generate_sliced_lhd(SliceSizes((4, 3)), 2, RngStream(0), partition=part)
     with pytest.raises(ValueError):
         generate_sliced_lhd(SliceSizes((3, 4)), 0, RngStream(0))
@@ -144,8 +152,53 @@ def test_independent_lhds_decorrelate_skips_single_run_slices():
     swept = generate_independent_lhds(sizes, 3, RngStream(4), decorrelate=True)
     assert np.array_equal(swept.values[:1], [[0.5, 0.5, 0.5]])
     own = SliceSizes((5,))
-    ref, _ = reduce_correlations(Design(plain.values[1:], own), partition_levels(own))
+    ref, _ = reduce_correlations(Design(plain.values[1:], own))
     assert np.array_equal(swept.values[1:], ref.values)
+
+
+def _per_block_independent_sweep(sizes, p, rng, iterations):
+    # generate_independent_lhds(decorrelate=True) in its earlier form, kept
+    # frozen as the oracle: each block of two or more runs swept alone, as
+    # a one-slice design on its own grid.
+    values = generate_independent_lhds(sizes, p, rng).values
+    if p >= 2:
+        for rows, mids in method_blocks("own", sizes):
+            if mids.size < 2:
+                continue
+            own = SliceSizes((mids.size,))
+            swept, _ = reduce_correlations(Design(values[rows], own), iterations=iterations)
+            values[rows] = swept.values
+    return values
+
+
+# 1 is the unswept one-run block; 2**k - 1, 2**k and 2**k + 1 sit on either
+# side of numpy's summation block sizes.
+_SLICE_SIZES = st.one_of(
+    st.sampled_from([1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 63, 65]), st.integers(1, 12)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(_SLICE_SIZES, min_size=1, max_size=5),
+    p=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(1, 10),
+)
+@example(sizes=[1, 1, 1], p=3, seed=0, iterations=10)
+@example(sizes=[1], p=2, seed=0, iterations=1)
+@example(sizes=[1, 6, 1, 3], p=3, seed=5, iterations=10)
+@example(sizes=[65, 1, 17], p=6, seed=1, iterations=10)
+def test_independent_lhds_sweep_in_one_call_equals_per_block_sweeps(sizes, p, seed, iterations):
+    # Blocks are swept independently and a block at its fixed point maps to
+    # itself, so one sweep of the whole stack equals sweeping each block
+    # alone, bit for bit, one-run blocks and all-ones sizes included.
+    sizes = SliceSizes(tuple(sizes))
+    got = generate_independent_lhds(
+        sizes, p, RngStream(seed), decorrelate=True, iterations=iterations
+    )
+    want = _per_block_independent_sweep(sizes, p, RngStream(seed), iterations)
+    assert np.array_equal(got.values, want)
 
 
 @pytest.mark.parametrize("sizes", [(2, 5, 10), (1, 4), (6,), (3, 1, 1, 7)])

@@ -156,7 +156,7 @@ def test_validate_sliced_bins_midpoints_on_slice_edges_exactly():
     part = partition_levels(sizes)
     assert 53 in part.groups[2]
     for seed in range(3):
-        d = generate_sliced_lhd(sizes, 2, RngStream(seed), partition=part)
+        d = generate_sliced_lhd(sizes, 2, RngStream(seed))
         assert validate_sliced(d).all_pass, seed
 
 
