@@ -25,7 +25,6 @@ from .generate import (
 )
 from .decorrelate import (
     SweepTrace,
-    rank_restore,
     reduce_correlations,
     residualize,
     rms_correlation,
@@ -71,7 +70,6 @@ __all__ = [
     "levels_from_values",
     "mc_mean",
     "partition_levels",
-    "rank_restore",
     "reduce_correlations",
     "render_table",
     "residualize",

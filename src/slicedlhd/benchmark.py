@@ -36,15 +36,22 @@ with its assignment stream. Every method then drops one contiguous block.
 
 Everything is deterministic given the config seed: each (method, replicate)
 pair gets its own RNG stream, so replicates can be computed in any order or
-in parallel without changing results. A batch's streams are keyed together
+in parallel without changing results. A method's streams are keyed together
 by RngStream.generators, which draws exactly what one SeedSequence + Philox
 per stream would.
+
+method_estimates draws, sweeps, evaluates and estimates _CHUNK replicates
+at a time, reading each stream iterator (built once per method) chunk by
+chunk, so memory stays bounded whatever the replicate count. Every sum
+runs along one replicate's row, so the chunks change no bit; a custom
+integrand is called once per chunk.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +212,8 @@ class ExperimentConfig:
             raise ValueError("dim must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        if self.replicates > 2**32:  # the most streams RngStream.generators keys
+            raise ValueError(f"replicates must be <= {2**32}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.scenario not in (SCENARIO_ALL, SCENARIO_ONE_FAILS):
@@ -319,7 +328,12 @@ def write_trace_csv(trace: SweepTrace, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# batched design generation, one (method, replicate) stream each
+# the replicate-chunk pipeline, one (method, replicate) stream each
+
+# Replicates drawn, swept, evaluated and estimated at once: every array but
+# the (R,) estimates holds at most this many designs' worth, whatever R is.
+# It matches core._KEY_CHUNK, so each chunk's streams are keyed in one hash.
+_CHUNK = 1024
 
 
 def _generators(code: int, cfg: ExperimentConfig, role: int):
@@ -328,63 +342,57 @@ def _generators(code: int, cfg: ExperimentConfig, role: int):
     return RngStream(cfg.seed).generators((code,), cfg.replicates, (role,))
 
 
-def _batch_designs(method: str, cfg: ExperimentConfig) -> np.ndarray:
-    code, grid, swept = _METHODS[method]
+def _batch_designs(method: str, cfg: ExperimentConfig, blocks, gens, m: int) -> np.ndarray:
+    """The next ``m`` replicates' designs, drawn from the design stream
+    iterator ``gens`` onto ``blocks`` (method_blocks of the method's grid)."""
     n, p = cfg.sizes.n, cfg.dim
-    blocks = method_blocks(grid, cfg.sizes)
-    out = np.empty((cfg.replicates, n, p))
+    out = np.empty((m, n, p))
     if method == "RLH":
         # Column l is (permutation(n) + 1 - random(n)) / n, its permutation
         # and jitter draws interleaved column by column. permutation(n) is
         # shuffle of 1..n, so shuffling the levels in place draws the same.
         out[...] = np.arange(1, n + 1)[:, None]
         jitter = np.empty((p, n))
-        for r, gen in enumerate(_generators(code, cfg, _ROLE_DESIGN)):
+        for design, gen in zip(out, islice(gens, m)):
             for l in range(p):
-                gen.shuffle(out[r, :, l])
+                gen.shuffle(design[:, l])
                 gen.random(out=jitter[l])
-            out[r] -= jitter.T
-            out[r] /= n
+            design -= jitter.T
+            design /= n
         return out
     # Permute each block's sorted midpoints in place, one call per block:
     # permuted(axis=0) runs shuffle's Fisher-Yates on each column in turn,
     # so it draws what a shuffle per column (or permutation(mids)) would.
     for rows, mids in blocks:
         out[:, rows, :] = mids[:, None]
-    for r, gen in enumerate(_generators(code, cfg, _ROLE_DESIGN)):
+    for design, gen in zip(out, islice(gens, m)):
         for rows, _ in blocks:
-            slab = out[r, rows]
+            slab = design[rows]
             gen.permuted(slab, axis=0, out=slab)
-    if swept:
-        _sweep_batch(out, blocks)
     return out
 
 
-def _estimates(method: str, cfg: ExperimentConfig, F: np.ndarray) -> np.ndarray:
-    """Per-replicate mean estimates from integrand values F of shape (R, n)."""
-    R, n = F.shape
-    if cfg.scenario == SCENARIO_ALL:
+def _estimates(cfg: ExperimentConfig, F: np.ndarray, failure, assignment) -> np.ndarray:
+    """Estimates from one chunk's integrand values F (m, n); draws the next m
+    of the ``failure`` and ``assignment`` iterators (None where none is drawn)."""
+    m, n = F.shape
+    if failure is None:
         return F.mean(axis=1)
-    code, grid, _ = _METHODS[method]
     sizes = np.asarray(cfg.sizes.sizes)
     off = cfg.sizes.offsets()
     t = cfg.sizes.t
-    fail = np.fromiter(
-        (gen.integers(t) for gen in _generators(code, cfg, _ROLE_FAILURE)),
-        dtype=np.int64,
-        count=R,
-    )
+    fail = np.fromiter((gen.integers(t) for gen in islice(failure, m)), dtype=np.int64, count=m)
     totals = F.sum(axis=1)
-    if grid == "full":
+    if assignment is not None:
         # Assign rows to computers uniformly at random: shuffle each
         # replicate's values in place (the draws of permutation(n)), so
         # each computer's group is a contiguous block.
-        for r, gen in enumerate(_generators(code, cfg, _ROLE_ASSIGNMENT)):
-            gen.shuffle(F[r])
+        for row, gen in zip(F, islice(assignment, m)):
+            gen.shuffle(row)
     block_sums = np.stack(
         [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(t)], axis=1
     )
-    dropped = block_sums[np.arange(R), fail]
+    dropped = block_sums[np.arange(m), fail]
     kept = n - sizes[fail]
     return (totals - dropped) / kept
 
@@ -421,12 +429,28 @@ def method_estimates(
     cfg: ExperimentConfig,
     custom_integrand=None,
 ) -> np.ndarray:
-    """Per-replicate estimates for one method; exposed for verification."""
+    """Per-replicate estimates for one method, _CHUNK replicates at a time
+    (see the module docstring); exposed for verification."""
     if cfg.integrand == "custom" and custom_integrand is None:
         raise ValueError("custom integrand requires a callable")
-    V = _batch_designs(method, cfg)
-    F = _integrand_values(cfg, V, custom_integrand)
-    return _estimates(method, cfg, F)
+    code, grid, swept = _METHODS[method]
+    blocks = method_blocks(grid, cfg.sizes)
+    design = _generators(code, cfg, _ROLE_DESIGN)
+    failure = assignment = None
+    if cfg.scenario == SCENARIO_ONE_FAILS:
+        failure = _generators(code, cfg, _ROLE_FAILURE)
+        if grid == "full":
+            assignment = _generators(code, cfg, _ROLE_ASSIGNMENT)
+    est = np.empty(cfg.replicates)
+    for first in range(0, cfg.replicates, _CHUNK):
+        m = min(_CHUNK, cfg.replicates - first)
+        V = _batch_designs(method, cfg, blocks, design, m)
+        if swept:
+            _sweep_batch(V, blocks)
+        F = _integrand_values(cfg, V, custom_integrand)
+        est[first : first + m] = _estimates(cfg, F, failure, assignment)
+        del V, F  # freed before the next chunk is drawn: one chunk at a time
+    return est
 
 
 def run_experiment(

@@ -14,6 +14,7 @@ not writable.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -207,6 +208,8 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+# Built once per process: parse_args leaves the parser as it was.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slicedlhd",

@@ -27,14 +27,14 @@ leaves a design unchanged, every later one would too. Both sweeps stop
 there: reduce_correlations ends its loop and repeats the last trace entries.
 Outputs and traces are bit-identical to running all iterations.
 
-The batch sweep (the benchmark's) works through the batch in chunks of
-_CHUNK replicates, so its temporaries stay bounded whatever the replicate
-count. A pass reads only its own block's rows, so within a chunk each block
-is copied once into a contiguous (replicate, column, row) array and swept
-there to its own fixed point: a (replicate, block) pair that one iteration
-leaves unchanged drops out while the replicate's other blocks go on. Every
-sum runs along a block row, in the same order as one replicate swept alone,
-so neither the chunks nor the per-block stop changes a bit.
+The batch sweep (the benchmark's) sweeps whatever replicates it is given;
+the benchmark hands it one chunk at a time. A pass reads only its own
+block's rows, so each block is copied once into a contiguous (replicate,
+column, row) array and swept there to its own fixed point: a (replicate,
+block) pair that one iteration leaves unchanged drops out while the
+replicate's other blocks go on. Every sum runs along a block row, in the
+same order as one replicate swept alone, so neither the batch size nor the
+per-block stop changes a bit.
 """
 
 from __future__ import annotations
@@ -43,19 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Design, LevelPartition, _as_integer, level_midpoints
+from .core import Design, LevelPartition, _as_integer
 
 __all__ = [
     "SweepTrace",
     "residualize",
-    "rank_restore",
     "rms_correlation",
     "reduce_correlations",
 ]
-
-# Replicates _sweep_batch sweeps at once; bounds its temporaries to this many
-# designs' worth, whatever the batch size.
-_CHUNK = 256
 
 
 def residualize(response, covariate) -> np.ndarray:
@@ -79,24 +74,6 @@ def residualize(response, covariate) -> np.ndarray:
         return resp.copy()
     slope = float(cd @ (resp - resp.mean())) / den
     return resp - slope * cd
-
-
-def rank_restore(values, group_levels, n: int) -> np.ndarray:
-    """Map the u-th smallest entry of ``values`` to the u-th smallest midpoint.
-
-    ``group_levels`` are integer levels on the n-level grid; the output is a
-    permutation of their midpoints (2g-1)/(2n), order-isomorphic to
-    ``values``. Ties are broken by original position (stable sort), which
-    makes constant inputs deterministic.
-    """
-    vals = np.asarray(values, dtype=np.float64)
-    levels = np.sort(np.asarray(group_levels, dtype=np.int64))
-    if vals.ndim != 1 or vals.size != levels.size:
-        raise ValueError("values and group_levels must have equal length")
-    out = np.empty_like(vals)
-    order = np.argsort(vals, kind="stable")
-    out[order] = level_midpoints(levels, n)
-    return out
 
 
 def rms_correlation(matrix) -> float:
@@ -232,18 +209,14 @@ def _sweep_batch(
     the rank of residuals that tie exactly, so the two sweeps can then
     return different designs.
 
-    Replicates are swept _CHUNK at a time, so temporaries stay bounded
-    whatever R is. A pass reads only its own block's rows, so each block of
-    a chunk is swept on its own, to its own fixed point (_sweep_block).
+    A pass reads only its own block's rows, so each block is swept on its
+    own, to its own fixed point (_sweep_block). Temporaries are a few
+    copies of ``stacked``: callers bound them by the batch they pass.
     """
-    R, n, p = stacked.shape
-    if p < 2:
-        return stacked
-    for first in range(0, R, _CHUNK):
-        chunk = stacked[first : first + _CHUNK]  # view: writes go through
+    if stacked.shape[2] >= 2:
         for rows, mids in blocks:
             if mids.size >= 2:
-                _sweep_block(chunk[:, rows, :], mids, iterations)
+                _sweep_block(stacked[:, rows, :], mids, iterations)
     return stacked
 
 

@@ -138,6 +138,8 @@ def generate_independent_lhds(
     p, iterations = _as_integer("p", p), _as_integer("iterations", iterations)
     if p < 1:
         raise ValueError(f"dimension must be >= 1, got {p}")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     design = Design(_fill(method_blocks("own", sizes), sizes.n, p, rng), sizes)
     if decorrelate and p >= 2 and max(sizes.sizes) >= 2:
         design, _ = reduce_correlations(design, iterations=iterations)

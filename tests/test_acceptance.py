@@ -162,7 +162,7 @@ def test_sweep_walkthrough_goldens():
     assert np.allclose(resid, RESID_FIRST, atol=1e-3)
     # One forward pass plus restore hits the mid-sweep matrix exactly.
     design = Design(SWEEP_START.copy(), sizes)
-    from slicedlhd import rank_restore
+    from test_decorrelate import rank_restore
 
     values = design.values.copy()
     off = design.slice_offsets

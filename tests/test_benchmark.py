@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from slicedlhd import (
 )
 from slicedlhd import benchmark
 from slicedlhd.benchmark import RmseReport, method_estimates
-from slicedlhd.decorrelate import _sweep_batch
 from slicedlhd.generate import method_blocks
 
 from _quadrature import f2_quadrature
@@ -200,6 +200,13 @@ def test_config_rejects_negative_seed():
     assert _config(seed=0).seed == 0
 
 
+def test_config_rejects_more_replicates_than_streams():
+    # RngStream.generators keys at most 2**32 replicate streams.
+    assert _config(replicates=2**32).replicates == 2**32
+    with pytest.raises(ValueError, match=r"^replicates must be <= 4294967296$"):
+        _config(replicates=2**32 + 1)
+
+
 def test_config_accepts_numpy_integers():
     cfg = _config(dim=np.int64(2), replicates=np.int32(3), seed=np.uint8(7))
     assert (cfg.dim, cfg.replicates, cfg.seed) == (2, 3, 7)
@@ -275,7 +282,7 @@ def _reference_designs(method, cfg):
     # The benchmark's draw as one numpy call per (replicate, block, column):
     # RLH's column l is (permutation(n) + 1 - random(n)) / n, every other
     # method shuffles each block's midpoints column by column.
-    code, grid, swept = benchmark._METHODS[method]
+    code, grid, _ = benchmark._METHODS[method]
     n, p = cfg.sizes.n, cfg.dim
     blocks = method_blocks(grid, cfg.sizes)
     out = np.empty((cfg.replicates, n, p))
@@ -290,8 +297,6 @@ def _reference_designs(method, cfg):
             for rows, _ in blocks:
                 for l in range(p):
                     gen.shuffle(out[r, rows, l])
-    if swept:
-        _sweep_batch(out, blocks)
     return out
 
 
@@ -318,7 +323,9 @@ def test_batch_designs_match_per_column_draws(sizes, p, R, seed):
     cfg = _config(integrand="custom", sizes=SliceSizes(tuple(sizes)), dim=p,
                   replicates=R, seed=seed)
     for method in _ALL_METHODS:
-        got = benchmark._batch_designs(method, cfg)
+        code, grid, _ = benchmark._METHODS[method]
+        gens = benchmark._generators(code, cfg, benchmark._ROLE_DESIGN)
+        got = benchmark._batch_designs(method, cfg, method_blocks(grid, cfg.sizes), gens, R)
         assert np.array_equal(got, _reference_designs(method, cfg)), method
 
 
@@ -427,18 +434,23 @@ def test_failure_step_matches_gathered_assignment(sizes, p, R, seed, exponent_st
     # Shuffling a full-grid replicate's values with its assignment stream
     # and dropping a contiguous group gives exactly the estimate of
     # gathering the group through permutation(n), for every method. The
-    # oracle reads the C-ordered copy the failure step is handed.
+    # oracle reads a C-ordered copy of the values the integrand returned
+    # on the designs it was handed.
     integrand = _mixed_integrand(exponent_step, layout)
     base = _config(integrand="custom", sizes=SliceSizes(tuple(sizes)), dim=p,
                    replicates=R, seed=seed)
     scenarios = _SCENARIOS if len(sizes) > 1 else ("all-complete",)
     for method in _ALL_METHODS:
-        V = benchmark._batch_designs(method, base)
         for scenario in scenarios:
             cfg = dataclasses.replace(base, scenario=scenario)
-            got = benchmark._estimates(method, cfg, benchmark._integrand_values(cfg, V, integrand))
-            F = np.array(integrand(V), order="C")
-            want = _reference_estimates(method, cfg, F)
+            seen = []
+
+            def spy(V):
+                seen.append(np.array(integrand(V), order="C"))
+                return integrand(V)
+
+            got = method_estimates(method, cfg, spy)
+            want = _reference_estimates(method, cfg, np.concatenate(seen))
             assert np.array_equal(got, want), (method, scenario)
 
 
@@ -458,6 +470,59 @@ def test_custom_estimates_do_not_depend_on_the_result_layout(sizes):
             )
             assert np.array_equal(fortran, c), (method, scenario)
             assert np.array_equal(strided, c), (method, scenario)
+
+
+@pytest.mark.parametrize("integrand, dim", [("f1", 5), ("f2", 2), ("custom", 3)])
+def test_estimates_do_not_depend_on_the_chunk(monkeypatch, integrand, dim):
+    # method_estimates draws, sweeps, evaluates and estimates _CHUNK
+    # replicates at a time, and every reduction runs along one replicate's
+    # row. So R below, at and above a small patched chunk, and over two
+    # chunks, must give the one-chunk estimates bit for bit. A custom
+    # integrand is called once per chunk, on that chunk's designs.
+    chunk = 3
+    sizes = SliceSizes((9, 7, 4))
+    custom = _mixed_integrand(3, "c") if integrand == "custom" else None
+    for R in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+        base = _config(integrand=integrand, sizes=sizes, dim=dim, replicates=R)
+        for method in _ALL_METHODS:
+            for scenario in _SCENARIOS:
+                cfg = dataclasses.replace(base, scenario=scenario)
+                whole = method_estimates(method, cfg, custom)
+                shapes = []
+
+                def spy(V):
+                    shapes.append(V.shape)
+                    return custom(V)
+
+                with monkeypatch.context() as patched:
+                    patched.setattr(benchmark, "_CHUNK", chunk)
+                    chunked = method_estimates(method, cfg, spy if custom else None)
+                assert np.array_equal(chunked, whole), (R, method, scenario)
+                if custom:
+                    want = [(min(chunk, R - first), sizes.n, dim) for first in range(0, R, chunk)]
+                    assert shapes == want, (R, method, scenario)
+
+
+@pytest.mark.parametrize("method", ["RLH", "CLH"])
+def test_method_estimates_memory_is_bounded_by_one_chunk(method):
+    # Only the (R,) estimates grow with R: at eight chunks the peak may pass
+    # the one-chunk peak by at most one chunk's designs and 8 bytes a
+    # replicate. Holding the whole batch would pass it by seven chunks'
+    # designs. CLH sweeps and shuffles its rows into computer groups, RLH
+    # has the largest draw.
+    cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
+    chunk = benchmark._CHUNK
+
+    def peak(R):
+        tracemalloc.start()
+        try:
+            method_estimates(method, dataclasses.replace(cfg, methods=(method,), replicates=R))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_chunk_designs = chunk * cfg.sizes.n * cfg.dim * 8
+    assert peak(8 * chunk) - peak(chunk) <= one_chunk_designs + 8 * 8 * chunk
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 33, 48, 65, 129, 257])

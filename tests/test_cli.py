@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicedlhd import RngStream, SliceSizes, generate_sliced_lhd, reduce_correlations
+from slicedlhd import cli
 from slicedlhd.cli import _parse_design_file, main
 
 from _goldens import COLUMN_NUMER_2_5_10
@@ -205,6 +206,37 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert out_env.read_text() == out_flag.read_text()
     monkeypatch.setenv("SLICEDLHD_SEED", "not-a-number")
     assert run_cli("generate", "--sizes", "3,4", "--dim", "2") == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
+    # main() reuses one parser. A --seed given in one call must not stay
+    # for the next, which still reads SLICEDLHD_SEED.
+    monkeypatch.setenv("SLICEDLHD_SEED", "123")
+    flag, env = tmp_path / "flag.txt", tmp_path / "env.txt"
+    assert run_cli("generate", "--sizes", "3,4", "--seed", "5", "-o", str(flag)) == 0
+    assert run_cli("generate", "--sizes", "3,4", "-o", str(env)) == 0
+    assert "# seed: 5\n" in flag.read_text()
+    assert "# seed: 123\n" in env.read_text()
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_bench_rejects_replicates_past_the_stream_limit(tmp_path, capsys, monkeypatch):
+    # More replicates than RngStream.generators can key is a bad config:
+    # exit 2 and one line, before anything is drawn or allocated.
+    def not_run(*args, **kwargs):
+        raise AssertionError("run_experiment must not be called")
+
+    monkeypatch.setattr(cli, "run_experiment", not_run)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(json.dumps({
+        "integrand": "f2", "sizes": [9, 7, 6], "dim": 2,
+        "methods": ["MLH"], "replicates": 2**32 + 1,
+        "scenario": "all-complete", "seed": 20240817,
+    }))
+    assert run_cli("bench", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad config: replicates must be <= 4294967296\n"
+    assert captured.out == ""
 
 
 def test_bench_smoke(tmp_path, capsys):

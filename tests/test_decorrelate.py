@@ -1,6 +1,3 @@
-import tracemalloc
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,13 +14,11 @@ from slicedlhd import (
     level_midpoints,
     levels_from_values,
     partition_levels,
-    rank_restore,
     reduce_correlations,
     residualize,
     rms_correlation,
     validate_sliced,
 )
-from slicedlhd import decorrelate
 from slicedlhd.decorrelate import _sweep_batch
 from slicedlhd.generate import method_blocks, slice_blocks
 
@@ -225,6 +220,19 @@ def test_sweep_two_run_design():
     assert np.allclose(trace.whole, (1.0, 1.0))
 
 
+def rank_restore(values, group_levels, n):
+    # The literal rank-restore step: the u-th smallest entry of values
+    # becomes the u-th smallest midpoint (2g-1)/(2n) of the integer levels
+    # group_levels, ties broken by position (stable sort).
+    vals = np.asarray(values, dtype=np.float64)
+    levels = np.sort(np.asarray(group_levels, dtype=np.int64))
+    if vals.ndim != 1 or vals.size != levels.size:
+        raise ValueError("values and group_levels must have equal length")
+    out = np.empty_like(vals)
+    out[np.argsort(vals, kind="stable")] = level_midpoints(levels, n)
+    return out
+
+
 def _literal_sweep(design, part, iterations):
     # reduce_correlations as the literal (k, l) loops of the module
     # docstring, every write made and every iteration run, with its trace.
@@ -413,33 +421,30 @@ _BLOCK_SIZES = st.one_of(
     grid=st.sampled_from(["full", "own", "sliced"]),
     sizes=st.lists(_BLOCK_SIZES, min_size=1, max_size=4).filter(lambda s: sum(s) >= 2),
     p=st.integers(2, 8),
-    chunk=st.integers(1, 4),
-    extra=st.integers(-3, 5),
+    R=st.integers(1, 9),
     fixed=st.lists(st.booleans(), min_size=9, max_size=9),
     seed=st.integers(0, 2**32 - 1),
     first=st.integers(0, 200),
     iterations=st.integers(1, 10),
 )
-@example(grid="sliced", sizes=[5, 1, 4], p=2, chunk=1, extra=0,
+@example(grid="sliced", sizes=[5, 1, 4], p=2, R=1,
          fixed=[False] * 9, seed=3, first=97, iterations=10)
 def test_chunked_batch_sweep_equals_unchunked_sweep(
-    grid, sizes, p, chunk, extra, fixed, seed, first, iterations
+    grid, sizes, p, R, fixed, seed, first, iterations
 ):
     # The oracle is the frozen reference iteration, run unchunked. Replicate
     # r is the design of RngStream(seed).split(first + r), so the example is
-    # the known exact residual tie: sizes (5,1,4), p = 2, split 97. R runs
-    # below, at and above a small patched chunk size, which keeps the
-    # many-chunk case cheap. Some replicates start at a fixed point, so they
-    # leave the active set after their first iteration.
+    # the known exact residual tie: sizes (5,1,4), p = 2, split 97. The
+    # batch must equal its replicates swept one at a time, as any chunk of
+    # the benchmark's sweeps them. Some replicates start at a fixed point,
+    # so they leave the active set after their first iteration.
     sizes = SliceSizes(tuple(sizes))
     blocks = method_blocks(grid, sizes)
-    R = max(1, chunk + extra)
     stacked = np.stack([_draw(grid, sizes, p, RngStream(seed).split(first + r)) for r in range(R)])
     for r in range(R):
         if fixed[r % len(fixed)]:
             stacked[r] = _unchunked_sweep(stacked[r:r + 1], blocks, 30)[0]
-    with mock.patch.object(decorrelate, "_CHUNK", chunk):
-        _assert_chunked_sweep_is_exact(stacked, blocks, iterations)
+    _assert_chunked_sweep_is_exact(stacked, blocks, iterations)
 
 
 @settings(max_examples=40, deadline=None)
@@ -467,33 +472,29 @@ def test_batch_sweep_keeps_each_block_midpoint_multiset(grid, sizes, p, R, seed,
 @given(
     sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
     p=st.integers(2, 4),
-    chunk=st.integers(1, 4),
-    extra=st.integers(-3, 5),
+    R=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(sizes=[1, 6, 1, 3], p=3, chunk=2, extra=3, seed=5)
-def test_one_sweep_over_own_grid_blocks_equals_per_block_sweeps(sizes, p, chunk, extra, seed):
+@example(sizes=[1, 6, 1, 3], p=3, R=5, seed=5)
+def test_one_sweep_over_own_grid_blocks_equals_per_block_sweeps(sizes, p, R, seed):
     # ICLH sweeps all its own-grid blocks in one call. Blocks are swept
     # independently and a block at its fixed point maps to itself, so this
     # equals sweeping each block's rows alone, single-run blocks included.
-    # A small chunk puts R below, at and above it.
     sizes = SliceSizes(tuple(sizes))
     blocks = method_blocks("own", sizes)
-    R = max(1, chunk + extra)
     stacked = np.stack([
         generate_independent_lhds(sizes, p, RngStream(seed).split(r)).values for r in range(R)
     ])
     per_block = stacked.copy()
-    with mock.patch.object(decorrelate, "_CHUNK", chunk):
-        for rows, mids in blocks:
-            _sweep_batch(per_block[:, rows, :], [(slice(0, mids.size), mids)])
-        _sweep_batch(stacked, blocks)
+    for rows, mids in blocks:
+        _sweep_batch(per_block[:, rows, :], [(slice(0, mids.size), mids)])
+    _sweep_batch(stacked, blocks)
     assert np.array_equal(stacked, per_block)
 
 
-@pytest.mark.parametrize(
-    "R", [decorrelate._CHUNK - 1, decorrelate._CHUNK, decorrelate._CHUNK + 1]
-)
+# A few hundred replicates of the exact-tie sizes (5,1,4), p = 2: one call
+# sweeps a batch of any size exactly, as each benchmark chunk relies on.
+@pytest.mark.parametrize("R", [255, 256, 257])
 def test_chunked_batch_sweep_is_exact_at_chunk_size(R):
     sizes = SliceSizes((5, 1, 4))
     part = partition_levels(sizes)
@@ -544,27 +545,3 @@ def test_trace_repeats_its_tail_after_the_fixed_point():
     )
     assert fixed_at < iterations
     assert trace.whole[fixed_at:] == (trace.whole[fixed_at],) * (iterations + 1 - fixed_at)
-
-
-def test_batch_sweep_temporaries_stay_below_one_batch_copy():
-    # One block over all rows, as in the correlation-controlled single
-    # design: unchunked, its rank restore alone holds an index array the
-    # size of the whole batch.
-    sizes = SliceSizes((48,))
-    part = partition_levels(sizes)
-    R = 8 * decorrelate._CHUNK
-    gen = np.random.Generator(np.random.Philox(5))
-    mids = part.group_midpoints(0)
-    stacked = np.stack([
-        np.stack([gen.permutation(mids) for _ in range(5)], axis=1) for _ in range(R)
-    ])
-    blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
-    tracemalloc.start()
-    try:
-        before, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        _sweep_batch(stacked, blocks)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before < stacked.nbytes

@@ -257,3 +257,20 @@ def test_independent_lhds_reject_non_integer_iterations(decorrelate):
         generate_independent_lhds(
             SliceSizes((3, 4)), 2, RngStream(1), decorrelate=decorrelate, iterations=2.5
         )
+
+
+@pytest.mark.parametrize(
+    "sizes, p, decorrelate, iterations",
+    [
+        ((3, 4), 1, True, 0),  # one column: no sweep runs
+        ((1, 1), 2, True, -5),  # one-run slices: no sweep runs
+        ((3, 4), 2, True, 0),
+        ((3, 4), 2, False, 0),
+    ],
+)
+def test_independent_lhds_reject_iterations_below_one(sizes, p, decorrelate, iterations):
+    # Checked with p, whether or not a sweep runs.
+    with pytest.raises(ValueError, match="^iterations must be >= 1$"):
+        generate_independent_lhds(
+            SliceSizes(sizes), p, RngStream(1), decorrelate=decorrelate, iterations=iterations
+        )
