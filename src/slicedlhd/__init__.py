@@ -11,7 +11,6 @@ from .core import (
     LevelPartition,
     RngStream,
     SliceSizes,
-    ceil_div,
     level_midpoints,
     levels_from_values,
     uniform_permutation,
@@ -57,7 +56,6 @@ __all__ = [
     "SweepTrace",
     "ValidationReport",
     "assignment_steps",
-    "ceil_div",
     "delta_sequence",
     "eval_f1",
     "eval_f2",

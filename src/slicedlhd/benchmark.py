@@ -200,6 +200,8 @@ class ExperimentConfig:
     f1_variant: str = "literal"
 
     def __post_init__(self):
+        if not isinstance(self.sizes, SliceSizes):
+            raise ValueError(f"sizes must be a SliceSizes, got {self.sizes!r}")
         for name in ("dim", "replicates", "seed"):
             object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
         if self.integrand not in ("f1", "f2", "custom"):

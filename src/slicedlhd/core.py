@@ -1,4 +1,4 @@
-"""Shared domain types, splittable randomness, and exact integer arithmetic.
+"""Shared domain types and splittable randomness.
 
 Everything downstream (partitioning, generation, decorrelation, benchmarking)
 builds on the small vocabulary defined here: slice size vectors, level
@@ -24,28 +24,10 @@ __all__ = [
     "LevelPartition",
     "Design",
     "RngStream",
-    "ceil_div",
     "level_midpoints",
     "levels_from_values",
     "uniform_permutation",
 ]
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Exact ceiling of a/b for integers, no floating point involved.
-
-    The stratum computations evaluate ceil(n_j * (i +- 1/2) / n) as
-    ceil(n_j * (2i +- 1) / (2n)); this helper is the single place that
-    ceiling division happens so there is no chance of an off-by-one from
-    float rounding.
-    """
-    a = int(a)
-    b = int(b)
-    if b < 1:
-        raise ValueError(f"ceil_div requires b >= 1, got {b}")
-    if a < 0:
-        raise ValueError(f"ceil_div requires a >= 0, got {a}")
-    return -(-a // b)
 
 
 def _is_integer(value) -> bool:
@@ -141,6 +123,8 @@ class Design:
     sizes: SliceSizes
 
     def __post_init__(self):
+        if not isinstance(self.sizes, SliceSizes):
+            raise ValueError(f"sizes must be a SliceSizes, got {self.sizes!r}")
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("design values must be a 2-D matrix")

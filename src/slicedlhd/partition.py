@@ -1,22 +1,27 @@
 """Greedy assignment of levels {1,...,n} to slice groups G_1,...,G_t.
 
-The construction walks levels i = 1..n, keeping a working set of levels not
-yet assigned. Whenever level i closes a coarse stratum of slice k (that is,
-ceil(n_k(i+1/2)/n) exceeds ceil(n_k(i-1/2)/n)), the smallest working-set
-level falling in that stratum is handed to G_k. The eligibility guarantee
-(there is always such a level) is a proven property of the construction;
-the code still checks it and aborts loudly if it ever fails, because a
-failure can only mean an implementation bug.
+Stratum s of slice k (s = 1..n_k) holds the fine levels u with
+ceil(n_k(2u-1)/(2n)) = s, which are edge(s-1)+1, ..., edge(s) for
+edge(s) = (2ns + n_k) // (2n_k), in exact integer arithmetic. Level edge(s)
+closes stratum s.
 
-All stratum arithmetic is exact: ceil(n_j(i +- 1/2)/n) is evaluated as
-ceil_div(n_j * (2i +- 1), 2n) on integers.
+The construction walks levels i = 1..n, keeping a sorted working set of
+levels not yet assigned. Each stratum that level i closes, taken in
+ascending slice order, hands its smallest working-set level to that slice's
+group. Every working-set level is at most i = edge(s), so that level is
+the first one above edge(s-1): a bisect, not a scan. The eligibility
+guarantee (there is always such a level) is a proven property of the
+construction; the code still checks it and aborts loudly if it ever fails,
+because a failure can only mean an implementation bug.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import SliceSizes, LevelPartition, ceil_div
+from .core import SliceSizes, LevelPartition
 
 __all__ = [
     "DeltaSequence",
@@ -41,22 +46,6 @@ class DeltaSequence:
         return sum(self.deltas)
 
 
-def delta_sequence(sizes: SliceSizes) -> DeltaSequence:
-    """delta_i = sum_j [ceil(n_j(i+1/2)/n) - ceil(n_j(i-1/2)/n)] for i=1..n.
-
-    Each summand is 0 or 1, the deltas sum to n, and every prefix sum is
-    at most i (assignments can never outpace the levels seen so far).
-    """
-    n = sizes.n
-    deltas = []
-    for i in range(1, n + 1):
-        d = 0
-        for nj in sizes.sizes:
-            d += ceil_div(nj * (2 * i + 1), 2 * n) - ceil_div(nj * (2 * i - 1), 2 * n)
-        deltas.append(d)
-    return DeltaSequence(tuple(deltas))
-
-
 @dataclass(frozen=True)
 class LevelStep:
     """Trace record for one level i of the greedy walk.
@@ -70,44 +59,60 @@ class LevelStep:
     working_set: tuple[int, ...]
 
 
-def assignment_steps(sizes: SliceSizes) -> list[LevelStep]:
-    """Run the greedy walk, returning the full per-level trace."""
-    n = sizes.n
-    t = sizes.t
+def _edges(n: int, nk: int, k: int):
+    """(edge(s), k, edge(s-1)) for each stratum s = 1..n_k of slice k."""
+    lo = 0
+    for s in range(1, nk + 1):
+        hi = (2 * n * s + nk) // (2 * nk)
+        yield hi, k, lo
+        lo = hi
+
+
+def _closings(sizes: SliceSizes):
+    """(i, k, edge(s-1)) for every stratum s of every slice k that level i
+    closes, in (i, k) order; holds one pending stratum per slice."""
+    return heapq.merge(*(_edges(sizes.n, nk, k) for k, nk in enumerate(sizes.sizes)))
+
+
+def _walk(sizes: SliceSizes):
+    """Yield (i, assignments, working set) after each level i = 1..n.
+
+    ``assignments`` lists the (slice_index, level) pairs made at level i.
+    The working set is the walk's own list, valid until the next level.
+    """
+    closings = _closings(sizes)
+    closing = next(closings, None)
     working: list[int] = []  # stays sorted: appended in increasing order
-    steps: list[LevelStep] = []
-    for i in range(1, n + 1):
+    for i in range(1, sizes.n + 1):
         working.append(i)
-        # Slices whose coarse stratum closes at level i, in ascending index order.
-        crossing = [
-            k
-            for k in range(t)
-            if ceil_div(sizes.sizes[k] * (2 * i + 1), 2 * n)
-            - ceil_div(sizes.sizes[k] * (2 * i - 1), 2 * n)
-            == 1
-        ]
         assigned: list[tuple[int, int]] = []
-        for k in crossing:
-            nk = sizes.sizes[k]
-            target = ceil_div(nk * (2 * i - 1), 2 * n)
-            pick = None
-            for pos, u in enumerate(working):
-                stratum = ceil_div(nk * (2 * u - 1), 2 * n)
-                if stratum == target:
-                    pick = pos
-                    break
-                if stratum > target:
-                    break
-            if pick is None:
+        while closing is not None and closing[0] == i:
+            _, k, lo = closing
+            pos = bisect_right(working, lo)
+            if pos == len(working):
                 # Impossible by the eligibility guarantee; reaching this line
                 # means the walk itself is wrong, so fail hard and loud.
                 raise AssertionError(
                     f"no eligible level for slice {k} at i={i} "
                     f"(sizes={sizes.sizes}, working set={working})"
                 )
-            assigned.append((k, working.pop(pick)))
-        steps.append(LevelStep(i, tuple(assigned), tuple(working)))
-    return steps
+            assigned.append((k, working.pop(pos)))
+            closing = next(closings, None)
+        yield i, assigned, working
+
+
+def delta_sequence(sizes: SliceSizes) -> DeltaSequence:
+    """delta_i = sum_j [ceil(n_j(i+1/2)/n) - ceil(n_j(i-1/2)/n)] for i=1..n.
+
+    Each summand is 0 or 1, the deltas sum to n, and every prefix sum is
+    at most i (assignments can never outpace the levels seen so far).
+    """
+    return DeltaSequence(tuple(len(assigned) for _, assigned, _ in _walk(sizes)))
+
+
+def assignment_steps(sizes: SliceSizes) -> list[LevelStep]:
+    """Run the greedy walk, returning the full per-level trace."""
+    return [LevelStep(i, tuple(assigned), tuple(working)) for i, assigned, working in _walk(sizes)]
 
 
 def partition_levels(sizes: SliceSizes) -> LevelPartition:
@@ -118,7 +123,7 @@ def partition_levels(sizes: SliceSizes) -> LevelPartition:
     re-checks the cheap structural invariants.
     """
     groups: list[list[int]] = [[] for _ in range(sizes.t)]
-    for step in assignment_steps(sizes):
-        for k, u in step.assignments:
+    for _, assigned, _ in _walk(sizes):
+        for k, u in assigned:
             groups[k].append(u)
     return LevelPartition(tuple(tuple(g) for g in groups), sizes)

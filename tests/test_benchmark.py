@@ -185,6 +185,11 @@ def test_config_validation():
         ExperimentConfig.from_json('[1, 2]')
 
 
+def test_config_rejects_sizes_that_are_not_slice_sizes():
+    with pytest.raises(ValueError, match=r"^sizes must be a SliceSizes, got \(2, 3\)"):
+        _config(sizes=(2, 3))
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("seed", 1.5), ("replicates", 2.5), ("replicates", True), ("dim", 2.0), ("seed", None)],

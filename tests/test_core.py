@@ -1,6 +1,3 @@
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,38 +10,10 @@ from slicedlhd import (
     LevelPartition,
     RngStream,
     SliceSizes,
-    ceil_div,
     level_midpoints,
     levels_from_values,
     uniform_permutation,
 )
-
-
-@given(st.integers(0, 10**12), st.integers(1, 10**9))
-def test_ceil_div_matches_fraction_oracle(a, b):
-    assert ceil_div(a, b) == math.ceil(Fraction(a, b))
-
-
-def test_ceil_div_seeded_sweep():
-    gen = np.random.Generator(np.random.Philox(1234))
-    a = gen.integers(0, 10**9, size=20_000)
-    b = gen.integers(1, 10**6, size=20_000)
-    for ai, bi in zip(a.tolist(), b.tolist()):
-        assert ceil_div(ai, bi) == math.ceil(Fraction(ai, bi))
-
-
-def test_ceil_div_small_table():
-    assert ceil_div(0, 3) == 0
-    assert ceil_div(1, 3) == 1
-    assert ceil_div(3, 3) == 1
-    assert ceil_div(4, 3) == 2
-
-
-def test_ceil_div_rejects_bad_args():
-    with pytest.raises(ValueError):
-        ceil_div(1, 0)
-    with pytest.raises(ValueError):
-        ceil_div(-1, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 17, 400])
@@ -119,6 +88,11 @@ def test_design_shape_checks():
     c = d.copy()
     c.values[0, 0] = 0.999
     assert d.values[0, 0] != 0.999
+
+
+def test_design_rejects_sizes_that_are_not_slice_sizes():
+    with pytest.raises(ValueError, match=r"^sizes must be a SliceSizes, got \(2,\)"):
+        Design(np.zeros((2, 1)), sizes=(2,))
 
 
 def test_rng_stream_is_pure_and_splits():

@@ -3,15 +3,57 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slicedlhd.partition as partition
 from slicedlhd import (
+    LevelStep,
     SliceSizes,
     assignment_steps,
-    ceil_div,
     delta_sequence,
     partition_levels,
 )
 
 from _goldens import DELTA_2_5_10, GROUPS_2_5_10, SIZES_2_5_10
+
+
+def ceil_div(a: int, b: int) -> int:
+    """Exact ceiling of a/b for integers a >= 0, b >= 1."""
+    return -(-a // b)
+
+
+def frozen_walk(sizes: SliceSizes) -> list[tuple[int, tuple, tuple]]:
+    """The greedy walk as first written, kept as the oracle for the library's.
+
+    For every (level, slice) pair it tests whether level i closes a stratum,
+    ceil(n_k(2i+1)/(2n)) > ceil(n_k(2i-1)/(2n)), and then scans the sorted
+    working set for the first level in that stratum. Returns (i, assignments,
+    working set) per level.
+    """
+    n = sizes.n
+    working: list[int] = []
+    steps = []
+    for i in range(1, n + 1):
+        working.append(i)
+        crossing = [
+            k
+            for k, nk in enumerate(sizes.sizes)
+            if ceil_div(nk * (2 * i + 1), 2 * n) - ceil_div(nk * (2 * i - 1), 2 * n) == 1
+        ]
+        assigned = []
+        for k in crossing:
+            nk = sizes.sizes[k]
+            target = ceil_div(nk * (2 * i - 1), 2 * n)
+            pick = None
+            for pos, u in enumerate(working):
+                stratum = ceil_div(nk * (2 * u - 1), 2 * n)
+                if stratum == target:
+                    pick = pos
+                    break
+                if stratum > target:
+                    break
+            assert pick is not None
+            assigned.append((k, working.pop(pick)))
+        steps.append((i, tuple(assigned), tuple(working)))
+    return steps
 
 
 def test_walkthrough_partition_groups():
@@ -104,3 +146,38 @@ def test_equal_slices_get_interleaved_levels():
     assert flat == list(range(1, 10))
     for grp in part.groups:
         assert len(grp) == 3
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 97, 101, 211, 499, 997)
+
+_WALK_SIZES = st.one_of(
+    st.lists(st.integers(1, 30), min_size=1, max_size=16),  # many slices
+    st.tuples(st.integers(1, 60), st.integers(1, 20)).map(lambda c: [c[0]] * c[1]),  # equal
+    st.lists(st.sampled_from((1, 1, 1, 2, 3)), min_size=1, max_size=20),  # mostly ones
+    st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=8),  # primes
+    st.lists(st.integers(1, 1500), min_size=1, max_size=4),  # n up to a few thousand
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_WALK_SIZES)
+def test_walk_matches_frozen_oracle(sizes_list):
+    sizes = SliceSizes(tuple(sizes_list))
+    expected = frozen_walk(sizes)
+    assert assignment_steps(sizes) == [LevelStep(*step) for step in expected]
+    assert delta_sequence(sizes).deltas == tuple(len(a) for _, a, _ in expected)
+    groups = [[] for _ in sizes.sizes]
+    for _, assigned, _ in expected:
+        for k, u in assigned:
+            groups[k].append(u)
+    assert partition_levels(sizes).groups == tuple(tuple(sorted(g)) for g in groups)
+
+
+def test_walk_raises_when_a_stratum_has_no_working_level(monkeypatch):
+    # Level 1 closing a stratum that starts above level 1 leaves nothing to pick.
+    monkeypatch.setattr(partition, "_closings", lambda sizes: iter([(1, 0, 1)]))
+    with pytest.raises(
+        AssertionError,
+        match=r"^no eligible level for slice 0 at i=1 \(sizes=\(2, 3\), working set=\[1\]\)$",
+    ):
+        partition_levels(SliceSizes((2, 3)))
