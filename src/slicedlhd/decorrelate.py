@@ -21,20 +21,27 @@ loops make last, so reduce_correlations returns their result bit for bit.
 
 Rank restoration preserves each slice column's multiset of values exactly,
 so the sweep never damages the stratification guarantees of the input design.
+Only the columns a pass wrote are restored: the other one (p forward, 1
+backward) holds its own values, and a stable rank restore maps it to itself.
 
 An iteration is a deterministic map of the design, so once one iteration
 leaves a design unchanged, every later one would too. Both sweeps stop
 there: reduce_correlations ends its loop and repeats the last trace entries.
-Outputs and traces are bit-identical to running all iterations.
+They stop half an iteration sooner too. Write S_k = B(F(S_{k-1})), F the
+forward pass and its restore, B the backward one. If F(S_{k-1}) equals the
+last F(S_{k-2}), then S_k = B(F(S_{k-2})) = S_{k-1}: the fixed point, so
+S_{k-1} is kept and B not run. Outputs and traces are bit-identical to
+running all iterations in full, unless a slice column holds both 0.0 and
+-0.0: then the sign of a zero can differ.
 
 The batch sweep (the benchmark's) sweeps whatever replicates it is given;
 the benchmark hands it one chunk at a time. A pass reads only its own
-block's rows, so each block is copied once into a contiguous (replicate,
-column, row) array and swept there to its own fixed point: a (replicate,
-block) pair that one iteration leaves unchanged drops out while the
+block's rows, so each block is copied into a contiguous (replicate, column,
+row) array, at most _BUDGET values at a time, and swept there to its own
+fixed point: a (replicate, block) pair that stops drops out while the
 replicate's other blocks go on. Every sum runs along a block row, in the
-same order as one replicate swept alone, so neither the batch size nor the
-per-block stop changes a bit.
+same order as one replicate swept alone, so neither the batch size, the
+slices nor the per-block stop changes a bit.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ __all__ = [
     "rms_correlation",
     "reduce_correlations",
 ]
+
+_BUDGET = 2**16  # most values of one block that _sweep_batch sweeps at a time
 
 
 def residualize(response, covariate) -> np.ndarray:
@@ -153,28 +162,32 @@ def reduce_correlations(
     whole_trace = [rms_correlation(values)]
     slice_traces = [[_block_rms(blocks[j])] for j in range(t)]
 
-    def residual_pass(covariate: int, responses: range) -> None:
+    def sweep_pass(covariate: int, responses: range) -> None:
         # Only the surviving write of each response is computed (see the
         # module docstring). The covariate is never written and each
         # response once, so every read sees the block as the pass began.
-        for block in blocks:
+        # Only the written columns are then restored: the others hold their
+        # own sorted values, so their stable rank restore is the identity.
+        for block, rows in zip(blocks, own):
             if block.shape[0] < 2:
                 continue
             for l in responses:
                 block[:, l] = residualize(block[:, l], block[:, covariate])
+            order = np.argsort(block[:, responses.start : responses.stop], axis=0, kind="stable")
+            for l, rank in zip(responses, order.T):
+                block[rank, l] = rows[l]
 
-    def restore_all() -> None:
-        for block, rows in zip(blocks, own):
-            order = np.argsort(block, axis=0, kind="stable")
-            for l in range(p):
-                block[order[:, l], l] = rows[l]
-
+    half = None  # the forward state of the last iteration
     for it in range(iterations):
         before = values.copy()
-        residual_pass(p - 1, range(p - 1))
-        restore_all()
-        residual_pass(0, range(1, p))
-        restore_all()
+        sweep_pass(p - 1, range(p - 1))
+        if half is not None and np.array_equal(values, half):
+            # F(S_{k-1}) = F(S_{k-2}), so S_k = S_{k-1}: the fixed point,
+            # found half an iteration early (see the module docstring).
+            values[...] = before
+        else:
+            half = values.copy()
+            sweep_pass(0, range(1, p))
         if np.array_equal(values, before):
             # Fixed point: every later iteration maps the design to itself,
             # so its trace entries repeat the last ones exactly.
@@ -210,13 +223,16 @@ def _sweep_batch(
     return different designs.
 
     A pass reads only its own block's rows, so each block is swept on its
-    own, to its own fixed point (_sweep_block). Temporaries are a few
-    copies of ``stacked``: callers bound them by the batch they pass.
+    own, to its own fixed point (_sweep_block), at most _BUDGET values at a
+    time: a few copies of that many values bound the temporaries.
     """
-    if stacked.shape[2] >= 2:
+    R, _, p = stacked.shape
+    if p >= 2:
         for rows, mids in blocks:
             if mids.size >= 2:
-                _sweep_block(stacked[:, rows, :], mids, iterations)
+                step = max(1, _BUDGET // (mids.size * p))
+                for first in range(0, R, step):
+                    _sweep_block(stacked[first : first + step, rows, :], mids, iterations)
     return stacked
 
 
@@ -224,25 +240,36 @@ def _sweep_block(dest: np.ndarray, mids: np.ndarray, iterations: int) -> None:
     """Sweep the block ``dest`` (m, n_j, p), a view, to its fixed point.
 
     The block is copied once into a contiguous (m, p, n_j) array, replicate
-    i's column l at [i, l]. A replicate that one iteration leaves unchanged
-    is at its fixed point: it is written back and drops out.
+    i's column l at [i, l]. A replicate whose forward state repeats the last
+    iteration's, or that one iteration leaves unchanged, is at its fixed
+    point: it is written back and drops out.
     """
     state = dest.transpose(0, 2, 1).copy()
     m, p, n_j = state.shape
     # Flat start of each (replicate, column) row, for the rank-restore scatter.
     offsets = np.arange(0, state.size, n_j).reshape(m, p, 1)
     live = np.arange(m)
+    half = None  # the forward state of the last iteration, live rows only
     for _ in range(iterations):
         before = state.copy()
         _residual_pass(state, p - 1, slice(0, p - 1))
-        _rank_restore_rows(state, mids, offsets[: live.size])
+        _rank_restore_rows(state, mids, offsets[: live.size], slice(0, p - 1))
+        if half is not None:
+            # F(S_{k-1}) = F(S_{k-2}) means S_k = S_{k-1}: write S_{k-1} back.
+            done = ~(state != half).reshape(live.size, -1).any(axis=1)
+            if done.any():
+                dest[live[done]] = before[done].transpose(0, 2, 1)
+                state, before, live = state[~done], before[~done], live[~done]
+                if live.size == 0:
+                    return
+        half = state.copy()
         _residual_pass(state, 0, slice(1, p))
-        _rank_restore_rows(state, mids, offsets[: live.size])
-        moved = (state != before).reshape(live.size, -1).any(axis=1)
+        _rank_restore_rows(state, mids, offsets[: live.size], slice(1, p))
+        done = ~(state != before).reshape(live.size, -1).any(axis=1)
         del before  # lowers the peak while the live set is compacted
-        if not moved.all():
-            dest[live[~moved]] = state[~moved].transpose(0, 2, 1)
-            state, live = state[moved], live[moved]
+        if done.any():
+            dest[live[done]] = state[done].transpose(0, 2, 1)
+            state, half, live = state[~done], half[~done], live[~done]
             if live.size == 0:
                 return
     dest[live] = state.transpose(0, 2, 1)
@@ -268,9 +295,11 @@ def _residual_pass(state: np.ndarray, covariate: int, responses: slice) -> None:
     state[:, responses, :] -= shift
 
 
-def _rank_restore_rows(state: np.ndarray, mids: np.ndarray, offsets: np.ndarray) -> None:
-    """Map each (replicate, column) row of ``state`` onto ``mids`` by rank,
-    ties by position: one stable argsort, one flat scatter."""
-    order = np.argsort(state, axis=2, kind="stable")
-    order += offsets
+def _rank_restore_rows(
+    state: np.ndarray, mids: np.ndarray, offsets: np.ndarray, columns: slice
+) -> None:
+    """Map each (replicate, column) row of ``state`` in ``columns`` onto
+    ``mids`` by rank, ties by position: one stable argsort, one flat scatter."""
+    order = np.argsort(state[:, columns], axis=2, kind="stable")
+    order += offsets[:, columns]
     np.put(state, order, mids)  # mids repeats along each row of order

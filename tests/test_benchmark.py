@@ -530,6 +530,26 @@ def test_method_estimates_memory_is_bounded_by_one_chunk(method):
     assert peak(8 * chunk) - peak(chunk) <= one_chunk_designs + 8 * 8 * chunk
 
 
+def test_batch_sweep_memory_is_bounded_by_its_value_budget():
+    # One CLH chunk of table1-f1-failures: 1,024 replicates of one 48-row,
+    # 5-column block, 1.88 MiB. The sweep holds a few copies of at most
+    # decorrelate._BUDGET values at a time (1.18x the chunk here); swept in
+    # one piece, with the forward state kept, it peaked at 4.2x.
+    cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
+    code, grid, _ = benchmark._METHODS["CLH"]
+    blocks = method_blocks(grid, cfg.sizes)
+    gens = benchmark._generators(code, cfg, benchmark._ROLE_DESIGN)
+    V = benchmark._batch_designs("CLH", cfg, blocks, gens, benchmark._CHUNK)
+    tracemalloc.start()
+    try:
+        benchmark._sweep_batch(V, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert V.nbytes == 1024 * 48 * 5 * 8
+    assert peak <= 1.5 * V.nbytes, peak / V.nbytes
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 33, 48, 65, 129, 257])
 def test_shuffled_row_is_the_row_gathered_by_a_permutation(n):
     # numpy's RNG algorithms may change between versions (NEP 19). The

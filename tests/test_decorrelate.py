@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,8 +21,11 @@ from slicedlhd import (
     rms_correlation,
     validate_sliced,
 )
+from slicedlhd import decorrelate
 from slicedlhd.decorrelate import _sweep_batch
 from slicedlhd.generate import method_blocks, slice_blocks
+
+from _frozen_sweep import frozen_reduce_correlations, frozen_sweep_batch
 
 from _goldens import (
     GROUPS_6_7,
@@ -545,3 +550,107 @@ def test_trace_repeats_its_tail_after_the_fixed_point():
     )
     assert fixed_at < iterations
     assert trace.whole[fixed_at:] == (trace.whole[fixed_at],) * (iterations + 1 - fixed_at)
+
+
+# Block sizes of 1 (never swept), 2 and either side of powers of two.
+_EDGE_BLOCK_SIZES = st.one_of(
+    st.sampled_from([1, 2, 3, 5, 7, 9, 15, 17, 31, 33, 63, 65, 127, 129, 255, 257]),
+    st.integers(1, 40),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=st.sampled_from(["full", "own", "sliced"]),
+    sizes=st.lists(_EDGE_BLOCK_SIZES, min_size=1, max_size=3).filter(lambda s: sum(s) >= 2),
+    p=st.integers(2, 8),
+    R=st.integers(1, 12),
+    fixed=st.lists(st.booleans(), min_size=12, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(1, 10),
+    budget=st.sampled_from([None, 1, 40, 600, 5000]),
+)
+@example(grid="sliced", sizes=[5, 1, 4], p=2, R=1,
+         fixed=[False] * 12, seed=3, iterations=10, budget=None)
+@example(grid="full", sizes=[257], p=8, R=70,
+         fixed=[False, True, False] * 4, seed=1, iterations=10, budget=None)
+def test_batch_sweep_equals_frozen_sweep(grid, sizes, p, R, fixed, seed, iterations, budget):
+    # The oracle restores every column, runs every iteration in full and
+    # sweeps each block in one piece. Restoring only the written columns,
+    # the half-iteration stop and the value-budget slices must each leave
+    # every bit as it was. ``budget`` shrinks the slices, so that small
+    # blocks span several too; the second example spans three at the real
+    # budget (31 + 31 + 8 replicates). Replicates marked ``fixed`` start at
+    # the oracle's fixed point (or 30 iterations in, where it has none).
+    sizes = SliceSizes(tuple(sizes))
+    blocks = method_blocks(grid, sizes)
+    stacked = np.stack([_draw(grid, sizes, p, RngStream(seed).split(r)) for r in range(R)])
+    for r in range(R):
+        if fixed[r % len(fixed)]:
+            frozen_sweep_batch(stacked[r:r + 1], blocks, 30)
+    want = frozen_sweep_batch(stacked.copy(), blocks, iterations)
+    with mock.patch.object(decorrelate, "_BUDGET", budget or decorrelate._BUDGET):
+        _sweep_batch(stacked, blocks, iterations)
+    assert np.array_equal(stacked, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["sliced", "independent", "jittered"]),
+    sizes=st.lists(_EDGE_BLOCK_SIZES, min_size=1, max_size=4).filter(lambda s: 2 <= sum(s) <= 300),
+    p=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.integers(0, 200),
+    iterations=st.integers(1, 10),
+    fixed=st.booleans(),
+)
+@example(family="sliced", sizes=[5, 1, 4], p=2, seed=3, first=97, iterations=10, fixed=False)
+@example(family="sliced", sizes=[6, 7], p=4, seed=0, first=0, iterations=10, fixed=True)
+def test_reduce_correlations_equals_frozen_sweep(family, sizes, p, seed, first, iterations, fixed):
+    # The same three changes in the library sweep: the design and the
+    # trace, padding included, as the oracle returns them. A ``fixed``
+    # design starts where 30 oracle iterations leave it.
+    sizes = SliceSizes(tuple(sizes))
+    design = _sweep_input(family, sizes, p, seed * 211 + first)
+    if fixed:
+        design = Design(frozen_reduce_correlations(design, 30)[0], sizes)
+    values, want = frozen_reduce_correlations(design, iterations)
+    out, trace = reduce_correlations(design, iterations=iterations)
+    assert np.array_equal(out.values, values)
+    assert (trace.whole, trace.per_slice) == (want.whole, want.per_slice)
+
+
+@pytest.mark.parametrize(
+    "sizes, p, R",
+    [((48,), 5, 1024), ((257,), 8, 70), ((12, 12, 12, 12), 5, 1024),
+     ((2, 9, 1), 2, 40), ((5000,), 20, 3), ((1, 1), 3, 7)],
+)
+def test_batch_sweep_slices_tile_each_block_within_the_budget(sizes, p, R):
+    # Each block is swept in consecutive replicate slices that cover the
+    # batch once, in order. A slice holds at most _BUDGET values, unless
+    # one replicate alone holds more, and every slice but the last would
+    # pass the budget with one replicate more.
+    blocks = slice_blocks(SliceSizes(sizes), (np.linspace(0.1, 0.9, n) for n in sizes))
+    stacked = np.zeros((R, sum(sizes), p))
+    calls = []
+
+    def spy(dest, mids, iterations):
+        offset = dest.ctypes.data - stacked.ctypes.data
+        calls.append((offset % stacked.strides[0] // stacked.strides[1],
+                      offset // stacked.strides[0], dest.shape[0]))
+
+    with mock.patch.object(decorrelate, "_sweep_block", spy):
+        _sweep_batch(stacked, blocks)
+    budget = decorrelate._BUDGET
+    for rows, mids in blocks:
+        row_values = mids.size * p
+        slices = [(first, m) for start, first, m in calls if start == rows.start]
+        if mids.size < 2:
+            assert slices == []
+            continue
+        assert [first for first, _ in slices] == list(np.cumsum([0] + [m for _, m in slices])[:-1])
+        assert sum(m for _, m in slices) == R
+        for _, m in slices:
+            assert m == 1 or m * row_values <= budget
+        for _, m in slices[:-1]:
+            assert (m + 1) * row_values > budget
