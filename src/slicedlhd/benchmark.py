@@ -40,11 +40,12 @@ in parallel without changing results. A method's streams are keyed together
 by RngStream.generators, which draws exactly what one SeedSequence + Philox
 per stream would.
 
-method_estimates draws, sweeps, evaluates and estimates _CHUNK replicates
-at a time, reading each stream iterator (built once per method) chunk by
-chunk, so memory stays bounded whatever the replicate count. Every sum
-runs along one replicate's row, so the chunks change no bit; a custom
-integrand is called once per chunk.
+method_estimates draws, sweeps, evaluates and estimates one chunk at a
+time: at most _BUDGET design values (one design, if it holds more) and one
+key batch of replicates, so memory stays bounded whatever R and n are. It
+reads each method's stream iterators chunk by chunk. Every sum runs along
+one replicate's row, so the chunks change no bit; a custom integrand is
+called once per chunk.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RngStream, SliceSizes, _as_integer
+from .core import _KEY_CHUNK, RngStream, SliceSizes, _as_integer
 from .decorrelate import SweepTrace, _sweep_batch
 from .generate import method_blocks
 
@@ -148,12 +149,11 @@ def true_mean_f2() -> float:
 def mc_mean(integrand, dim: int, points: int = 10_000_000, seed: int = 0,
             chunk: int = 1_000_000) -> tuple[float, float]:
     """Plain Monte Carlo mean and its standard error, for oracle cross-checks."""
-    points = _as_integer("points", points)
-    chunk = _as_integer("chunk", chunk)
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
+    counts = {"dim": dim, "points": points, "chunk": chunk}
+    for name, value in counts.items():
+        if _as_integer(name, value) < 1:
+            raise ValueError(f"{name} must be >= 1")
+    dim, points, chunk = map(int, counts.values())
     gen = RngStream(seed).split(99).generator()
     total = 0.0
     total_sq = 0.0
@@ -332,10 +332,10 @@ def write_trace_csv(trace: SweepTrace, path) -> None:
 # ---------------------------------------------------------------------------
 # the replicate-chunk pipeline, one (method, replicate) stream each
 
-# Replicates drawn, swept, evaluated and estimated at once: every array but
-# the (R,) estimates holds at most this many designs' worth, whatever R is.
-# It matches core._KEY_CHUNK, so each chunk's streams are keyed in one hash.
-_CHUNK = 1024
+# Design values drawn, swept, evaluated and estimated at once: every array
+# but the (R,) estimates holds at most this many (or one design's), whatever
+# R and n are.
+_BUDGET = 2**16
 
 
 def _generators(code: int, cfg: ExperimentConfig, role: int):
@@ -431,8 +431,8 @@ def method_estimates(
     cfg: ExperimentConfig,
     custom_integrand=None,
 ) -> np.ndarray:
-    """Per-replicate estimates for one method, _CHUNK replicates at a time
-    (see the module docstring); exposed for verification."""
+    """Per-replicate estimates for one method, one chunk of replicates at a
+    time (see the module docstring); exposed for verification."""
     if cfg.integrand == "custom" and custom_integrand is None:
         raise ValueError("custom integrand requires a callable")
     code, grid, swept = _METHODS[method]
@@ -443,9 +443,11 @@ def method_estimates(
         failure = _generators(code, cfg, _ROLE_FAILURE)
         if grid == "full":
             assignment = _generators(code, cfg, _ROLE_ASSIGNMENT)
+    # One key batch at most, so a small design's chunk (f2's) is 1,024.
+    chunk = min(_KEY_CHUNK, max(1, _BUDGET // (cfg.sizes.n * cfg.dim)))
     est = np.empty(cfg.replicates)
-    for first in range(0, cfg.replicates, _CHUNK):
-        m = min(_CHUNK, cfg.replicates - first)
+    for first in range(0, cfg.replicates, chunk):
+        m = min(chunk, cfg.replicates - first)
         V = _batch_designs(method, cfg, blocks, design, m)
         if swept:
             _sweep_batch(V, blocks)

@@ -35,13 +35,13 @@ running all iterations in full, unless a slice column holds both 0.0 and
 -0.0: then the sign of a zero can differ.
 
 The batch sweep (the benchmark's) sweeps whatever replicates it is given;
-the benchmark hands it one chunk at a time. A pass reads only its own
-block's rows, so each block is copied into a contiguous (replicate, column,
-row) array, at most _BUDGET values at a time, and swept there to its own
-fixed point: a (replicate, block) pair that stops drops out while the
-replicate's other blocks go on. Every sum runs along a block row, in the
-same order as one replicate swept alone, so neither the batch size, the
-slices nor the per-block stop changes a bit.
+the benchmark hands it one chunk at a time, and the chunk's size bounds
+the sweep's memory. A pass reads only its own block's rows, so each block
+is copied into a contiguous (replicate, column, row) array and swept there
+to its own fixed point: a (replicate, block) pair that stops drops out
+while the replicate's other blocks go on. Every sum runs along a block
+row, in the same order as one replicate swept alone, so neither the batch
+size nor the per-block stop changes a bit.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ __all__ = [
     "rms_correlation",
     "reduce_correlations",
 ]
-
-_BUDGET = 2**16  # most values of one block that _sweep_batch sweeps at a time
 
 
 def residualize(response, covariate) -> np.ndarray:
@@ -223,16 +221,13 @@ def _sweep_batch(
     return different designs.
 
     A pass reads only its own block's rows, so each block is swept on its
-    own, to its own fixed point (_sweep_block), at most _BUDGET values at a
-    time: a few copies of that many values bound the temporaries.
+    own, to its own fixed point (_sweep_block), in one call: a few copies of
+    the block bound the temporaries, so the batch's size bounds them.
     """
-    R, _, p = stacked.shape
-    if p >= 2:
+    if stacked.shape[2] >= 2:
         for rows, mids in blocks:
             if mids.size >= 2:
-                step = max(1, _BUDGET // (mids.size * p))
-                for first in range(0, R, step):
-                    _sweep_block(stacked[first : first + step, rows, :], mids, iterations)
+                _sweep_block(stacked[:, rows, :], mids, iterations)
     return stacked
 
 

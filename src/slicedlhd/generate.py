@@ -18,7 +18,6 @@ from .core import (
     SliceSizes,
     _as_integer,
     level_midpoints,
-    uniform_permutation,
 )
 from .decorrelate import reduce_correlations
 from .partition import partition_levels
@@ -60,7 +59,7 @@ def _fill(blocks, n: int, p: int, rng: RngStream) -> np.ndarray:
     values = np.empty((n, p), dtype=np.float64)
     for j, (rows, mids) in enumerate(blocks):
         for l in range(p):
-            values[rows, l] = mids[uniform_permutation(mids.size, rng.split(j, l)) - 1]
+            values[rows, l] = rng.split(j, l).generator().permutation(mids)
     return values
 
 

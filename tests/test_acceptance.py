@@ -28,7 +28,6 @@ import time
 import numpy as np
 import pytest
 
-import slicedlhd.generate as generate_mod
 from slicedlhd import (
     Design,
     ExperimentConfig,
@@ -146,9 +145,12 @@ def test_column_assembly_exact(monkeypatch):
         index_perm[len(grp)] = np.asarray(
             [grp.index(level) + 1 for level in perm], dtype=np.int64
         )
-    monkeypatch.setattr(
-        generate_mod, "uniform_permutation", lambda m, rng: index_perm[m].copy()
-    )
+
+    class Pinned:  # each split stream's generator, permuting in the pinned order
+        def permutation(self, mids):
+            return mids[index_perm[mids.size] - 1]
+
+    monkeypatch.setattr(RngStream, "generator", lambda self: Pinned())
     design = generate_sliced_lhd(SliceSizes(SIZES_2_5_10), 1, RngStream(0))
     expected = np.asarray(COLUMN_NUMER_2_5_10, dtype=np.float64) / 34.0
     assert np.array_equal(design.values[:, 0], expected)

@@ -29,7 +29,7 @@ from slicedlhd import (
     generate_sliced_lhd,
     partition_levels,
 )
-from slicedlhd import benchmark
+from slicedlhd import benchmark, core
 from slicedlhd.benchmark import RmseReport, method_estimates
 from slicedlhd.generate import method_blocks
 
@@ -121,6 +121,22 @@ def test_mc_mean_rejects_bad_points_and_chunk(kwargs, message):
     # points=-5 returns (-0.0, 0.0); each is an error naming its argument.
     with pytest.raises(ValueError, match=message):
         mc_mean(eval_f2, 2, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        (2.5, "^dim must be an integer, got 2.5$"),
+        (True, "^dim must be an integer, got True$"),
+        (0, "^dim must be >= 1$"),
+        (-2, "^dim must be >= 1$"),
+    ],
+)
+def test_mc_mean_rejects_bad_dim(dim, message):
+    # Unchecked, dim=2.5 fails inside numpy without naming dim, and dim=0
+    # reaches the integrand, which reports its own coordinate count.
+    with pytest.raises(ValueError, match=message):
+        mc_mean(eval_f2, dim, points=10)
 
 
 _NO_SCIPY_RUN = """
@@ -479,13 +495,14 @@ def test_custom_estimates_do_not_depend_on_the_result_layout(sizes):
 
 @pytest.mark.parametrize("integrand, dim", [("f1", 5), ("f2", 2), ("custom", 3)])
 def test_estimates_do_not_depend_on_the_chunk(monkeypatch, integrand, dim):
-    # method_estimates draws, sweeps, evaluates and estimates _CHUNK
+    # method_estimates draws, sweeps, evaluates and estimates one chunk of
     # replicates at a time, and every reduction runs along one replicate's
-    # row. So R below, at and above a small patched chunk, and over two
-    # chunks, must give the one-chunk estimates bit for bit. A custom
-    # integrand is called once per chunk, on that chunk's designs.
+    # row. So R below, at and above a small chunk (a patched value budget),
+    # and over two chunks, must give the one-chunk estimates bit for bit. A
+    # custom integrand is called once per chunk, on that chunk's designs.
     chunk = 3
     sizes = SliceSizes((9, 7, 4))
+    budget = chunk * sizes.n * dim + sizes.n * dim - 1  # just short of chunk + 1
     custom = _mixed_integrand(3, "c") if integrand == "custom" else None
     for R in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
         base = _config(integrand=integrand, sizes=sizes, dim=dim, replicates=R)
@@ -500,7 +517,7 @@ def test_estimates_do_not_depend_on_the_chunk(monkeypatch, integrand, dim):
                     return custom(V)
 
                 with monkeypatch.context() as patched:
-                    patched.setattr(benchmark, "_CHUNK", chunk)
+                    patched.setattr(benchmark, "_BUDGET", budget)
                     chunked = method_estimates(method, cfg, spy if custom else None)
                 assert np.array_equal(chunked, whole), (R, method, scenario)
                 if custom:
@@ -508,15 +525,54 @@ def test_estimates_do_not_depend_on_the_chunk(monkeypatch, integrand, dim):
                     assert shapes == want, (R, method, scenario)
 
 
+@pytest.mark.parametrize(
+    "sizes, p, R",
+    [((48,), 5, 1024), ((257,), 8, 70), ((12, 12, 12, 12), 5, 1024),
+     ((2, 9, 1), 2, 40), ((5000,), 20, 3), ((1, 1), 3, 7), ((9, 7, 6), 2, 1500)],
+)
+def test_chunks_tile_the_replicates_within_the_value_budget(monkeypatch, sizes, p, R):
+    # method_estimates draws consecutive chunks that cover the R replicates
+    # once, in order. A chunk holds at most _BUDGET values, unless one
+    # replicate alone holds more, and at most one key batch of replicates;
+    # every chunk but the last would pass one of the two with one replicate
+    # more. The last shape is capped by the key batch (1,024 + 476).
+    # Estimate r is the mean of x1 * x2 over replicate r's design, so a
+    # chunk written to the wrong replicates shows.
+    cfg = _config(integrand="custom", sizes=SliceSizes(sizes), dim=p, methods=("MLH",),
+                  replicates=R)
+    row_values = cfg.sizes.n * p
+    chunks = []
+    draw = benchmark._batch_designs
+
+    def spy(method, cfg, blocks, gens, m):
+        chunks.append(m)
+        return draw(method, cfg, blocks, gens, m)
+
+    monkeypatch.setattr(benchmark, "_batch_designs", spy)
+    est = method_estimates("MLH", cfg, lambda V: V[:, :, 0] * V[:, :, 1])
+    gens = benchmark._generators(benchmark._METHODS["MLH"][0], cfg, benchmark._ROLE_DESIGN)
+    V = draw("MLH", cfg, method_blocks("full", cfg.sizes), gens, R)
+    assert np.array_equal(est, (V[:, :, 0] * V[:, :, 1]).mean(axis=1))
+    assert sum(chunks) == R
+    for m in chunks:
+        assert m <= core._KEY_CHUNK
+        assert m == 1 or m * row_values <= benchmark._BUDGET
+    for m in chunks[:-1]:
+        assert m == core._KEY_CHUNK or (m + 1) * row_values > benchmark._BUDGET
+
+
 @pytest.mark.parametrize("method", ["RLH", "CLH"])
 def test_method_estimates_memory_is_bounded_by_one_chunk(method):
-    # Only the (R,) estimates grow with R: at eight chunks the peak may pass
-    # the one-chunk peak by at most one chunk's designs and 8 bytes a
-    # replicate. Holding the whole batch would pass it by seven chunks'
-    # designs. CLH sweeps and shuffles its rows into computer groups, RLH
-    # has the largest draw.
+    # Only the (R,) estimates grow with R. The stream iterators key
+    # core._KEY_CHUNK replicates at a time, so from one key batch on, at
+    # eight key batches the peak may pass the one-batch peak by at most one
+    # chunk's designs and 8 bytes a replicate. Holding the whole batch would
+    # pass it by thousands of designs. CLH sweeps and shuffles its rows into
+    # computer groups, RLH has the largest draw.
     cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
-    chunk = benchmark._CHUNK
+    chunk = benchmark._BUDGET // (cfg.sizes.n * cfg.dim)
+    assert chunk == 273
+    batch = core._KEY_CHUNK
 
     def peak(R):
         tracemalloc.start()
@@ -526,28 +582,55 @@ def test_method_estimates_memory_is_bounded_by_one_chunk(method):
         finally:
             tracemalloc.stop()
 
+    peak(1)  # warm any lazy state outside the measured calls
     one_chunk_designs = chunk * cfg.sizes.n * cfg.dim * 8
-    assert peak(8 * chunk) - peak(chunk) <= one_chunk_designs + 8 * 8 * chunk
+    assert peak(8 * batch) - peak(batch) <= one_chunk_designs + 8 * 8 * batch
 
 
 def test_batch_sweep_memory_is_bounded_by_its_value_budget():
-    # One CLH chunk of table1-f1-failures: 1,024 replicates of one 48-row,
-    # 5-column block, 1.88 MiB. The sweep holds a few copies of at most
-    # decorrelate._BUDGET values at a time (1.18x the chunk here); swept in
-    # one piece, with the forward state kept, it peaked at 4.2x.
+    # One CLH chunk of table1-f1-failures: 273 replicates of one 48-row,
+    # 5-column block, at most benchmark._BUDGET values. The sweep holds a
+    # few copies of its block, so its peak must stay under 1.5x of the
+    # 1,024-replicate chunks the pipeline drew before its chunks held a
+    # value budget (1.88 MiB); swept in one piece, such a chunk peaked at
+    # 4.2x its size.
     cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
     code, grid, _ = benchmark._METHODS["CLH"]
     blocks = method_blocks(grid, cfg.sizes)
     gens = benchmark._generators(code, cfg, benchmark._ROLE_DESIGN)
-    V = benchmark._batch_designs("CLH", cfg, blocks, gens, benchmark._CHUNK)
+    V = benchmark._batch_designs("CLH", cfg, blocks, gens, 273)
     tracemalloc.start()
     try:
         benchmark._sweep_batch(V, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert V.nbytes == 1024 * 48 * 5 * 8
-    assert peak <= 1.5 * V.nbytes, peak / V.nbytes
+    assert V.size <= benchmark._BUDGET
+    assert peak <= 2_949_120, peak  # 1.5 x 1,024 x 48 x 5 x 8 bytes
+
+
+@pytest.mark.parametrize("method", ["MLH", "CLH"])
+def test_chunks_of_a_large_design_hold_one_replicate(method):
+    # A design of 4 x 4,000 runs in 5 columns holds 80,000 values, more than
+    # the value budget, so each chunk is one replicate: 4 replicates peak no
+    # higher than 1 replicate plus one design's bytes. Drawn in one chunk,
+    # the 4 designs and their integrand temporaries would peak about four
+    # times as high. MLH shuffles its rows into computer groups, CLH sweeps.
+    cfg = _config(integrand="f1", sizes=SliceSizes((4000,) * 4), dim=5,
+                  methods=(method,), scenario="one-slice-fails")
+    assert cfg.sizes.n * cfg.dim > benchmark._BUDGET
+
+    def peak(R):
+        tracemalloc.start()
+        try:
+            method_estimates(method, dataclasses.replace(cfg, replicates=R))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # warm any lazy state outside the measured calls
+    one_design = cfg.sizes.n * cfg.dim * 8
+    assert peak(4) <= peak(1) + one_design
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 33, 48, 65, 129, 257])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import slicedlhd.generate as generate_mod
 from slicedlhd import (
     Design,
     RngStream,
@@ -27,16 +26,18 @@ from _goldens import COLUMN_NUMER_2_5_10, GROUPS_2_5_10, PERMS_2_5_10, SIZES_2_5
 def test_walkthrough_column_assembly(monkeypatch):
     # Pin the per-slice orderings and check the assembled column exactly.
     # The pinned orderings are level sequences; convert each to the 1-based
-    # index permutation the generator asks for.
+    # index permutation of its group, which every split stream's generator
+    # then applies to the group's sorted midpoints.
     index_perm = {}
     for grp, perm in zip(GROUPS_2_5_10, PERMS_2_5_10):
         order = tuple(grp.index(level) + 1 for level in perm)
         index_perm[len(grp)] = np.asarray(order, dtype=np.int64)
 
-    def pinned(m, rng):
-        return index_perm[m].copy()
+    class Pinned:
+        def permutation(self, mids):
+            return mids[index_perm[mids.size] - 1]
 
-    monkeypatch.setattr(generate_mod, "uniform_permutation", pinned)
+    monkeypatch.setattr(RngStream, "generator", lambda self: Pinned())
     design = generate_sliced_lhd(SliceSizes(SIZES_2_5_10), 1, RngStream(0))
     expected = np.asarray(COLUMN_NUMER_2_5_10, dtype=np.float64) / 34.0
     assert np.array_equal(design.values[:, 0], expected)
