@@ -29,7 +29,7 @@ for integrand, sizes, dim, scenario in runs:
     cfg = ExperimentConfig(
         integrand=integrand, sizes=sizes, dim=dim, methods=methods,
         replicates=replicates, scenario=scenario, seed=20240817,
-        f1_variant="x3",
+        f1_variant="x3" if integrand == "f1" else "literal",
     )
     reports.append(run_experiment(cfg))
     print(f"{integrand} / {scenario}: done ({time.time() - t0:.1f}s)")

@@ -36,28 +36,27 @@ with its assignment stream. Every method then drops one contiguous block.
 
 Everything is deterministic given the config seed: each (method, replicate)
 pair gets its own RNG stream, so replicates can be computed in any order or
-in parallel without changing results. A method's streams are keyed together
-by RngStream.generators, which draws exactly what one SeedSequence + Philox
-per stream would.
+in parallel without changing results. A range of replicates' streams is
+keyed together by RngStream.generators, which draws exactly what one
+SeedSequence + Philox per stream would.
 
 method_estimates draws, sweeps, evaluates and estimates one chunk at a
-time: at most _BUDGET design values (one design, if it holds more) and one
-key batch of replicates, so memory stays bounded whatever R and n are. It
-reads each method's stream iterators chunk by chunk. Every sum runs along
-one replicate's row, so the chunks change no bit; a custom integrand is
-called once per chunk.
+time: at most _BUDGET design values (one design, if it holds more) and
+_MAX_CHUNK replicates, so memory stays bounded whatever R and n are. Each
+stage keys its chunk's range of streams itself; no stream outlives it.
+Every sum runs along one replicate's row, so the chunks change no bit; a
+custom integrand is called once per chunk.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .core import _KEY_CHUNK, RngStream, SliceSizes, _as_integer
+from .core import RngStream, SliceSizes, _as_integer
 from .decorrelate import SweepTrace, _sweep_batch
 from .generate import method_blocks
 
@@ -206,10 +205,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
         if self.integrand not in ("f1", "f2", "custom"):
             raise ValueError(f"unknown integrand: {self.integrand!r}")
-        if self.integrand == "f1" and self.dim != 5:
-            raise ValueError("f1 requires dim=5")
-        if self.integrand == "f2" and self.dim != 2:
-            raise ValueError("f2 requires dim=2")
+        need = {"f1": 5, "f2": 2}.get(self.integrand, self.dim)
+        if self.dim != need:
+            raise ValueError(f"{self.integrand} requires dim={need}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.replicates < 1:
@@ -224,6 +222,8 @@ class ExperimentConfig:
             raise ValueError("one-slice-fails needs at least two slices")
         if self.f1_variant not in ("literal", "x3"):
             raise ValueError(f"unknown f1 variant: {self.f1_variant!r}")
+        if self.f1_variant != "literal" and self.integrand != "f1":
+            raise ValueError(f"f1_variant {self.f1_variant!r} applies only to integrand 'f1'")
         methods = tuple(self.methods)
         object.__setattr__(self, "methods", methods)
         if not methods:
@@ -320,12 +320,9 @@ def render_table(reports: list[RmseReport]) -> str:
 
 def write_trace_csv(trace: SweepTrace, path) -> None:
     """Emit a rho_rms sweep trace as CSV: iteration, whole design, each slice."""
-    t = len(trace.per_slice)
-    lines = ["iteration,whole," + ",".join(f"slice{j + 1}" for j in range(t))]
-    for it in range(len(trace.whole)):
-        cells = [str(it), repr(trace.whole[it])]
-        cells += [repr(trace.per_slice[j][it]) for j in range(t)]
-        lines.append(",".join(cells))
+    lines = ["iteration,whole," + ",".join(f"slice{j + 1}" for j in range(len(trace.per_slice)))]
+    for it, row in enumerate(zip(trace.whole, *trace.per_slice)):
+        lines.append(",".join([str(it), *map(repr, row)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -336,26 +333,29 @@ def write_trace_csv(trace: SweepTrace, path) -> None:
 # but the (R,) estimates holds at most this many (or one design's), whatever
 # R and n are.
 _BUDGET = 2**16
+# Replicates in a chunk at most: its streams' key lists, about 150 B a
+# replicate each, are outside the value budget, so this bounds them on tiny designs.
+_MAX_CHUNK = 1024
 
 
-def _generators(code: int, cfg: ExperimentConfig, role: int):
-    """Replicate r's generator for one method and role, in replicate order;
-    each is valid until the next one is drawn (see RngStream.generators)."""
-    return RngStream(cfg.seed).generators((code,), cfg.replicates, (role,))
+def _generators(code: int, cfg: ExperimentConfig, role: int, reps: range):
+    """The generators of replicates ``reps`` for one method and role (see RngStream.generators)."""
+    return RngStream(cfg.seed).generators((code,), reps, (role,))
 
 
-def _batch_designs(method: str, cfg: ExperimentConfig, blocks, gens, m: int) -> np.ndarray:
-    """The next ``m`` replicates' designs, drawn from the design stream
-    iterator ``gens`` onto ``blocks`` (method_blocks of the method's grid)."""
+def _batch_designs(method: str, cfg: ExperimentConfig, blocks, reps: range) -> np.ndarray:
+    """The designs of replicates ``reps``, drawn from their design streams
+    onto ``blocks`` (method_blocks of the method's grid)."""
     n, p = cfg.sizes.n, cfg.dim
-    out = np.empty((m, n, p))
+    gens = _generators(_METHODS[method][0], cfg, _ROLE_DESIGN, reps)
+    out = np.empty((len(reps), n, p))
     if method == "RLH":
         # Column l is (permutation(n) + 1 - random(n)) / n, its permutation
         # and jitter draws interleaved column by column. permutation(n) is
         # shuffle of 1..n, so shuffling the levels in place draws the same.
         out[...] = np.arange(1, n + 1)[:, None]
         jitter = np.empty((p, n))
-        for design, gen in zip(out, islice(gens, m)):
+        for design, gen in zip(out, gens):
             for l in range(p):
                 gen.shuffle(design[:, l])
                 gen.random(out=jitter[l])
@@ -367,35 +367,36 @@ def _batch_designs(method: str, cfg: ExperimentConfig, blocks, gens, m: int) -> 
     # so it draws what a shuffle per column (or permutation(mids)) would.
     for rows, mids in blocks:
         out[:, rows, :] = mids[:, None]
-    for design, gen in zip(out, islice(gens, m)):
+    for design, gen in zip(out, gens):
         for rows, _ in blocks:
             slab = design[rows]
             gen.permuted(slab, axis=0, out=slab)
     return out
 
 
-def _estimates(cfg: ExperimentConfig, F: np.ndarray, failure, assignment) -> np.ndarray:
-    """Estimates from one chunk's integrand values F (m, n); draws the next m
-    of the ``failure`` and ``assignment`` iterators (None where none is drawn)."""
+def _estimates(method: str, cfg: ExperimentConfig, F: np.ndarray, reps: range) -> np.ndarray:
+    """Estimates of replicates ``reps`` from their integrand values F (m, n),
+    drawing their failure and assignment streams where these are needed."""
     m, n = F.shape
-    if failure is None:
+    if cfg.scenario == SCENARIO_ALL:
         return F.mean(axis=1)
-    sizes = np.asarray(cfg.sizes.sizes)
+    code, grid, _ = _METHODS[method]
     off = cfg.sizes.offsets()
     t = cfg.sizes.t
-    fail = np.fromiter((gen.integers(t) for gen in islice(failure, m)), dtype=np.int64, count=m)
+    failure = _generators(code, cfg, _ROLE_FAILURE, reps)
+    fail = np.fromiter((gen.integers(t) for gen in failure), dtype=np.int64, count=m)
     totals = F.sum(axis=1)
-    if assignment is not None:
+    if grid == "full":
         # Assign rows to computers uniformly at random: shuffle each
         # replicate's values in place (the draws of permutation(n)), so
         # each computer's group is a contiguous block.
-        for row, gen in zip(F, islice(assignment, m)):
+        for row, gen in zip(F, _generators(code, cfg, _ROLE_ASSIGNMENT, reps)):
             gen.shuffle(row)
     block_sums = np.stack(
         [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(t)], axis=1
     )
     dropped = block_sums[np.arange(m), fail]
-    kept = n - sizes[fail]
+    kept = n - np.asarray(cfg.sizes.sizes)[fail]
     return (totals - dropped) / kept
 
 
@@ -416,14 +417,21 @@ def _integrand_values(cfg: ExperimentConfig, V: np.ndarray, custom) -> np.ndarra
     return F
 
 
+def _check_custom(cfg: ExperimentConfig, name: str, value) -> None:
+    custom = cfg.integrand == "custom"
+    if (value is None) == custom:
+        raise ValueError(f"integrand {cfg.integrand!r} {'needs' if custom else 'takes no'} {name}")
+
+
 def _true_mean(cfg: ExperimentConfig, custom_true_mean) -> float:
-    if cfg.integrand == "f1":
-        return true_mean_f1()
-    if cfg.integrand == "f2":
-        return true_mean_f2()
-    if custom_true_mean is None:
-        raise ValueError("custom integrand needs custom_true_mean")
-    return float(custom_true_mean)
+    _check_custom(cfg, "custom_true_mean", custom_true_mean)
+    if cfg.integrand != "custom":
+        return true_mean_f1() if cfg.integrand == "f1" else true_mean_f2()
+    # A real number, never parsed from a string; NaN or inf makes every RMSE NaN.
+    mu = np.asarray(custom_true_mean)
+    if mu.ndim or mu.dtype.kind not in "iuf" or not np.isfinite(mu):
+        raise ValueError(f"custom_true_mean must be a finite number, got {custom_true_mean!r}")
+    return float(mu)
 
 
 def method_estimates(
@@ -433,26 +441,18 @@ def method_estimates(
 ) -> np.ndarray:
     """Per-replicate estimates for one method, one chunk of replicates at a
     time (see the module docstring); exposed for verification."""
-    if cfg.integrand == "custom" and custom_integrand is None:
-        raise ValueError("custom integrand requires a callable")
-    code, grid, swept = _METHODS[method]
+    _check_custom(cfg, "custom_integrand", custom_integrand)
+    _, grid, swept = _METHODS[method]
     blocks = method_blocks(grid, cfg.sizes)
-    design = _generators(code, cfg, _ROLE_DESIGN)
-    failure = assignment = None
-    if cfg.scenario == SCENARIO_ONE_FAILS:
-        failure = _generators(code, cfg, _ROLE_FAILURE)
-        if grid == "full":
-            assignment = _generators(code, cfg, _ROLE_ASSIGNMENT)
-    # One key batch at most, so a small design's chunk (f2's) is 1,024.
-    chunk = min(_KEY_CHUNK, max(1, _BUDGET // (cfg.sizes.n * cfg.dim)))
+    chunk = min(_MAX_CHUNK, max(1, _BUDGET // (cfg.sizes.n * cfg.dim)))
     est = np.empty(cfg.replicates)
     for first in range(0, cfg.replicates, chunk):
-        m = min(chunk, cfg.replicates - first)
-        V = _batch_designs(method, cfg, blocks, design, m)
+        reps = range(first, min(first + chunk, cfg.replicates))
+        V = _batch_designs(method, cfg, blocks, reps)
         if swept:
             _sweep_batch(V, blocks)
         F = _integrand_values(cfg, V, custom_integrand)
-        est[first : first + m] = _estimates(cfg, F, failure, assignment)
+        est[reps.start : reps.stop] = _estimates(method, cfg, F, reps)
         del V, F  # freed before the next chunk is drawn: one chunk at a time
     return est
 

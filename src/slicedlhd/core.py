@@ -9,7 +9,7 @@ A stream's generator is numpy's own SeedSequence + Philox. For a run of
 sibling streams, such as one per benchmark replicate, ``RngStream.generators``
 reproduces SeedSequence's hash in uint32 array arithmetic: the seed and fixed
 path words are hashed once, the replicate word and the words after it for a
-whole chunk of replicates at once, and one Philox is re-keyed to each result.
+whole range of replicates at once, and one Philox is re-keyed to each result.
 It draws the same numbers as the per-stream path at a small part of its cost.
 """
 
@@ -194,21 +194,23 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
 
-    def generators(self, head, count: int, tail=()):
-        """The generator of ``self.split(*head, r, *tail)`` for each r < count, in order.
+    def generators(self, head, replicates: range, tail=()):
+        """The generator of ``self.split(*head, r, *tail)`` for each r in ``replicates``.
 
-        Draws the same numbers as calling ``generator`` on each of those
-        streams, but computes the Philox keys of up to _KEY_CHUNK replicates
+        ``replicates`` is a range of step 1 within [0, 2**32]. Draws what
+        ``generator`` draws on each of those streams, but keys the whole range
         in one vectorized SeedSequence hash and re-keys a single Philox for
-        each. The one Generator is yielded every time, so each yielded
-        generator is valid only until the next one is drawn.
+        each. That one Generator is yielded every time: each is valid only
+        until the next one is drawn.
         """
         head = self.path + _path_components(head)
         tail = _path_components(tail)
-        count = _as_integer("count", count)
-        if not 0 <= count <= _M32 + 1:
-            raise ValueError(f"count must be in [0, 2**32], got {count}")
-        return _rekeyed(*_seed_pool(self.seed, head), count, tail)
+        if not (isinstance(replicates, range) and replicates.step == 1
+                and 0 <= replicates.start and replicates.stop <= _M32 + 1):
+            raise ValueError(
+                f"replicates must be a range of step 1 within [0, 2**32], got {replicates!r}"
+            )
+        return _rekeyed(*_seed_pool(self.seed, head), replicates, tail)
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
@@ -217,8 +219,6 @@ _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# Replicates keyed per vectorized hash: bounds the key arrays for any count.
-_KEY_CHUNK = 1024
 
 
 def _path_components(components) -> tuple[int, ...]:
@@ -283,17 +283,17 @@ def _mix_words(pool, h, words):
     return pool, h
 
 
-def _philox_keys(pool, h, replicate_words: np.ndarray, tail) -> list[list[int]]:
-    """``generate_state(2, uint64)`` after mixing each replicate word, then ``tail``."""
+def _philox_keys(pool, h, replicate_words: np.ndarray, tail) -> np.ndarray:
+    """``generate_state(2, uint64)`` after each replicate word, then ``tail``: an (m, 2) array."""
     pool, _ = _mix_words(pool, h, [replicate_words] + [w for c in tail for w in _words(c)])
     out, h = [], _INIT_B
     for v in pool:
         v, h = _hashmix(v, h, _MULT_B)
         out.append(v.astype(np.uint64))
-    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1).tolist()
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
 
 
-def _rekeyed(pool, h, count: int, tail: tuple[int, ...]):
+def _rekeyed(pool, h, replicates: range, tail: tuple[int, ...]):
     """One Generator, re-keyed in turn to each replicate's key from ``_philox_keys``."""
     bitgen = np.random.Philox(0)
     # The state a new Philox starts in (counter 0, empty buffer), held in
@@ -303,12 +303,11 @@ def _rekeyed(pool, h, count: int, tail: tuple[int, ...]):
     keyed = state["state"]
     keyed["counter"] = keyed["counter"].tolist()
     gen = np.random.Generator(bitgen)
-    for first in range(0, count, _KEY_CHUNK):
-        replicates = np.arange(first, min(first + _KEY_CHUNK, count)).astype(np.uint32)
-        for key in _philox_keys(pool, h, replicates, tail):
-            keyed["key"] = key
-            bitgen.state = state
-            yield gen
+    words = np.arange(replicates.start, replicates.stop).astype(np.uint32)
+    for key in _philox_keys(pool, h, words, tail).tolist():
+        keyed["key"] = key
+        bitgen.state = state
+        yield gen
 
 
 def uniform_permutation(m: int, rng: RngStream) -> np.ndarray:

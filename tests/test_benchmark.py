@@ -291,9 +291,9 @@ def test_batched_streams_match_per_replicate_streams(monkeypatch, method, scenar
     cfg = _config(replicates=45, scenario=scenario)
     batched = method_estimates(method, cfg)
 
-    def per_replicate(code, cfg, role):
+    def per_replicate(code, cfg, role, reps):
         base = RngStream(cfg.seed)
-        return (base.split(code, r, role).generator() for r in range(cfg.replicates))
+        return (base.split(code, r, role).generator() for r in reps)
 
     monkeypatch.setattr(benchmark, "_generators", per_replicate)
     assert np.array_equal(batched, method_estimates(method, cfg))
@@ -309,7 +309,8 @@ def _reference_designs(method, cfg):
     out = np.empty((cfg.replicates, n, p))
     for rows, mids in blocks:
         out[:, rows, :] = mids[:, None]
-    for r, gen in enumerate(benchmark._generators(code, cfg, benchmark._ROLE_DESIGN)):
+    reps = range(cfg.replicates)
+    for r, gen in enumerate(benchmark._generators(code, cfg, benchmark._ROLE_DESIGN, reps)):
         if method == "RLH":
             for l in range(p):
                 perm = gen.permutation(n) + 1
@@ -344,9 +345,8 @@ def test_batch_designs_match_per_column_draws(sizes, p, R, seed):
     cfg = _config(integrand="custom", sizes=SliceSizes(tuple(sizes)), dim=p,
                   replicates=R, seed=seed)
     for method in _ALL_METHODS:
-        code, grid, _ = benchmark._METHODS[method]
-        gens = benchmark._generators(code, cfg, benchmark._ROLE_DESIGN)
-        got = benchmark._batch_designs(method, cfg, method_blocks(grid, cfg.sizes), gens, R)
+        grid = benchmark._METHODS[method][1]
+        got = benchmark._batch_designs(method, cfg, method_blocks(grid, cfg.sizes), range(R))
         assert np.array_equal(got, _reference_designs(method, cfg)), method
 
 
@@ -395,11 +395,8 @@ def _reference_estimates(method, cfg, F):
     sizes = np.asarray(cfg.sizes.sizes)
     off = cfg.sizes.offsets()
     t = cfg.sizes.t
-    fail = np.fromiter(
-        (gen.integers(t) for gen in benchmark._generators(code, cfg, benchmark._ROLE_FAILURE)),
-        dtype=np.int64,
-        count=R,
-    )
+    failure = benchmark._generators(code, cfg, benchmark._ROLE_FAILURE, range(R))
+    fail = np.fromiter((gen.integers(t) for gen in failure), dtype=np.int64, count=R)
     totals = F.sum(axis=1)
     if grid != "full":
         block_sums = np.stack(
@@ -408,7 +405,8 @@ def _reference_estimates(method, cfg, F):
         dropped = block_sums[np.arange(R), fail]
     else:
         dropped = np.empty(R)
-        for r, gen in enumerate(benchmark._generators(code, cfg, benchmark._ROLE_ASSIGNMENT)):
+        assignment = benchmark._generators(code, cfg, benchmark._ROLE_ASSIGNMENT, range(R))
+        for r, gen in enumerate(assignment):
             perm = gen.permutation(n)
             j = fail[r]
             dropped[r] = F[r, perm[off[j] : off[j + 1]]].sum()
@@ -533,46 +531,44 @@ def test_estimates_do_not_depend_on_the_chunk(monkeypatch, integrand, dim):
 def test_chunks_tile_the_replicates_within_the_value_budget(monkeypatch, sizes, p, R):
     # method_estimates draws consecutive chunks that cover the R replicates
     # once, in order. A chunk holds at most _BUDGET values, unless one
-    # replicate alone holds more, and at most one key batch of replicates;
-    # every chunk but the last would pass one of the two with one replicate
-    # more. The last shape is capped by the key batch (1,024 + 476).
-    # Estimate r is the mean of x1 * x2 over replicate r's design, so a
-    # chunk written to the wrong replicates shows.
+    # replicate alone holds more, and at most _MAX_CHUNK replicates; every
+    # chunk but the last would pass one of the two with one replicate more.
+    # The last shape is capped at _MAX_CHUNK (1,024 + 476). Estimate r is
+    # the mean of x1 * x2 over replicate r's design, so a chunk written to
+    # the wrong replicates shows.
     cfg = _config(integrand="custom", sizes=SliceSizes(sizes), dim=p, methods=("MLH",),
                   replicates=R)
     row_values = cfg.sizes.n * p
     chunks = []
     draw = benchmark._batch_designs
 
-    def spy(method, cfg, blocks, gens, m):
-        chunks.append(m)
-        return draw(method, cfg, blocks, gens, m)
+    def spy(method, cfg, blocks, reps):
+        chunks.append(reps)
+        return draw(method, cfg, blocks, reps)
 
     monkeypatch.setattr(benchmark, "_batch_designs", spy)
     est = method_estimates("MLH", cfg, lambda V: V[:, :, 0] * V[:, :, 1])
-    gens = benchmark._generators(benchmark._METHODS["MLH"][0], cfg, benchmark._ROLE_DESIGN)
-    V = draw("MLH", cfg, method_blocks("full", cfg.sizes), gens, R)
+    V = draw("MLH", cfg, method_blocks("full", cfg.sizes), range(R))
     assert np.array_equal(est, (V[:, :, 0] * V[:, :, 1]).mean(axis=1))
-    assert sum(chunks) == R
-    for m in chunks:
-        assert m <= core._KEY_CHUNK
+    assert [r for reps in chunks for r in reps] == list(range(R))
+    sizes = [len(reps) for reps in chunks]
+    for m in sizes:
+        assert m <= benchmark._MAX_CHUNK
         assert m == 1 or m * row_values <= benchmark._BUDGET
-    for m in chunks[:-1]:
-        assert m == core._KEY_CHUNK or (m + 1) * row_values > benchmark._BUDGET
+    for m in sizes[:-1]:
+        assert m == benchmark._MAX_CHUNK or (m + 1) * row_values > benchmark._BUDGET
 
 
 @pytest.mark.parametrize("method", ["RLH", "CLH"])
 def test_method_estimates_memory_is_bounded_by_one_chunk(method):
-    # Only the (R,) estimates grow with R. The stream iterators key
-    # core._KEY_CHUNK replicates at a time, so from one key batch on, at
-    # eight key batches the peak may pass the one-batch peak by at most one
-    # chunk's designs and 8 bytes a replicate. Holding the whole batch would
-    # pass it by thousands of designs. CLH sweeps and shuffles its rows into
-    # computer groups, RLH has the largest draw.
+    # Only the (R,) estimates grow with R: each chunk keys its own streams,
+    # so at eight chunks the peak may pass the one-chunk peak by at most
+    # one chunk's designs and 8 bytes a replicate. Holding the whole batch,
+    # or keys for more replicates than the chunk, would pass it. CLH sweeps
+    # and shuffles its rows into computer groups, RLH has the largest draw.
     cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
     chunk = benchmark._BUDGET // (cfg.sizes.n * cfg.dim)
     assert chunk == 273
-    batch = core._KEY_CHUNK
 
     def peak(R):
         tracemalloc.start()
@@ -584,7 +580,29 @@ def test_method_estimates_memory_is_bounded_by_one_chunk(method):
 
     peak(1)  # warm any lazy state outside the measured calls
     one_chunk_designs = chunk * cfg.sizes.n * cfg.dim * 8
-    assert peak(8 * batch) - peak(batch) <= one_chunk_designs + 8 * 8 * batch
+    assert peak(8 * chunk) - peak(chunk) <= one_chunk_designs + 8 * 8 * chunk
+
+
+def test_each_chunk_keys_only_its_own_streams(monkeypatch):
+    # Streams live for one chunk: each vectorized key hash takes at most one
+    # chunk's replicate words, and the words of each role tile 0..R-1 in
+    # order. CLH in the failure scenario keys all three roles; at 600
+    # replicates f1 runs in chunks of 273, 273 and 54.
+    cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
+    cfg = dataclasses.replace(cfg, methods=("CLH",), replicates=600)
+    chunk = benchmark._BUDGET // (cfg.sizes.n * cfg.dim)
+    keyed = {}
+    hash_keys = core._philox_keys
+
+    def spy(pool, h, replicate_words, tail):
+        assert len(replicate_words) <= chunk
+        keyed.setdefault(tuple(tail), []).extend(replicate_words.tolist())
+        return hash_keys(pool, h, replicate_words, tail)
+
+    monkeypatch.setattr(core, "_philox_keys", spy)
+    method_estimates("CLH", cfg)
+    roles = (benchmark._ROLE_DESIGN, benchmark._ROLE_FAILURE, benchmark._ROLE_ASSIGNMENT)
+    assert keyed == {(role,): list(range(600)) for role in roles}
 
 
 def test_batch_sweep_memory_is_bounded_by_its_value_budget():
@@ -595,10 +613,8 @@ def test_batch_sweep_memory_is_bounded_by_its_value_budget():
     # value budget (1.88 MiB); swept in one piece, such a chunk peaked at
     # 4.2x its size.
     cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
-    code, grid, _ = benchmark._METHODS["CLH"]
-    blocks = method_blocks(grid, cfg.sizes)
-    gens = benchmark._generators(code, cfg, benchmark._ROLE_DESIGN)
-    V = benchmark._batch_designs("CLH", cfg, blocks, gens, 273)
+    blocks = method_blocks(benchmark._METHODS["CLH"][1], cfg.sizes)
+    V = benchmark._batch_designs("CLH", cfg, blocks, range(273))
     tracemalloc.start()
     try:
         benchmark._sweep_batch(V, blocks)
@@ -773,10 +789,52 @@ def test_custom_integrand_requires_callable_and_mean():
         integrand="custom", sizes=SliceSizes((3, 3)), dim=2,
         methods=("MLH",), replicates=2, scenario="all-complete", seed=1,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^integrand 'custom' needs custom_true_mean$"):
         run_experiment(cfg, custom_integrand=lambda x: x[..., 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^integrand 'custom' needs custom_integrand$"):
         run_experiment(cfg, custom_true_mean=0.5)
+
+
+@pytest.mark.parametrize("integrand, dim", [("f1", 5), ("f2", 2)])
+def test_custom_arguments_are_rejected_for_built_in_integrands(integrand, dim):
+    # Each was ignored: a custom mean on f2 returned f2's RMSE.
+    cfg = _config(integrand=integrand, dim=dim, replicates=2)
+    takes_no = f"^integrand '{integrand}' takes no "
+    with pytest.raises(ValueError, match=takes_no + "custom_integrand$"):
+        run_experiment(cfg, custom_integrand=lambda V: V[..., 0])
+    with pytest.raises(ValueError, match=takes_no + "custom_integrand$"):
+        method_estimates("MLH", cfg, lambda V: V[..., 0])
+    with pytest.raises(ValueError, match=takes_no + "custom_true_mean$"):
+        run_experiment(cfg, custom_true_mean=3.0)
+
+
+@pytest.mark.parametrize("mean", [float("nan"), np.inf, -np.inf, "abc", "0.5", True, [0.5]])
+def test_custom_true_mean_must_be_a_finite_real_number(mean):
+    # A NaN mean gave NaN RMSEs, and "abc" failed in float() without naming
+    # the argument; a numeric string is not parsed.
+    cfg = _config(integrand="custom", methods=("MLH",), replicates=2)
+    message = "^custom_true_mean must be a finite number, got " + re.escape(repr(mean)) + "$"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, custom_integrand=lambda V: V[..., 0], custom_true_mean=mean)
+
+
+@pytest.mark.parametrize("mean", [0.5, 1, np.float32(0.5), np.int64(1)])
+def test_custom_true_mean_accepts_real_numbers(mean):
+    cfg = _config(integrand="custom", methods=("MLH",), replicates=2)
+    report = run_experiment(cfg, custom_integrand=lambda V: V[..., 0], custom_true_mean=mean)
+    assert report.true_mean == float(mean)
+    assert type(report.true_mean) is float
+
+
+@pytest.mark.parametrize("integrand, dim", [("f2", 2), ("custom", 3)])
+def test_f1_variant_is_rejected_off_f1(integrand, dim):
+    # f1_variant has no effect on another integrand, but the report would
+    # echo it; only the default is accepted there.
+    message = "^f1_variant 'x3' applies only to integrand 'f1'$"
+    with pytest.raises(ValueError, match=message):
+        _config(integrand=integrand, dim=dim, f1_variant="x3")
+    assert _config(integrand=integrand, dim=dim, f1_variant="literal").f1_variant == "literal"
+    assert _config(integrand="f1", dim=5, f1_variant="x3").f1_variant == "x3"
 
 
 @pytest.mark.parametrize(

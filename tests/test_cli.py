@@ -279,6 +279,19 @@ def test_bench_rejects_bad_configs(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_rejects_an_f1_variant_off_f1(tmp_path, capsys):
+    cfg = tmp_path / "variant.cfg"
+    cfg.write_text(json.dumps({
+        "integrand": "f2", "sizes": [9, 7, 6], "dim": 2,
+        "methods": ["MLH"], "replicates": 5,
+        "scenario": "all-complete", "seed": 11, "f1_variant": "x3",
+    }))
+    assert run_cli("bench", str(cfg)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: bad config: f1_variant 'x3' applies only to integrand 'f1'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -1,9 +1,9 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-import slicedlhd.core as core
 
 from slicedlhd import (
     Design,
@@ -175,14 +175,17 @@ _words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))
     path=st.lists(_words, max_size=2),
     head=st.lists(_words, max_size=3),
     tail=st.lists(_words, max_size=3),
+    first=st.one_of(st.just(0), st.integers(0, 2**32 - 1)),
     count=st.integers(1, 600),
 )
-def test_batched_keys_match_seed_sequence(seed, path, head, tail, count):
+@example(seed=7, path=[], head=[3], tail=[1], first=2**32 - 5, count=600)
+def test_batched_keys_match_seed_sequence(seed, path, head, tail, first, count):
     # Each yielded generator's Philox holds exactly the state numpy's own
     # SeedSequence + Philox path gives: the key bit for bit, counter 0 and
-    # an empty buffer.
+    # an empty buffer. The range may start anywhere and end at 2**32.
     base = RngStream(seed, tuple(path))
-    for r, gen in enumerate(base.generators(tuple(head), count, tuple(tail))):
+    replicates = range(first, min(first + count, 2**32))
+    for r, gen in zip(replicates, base.generators(tuple(head), replicates, tuple(tail))):
         spawn_key = tuple(path) + tuple(head) + (r,) + tuple(tail)
         seq = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
         got = gen.bit_generator.state
@@ -193,7 +196,7 @@ def test_batched_keys_match_seed_sequence(seed, path, head, tail, count):
         assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
             want[k] for k in ("buffer_pos", "has_uint32", "uinteger")
         ]
-    assert r == count - 1
+    assert r == replicates[-1]
 
 
 _DRAWS = {
@@ -206,19 +209,21 @@ _DRAWS = {
 
 @pytest.mark.parametrize("draw", sorted(_DRAWS))
 @pytest.mark.parametrize("role", [0, 1, 2])
-def test_batched_generators_draw_as_per_replicate_generators(monkeypatch, draw, role):
-    # A small key chunk makes the 300 replicates span several vectorized hashes.
-    monkeypatch.setattr(core, "_KEY_CHUNK", 7)
+def test_batched_generators_draw_as_per_replicate_generators(draw, role):
+    # Streams are counter-based, so a range keyed on its own, wherever it
+    # starts, draws what each of its streams draws alone.
     seed, code, fn = 20240817_000123, 3, _DRAWS[draw]
-    batched = [fn(gen) for gen in RngStream(seed).generators((code,), 300, (role,))]
-    assert len(batched) == 300
-    for r, got in enumerate(batched):
-        want = fn(RngStream(seed).split(code, r, role).generator())
-        assert np.array_equal(got, want)
+    for replicates in (range(300), range(137, 300), range(299, 300), range(150, 150)):
+        batched = [fn(gen) for gen in RngStream(seed).generators((code,), replicates, (role,))]
+        assert len(batched) == len(replicates)
+        for r, got in zip(replicates, batched):
+            want = fn(RngStream(seed).split(code, r, role).generator())
+            assert np.array_equal(got, want)
 
 
 def test_batched_generators_yield_nothing_for_zero_count():
-    assert list(RngStream(5).generators((1,), 0, (2,))) == []
+    for replicates in (range(0), range(7, 7), range(9, 3), range(2**32, 2**32)):
+        assert list(RngStream(5).generators((1,), replicates, (2,))) == []
 
 
 @pytest.mark.parametrize(
@@ -228,13 +233,29 @@ def test_batched_generators_yield_nothing_for_zero_count():
         ((1,), 3, (True,), "^stream path component must be an integer"),
         ((-1,), 3, (), "^stream path components must be nonnegative"),
         ((1,), 3, (-2,), "^stream path components must be nonnegative"),
-        ((1,), 2.0, (), "^count must be an integer"),
-        ((1,), True, (), "^count must be an integer"),
-        ((1,), -1, (), r"^count must be in \[0, 2\*\*32\]"),
-        ((1,), 2**32 + 1, (), r"^count must be in \[0, 2\*\*32\]"),
     ],
 )
 def test_batched_generators_reject_loose_inputs(head, count, tail, message):
     # Rejected when called, with the messages RngStream itself uses.
     with pytest.raises(ValueError, match=message):
-        RngStream(1).generators(head, count, tail)
+        RngStream(1).generators(head, range(count), tail)
+
+
+@pytest.mark.parametrize(
+    "replicates",
+    [
+        pytest.param(3, id="int"),
+        pytest.param(2.0, id="float"),
+        pytest.param(True, id="bool"),
+        pytest.param([0, 1, 2], id="list"),
+        pytest.param(range(0, 6, 2), id="step-2"),
+        pytest.param(range(-1, 3), id="negative-start"),
+        pytest.param(range(0, 2**32 + 1), id="stop-past-2**32"),
+    ],
+)
+def test_batched_generators_reject_a_bad_replicate_range(replicates):
+    # Only a range of step 1 within [0, 2**32] names replicate streams;
+    # anything else is rejected when called, naming the argument.
+    message = r"^replicates must be a range of step 1 within \[0, 2\*\*32\], got "
+    with pytest.raises(ValueError, match=message + re.escape(repr(replicates)) + "$"):
+        RngStream(1).generators((1,), replicates, (2,))
