@@ -400,7 +400,7 @@ def _estimates(method: str, cfg: ExperimentConfig, F: np.ndarray, reps: range) -
     return (totals - dropped) / kept
 
 
-def _integrand_values(cfg: ExperimentConfig, V: np.ndarray, custom) -> np.ndarray:
+def _integrand_values(method: str, cfg: ExperimentConfig, V: np.ndarray, custom) -> np.ndarray:
     if cfg.integrand == "f1":
         return eval_f1(V, variant=cfg.f1_variant)
     if cfg.integrand == "f2":
@@ -414,6 +414,8 @@ def _integrand_values(cfg: ExperimentConfig, V: np.ndarray, custom) -> np.ndarra
             f"custom integrand must return shape {V.shape[:2]} (replicates, runs), "
             f"got {F.shape}"
         )
+    if not np.isfinite(F).all():
+        raise ValueError(f"custom_integrand returned a non-finite value for {method}")
     return F
 
 
@@ -421,6 +423,8 @@ def _check_custom(cfg: ExperimentConfig, name: str, value) -> None:
     custom = cfg.integrand == "custom"
     if (value is None) == custom:
         raise ValueError(f"integrand {cfg.integrand!r} {'needs' if custom else 'takes no'} {name}")
+    if name == "custom_integrand" and custom and not callable(value):
+        raise ValueError(f"custom_integrand must be callable, got {value!r}")
 
 
 def _true_mean(cfg: ExperimentConfig, custom_true_mean) -> float:
@@ -451,7 +455,7 @@ def method_estimates(
         V = _batch_designs(method, cfg, blocks, reps)
         if swept:
             _sweep_batch(V, blocks)
-        F = _integrand_values(cfg, V, custom_integrand)
+        F = _integrand_values(method, cfg, V, custom_integrand)
         est[reps.start : reps.stop] = _estimates(method, cfg, F, reps)
         del V, F  # freed before the next chunk is drawn: one chunk at a time
     return est

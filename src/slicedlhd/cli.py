@@ -72,12 +72,11 @@ def _design_text(design: Design, seed: int, decorrelated: bool, fmt: str) -> str
     ]
     if fmt == "levels":
         # Store the odd numerators 2a-1 of the midpoints (2a-1)/(2n); exact.
-        numer = 2 * design.levels() - 1
-        for row in numer:
-            lines.append(" ".join(str(int(v)) for v in row))
+        # tolist() yields Python ints and floats: their str and repr are the
+        # bytes of str(int(v)) and repr(float(v)) per element.
+        lines += [" ".join(map(str, row)) for row in (2 * design.levels() - 1).tolist()]
     else:
-        for row in design.values:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        lines += [" ".join(map(repr, row)) for row in design.values.tolist()]
     return "\n".join(lines) + "\n"
 
 

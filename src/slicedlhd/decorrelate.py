@@ -21,31 +21,35 @@ loops make last, so reduce_correlations returns their result bit for bit.
 
 Rank restoration preserves each slice column's multiset of values exactly,
 so the sweep never damages the stratification guarantees of the input design.
-Only the columns a pass wrote are restored: the other one (p forward, 1
-backward) holds its own values, and a stable rank restore maps it to itself.
+Only the columns a pass wrote are restored (one stable argsort and one
+scatter): the other one (p forward, 1 backward) holds its own values, and a
+stable rank restore maps it to itself.
 
-An iteration is a deterministic map of the design, so once one iteration
-leaves a design unchanged, every later one would too. Both sweeps stop
-there: reduce_correlations ends its loop and repeats the last trace entries.
-They stop half an iteration sooner too. Write S_k = B(F(S_{k-1})), F the
-forward pass and its restore, B the backward one. If F(S_{k-1}) equals the
-last F(S_{k-2}), then S_k = B(F(S_{k-2})) = S_{k-1}: the fixed point, so
-S_{k-1} is kept and B not run. Outputs and traces are bit-identical to
-running all iterations in full, unless a slice column holds both 0.0 and
--0.0: then the sign of a zero can differ.
+A pass reads only its own block's rows, so both sweeps hold each slice block
+as one contiguous (column, row) array (the batch sweep one per replicate) and
+sweep it to its own fixed point: once one iteration leaves a block unchanged,
+every later one would too. They stop half an iteration sooner too. Write S_k = B(F(S_{k-1})), F the forward pass
+and its restore, B the backward one. If F(S_{k-1}) equals the last
+F(S_{k-2}), then S_k = B(F(S_{k-2})) = S_{k-1}: the fixed point, so S_{k-1}
+is kept and B not run. A stopped block drops out while the others go on:
+reduce_correlations repeats its last per-slice trace entry, which would
+measure the same state, and pads the whole trace once no block is left.
+Outputs and traces are bit-identical to running all iterations in full,
+unless a slice column holds both 0.0 and -0.0: then the sign of a zero can
+differ.
 
-The batch sweep (the benchmark's) sweeps whatever replicates it is given;
-the benchmark hands it one chunk at a time, and the chunk's size bounds
-the sweep's memory. A pass reads only its own block's rows, so each block
-is copied into a contiguous (replicate, column, row) array and swept there
-to its own fixed point: a (replicate, block) pair that stops drops out
-while the replicate's other blocks go on. Every sum runs along a block
-row, in the same order as one replicate swept alone, so neither the batch
-size nor the per-block stop changes a bit.
+The two sweeps differ only in the dot kernel of the slopes: one 1-D BLAS dot
+per response row in reduce_correlations (residualize's own call), a row-wise
+einsum in the batch sweep. Their last bits can differ, and they decide the
+rank of residuals that tie exactly, so the sweeps can then return different
+designs. The benchmark hands the batch sweep one chunk of replicates at a
+time, so the chunk bounds its memory. Every sum runs along a block row, as
+for one replicate swept alone, so neither the chunk nor the stop moves a bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +96,24 @@ def rms_correlation(matrix) -> float:
         raise ValueError("need at least two rows to correlate")
     if np.any(m.std(axis=0) == 0.0):
         raise ValueError("zero-variance column has undefined correlation")
-    corr = np.corrcoef(m, rowvar=False)
-    iu = np.triu_indices(m.shape[1], k=1)
-    return float(np.sqrt(np.mean(corr[iu] ** 2)))
+    return _rms(m)
+
+
+_upper = functools.cache(functools.partial(np.triu_indices, k=1))
+
+
+def _rms(m: np.ndarray) -> float:
+    """rms_correlation of a float64 (n, p) array, unchecked: np.corrcoef's
+    own steps on the same layouts, so the same bits."""
+    X = np.array(m).T
+    X -= X.mean(axis=1)[:, None]
+    c = np.dot(X, X.T.conj())
+    c *= np.true_divide(1, X.shape[1] - 1)
+    stddev = np.sqrt(np.diag(c))
+    c /= stddev[:, None]
+    c /= stddev[None, :]
+    np.clip(c, -1, 1, out=c)
+    return float(np.sqrt(np.mean(c[_upper(c.shape[0])] ** 2)))
 
 
 def _block_rms(block: np.ndarray) -> float:
@@ -145,64 +164,71 @@ def reduce_correlations(
     if not np.isfinite(design.values).all():
         raise ValueError("design values must be finite")
 
-    p = design.p
     off = design.slice_offsets
-    t = design.sizes.t
-
     values = design.values.copy()
-    blocks = [values[off[j] : off[j + 1], :] for j in range(t)]
-    # Each slice column's own values, sorted, one contiguous row per column:
-    # rank restore puts exactly these back.
-    own = [block.T.copy() for block in blocks]
-    for rows in own:
-        rows.sort(axis=1)
-
+    blocks = [values[off[j] : off[j + 1]] for j in range(design.sizes.t)]
     whole_trace = [rms_correlation(values)]
-    slice_traces = [[_block_rms(blocks[j])] for j in range(t)]
-
-    def sweep_pass(covariate: int, responses: range) -> None:
-        # Only the surviving write of each response is computed (see the
-        # module docstring). The covariate is never written and each
-        # response once, so every read sees the block as the pass began.
-        # Only the written columns are then restored: the others hold their
-        # own sorted values, so their stable rank restore is the identity.
-        for block, rows in zip(blocks, own):
-            if block.shape[0] < 2:
-                continue
-            for l in responses:
-                block[:, l] = residualize(block[:, l], block[:, covariate])
-            order = np.argsort(block[:, responses.start : responses.stop], axis=0, kind="stable")
-            for l, rank in zip(responses, order.T):
-                block[rank, l] = rows[l]
-
-    half = None  # the forward state of the last iteration
+    slice_traces = [[_block_rms(block)] for block in blocks]
+    sweeps = {j: _slice_sweep(block) for j, block in enumerate(blocks) if block.shape[0] >= 2}
     for it in range(iterations):
-        before = values.copy()
-        sweep_pass(p - 1, range(p - 1))
-        if half is not None and np.array_equal(values, half):
-            # F(S_{k-1}) = F(S_{k-2}), so S_k = S_{k-1}: the fixed point,
-            # found half an iteration early (see the module docstring).
-            values[...] = before
-        else:
-            half = values.copy()
-            sweep_pass(0, range(1, p))
-        if np.array_equal(values, before):
-            # Fixed point: every later iteration maps the design to itself,
-            # so its trace entries repeat the last ones exactly.
+        # A slice at its fixed point drops out and repeats its last trace
+        # entry. Restores keep each column's multiset: no _rms check needed.
+        sweeps = {j: sweep for j, sweep in sweeps.items() if next(sweep, False)}
+        if not sweeps:
             pad = iterations - it
             whole_trace.extend([whole_trace[-1]] * pad)
             for row in slice_traces:
                 row.extend([row[-1]] * pad)
             break
-        whole_trace.append(rms_correlation(values))
-        for j in range(t):
-            slice_traces[j].append(_block_rms(blocks[j]))
+        whole_trace.append(_rms(values))
+        for j, row in enumerate(slice_traces):
+            row.append(_rms(blocks[j]) if j in sweeps else row[-1])
 
     trace = SweepTrace(
         whole=tuple(whole_trace),
         per_slice=tuple(tuple(s) for s in slice_traces),
     )
     return Design(values, design.sizes), trace
+
+
+def _slice_sweep(block: np.ndarray):
+    """Sweep the slice ``block`` (n_j, p), a view, in one contiguous (p, n_j)
+    copy, one iteration a step: yields True after each iteration that moved
+    it, ends at its fixed point. Rank restore puts back ``own``, the copy's
+    sorted rows; the block holds the state as of the last iteration."""
+    state = block.T.copy()
+    p, n_j = state.shape
+    own = np.sort(state, axis=1)
+    offsets = np.arange(0, state.size, n_j)[:, None]  # flat start of each row
+    half = None  # the forward state of the last iteration
+    while True:
+        _library_pass(state, own, offsets, p - 1, slice(0, p - 1))
+        if half is not None and np.array_equal(state, half):
+            # F(S_{k-1}) = F(S_{k-2}), so S_k = S_{k-1}: the fixed point,
+            # found half an iteration early (see the module docstring).
+            return
+        half = state.copy()
+        _library_pass(state, own, offsets, 0, slice(1, p))
+        done = np.array_equal(state, block.T)
+        block[...] = state.T
+        if done:
+            return
+        yield True
+
+
+def _library_pass(state, own, offsets, covariate: int, responses: slice) -> None:
+    """Residualize the ``responses`` rows of ``state`` (p, n_j) on the
+    ``covariate`` row, all read as the pass starts, and rank-restore them.
+    residualize's arithmetic, its covariate terms computed once: add.reduce
+    / n_j is np.mean's, and each slope one 1-D BLAS dot, which sets ties."""
+    means = np.add.reduce(state, axis=1) / state.shape[1]
+    cd = state[covariate] - means[covariate]
+    den = float(cd @ cd)
+    if den != 0.0:  # a constant covariate leaves the responses as they are
+        for l in range(responses.start, responses.stop):
+            slope = float(cd @ (state[l] - means[l])) / den
+            state[l] -= slope * cd
+    _rank_restore_rows(state, own[responses], offsets, responses)
 
 
 def _sweep_batch(
@@ -213,16 +239,8 @@ def _sweep_batch(
     """Vectorized sweep over a batch of designs, in place.
 
     ``stacked`` has shape (R, n, p); ``blocks`` pairs each slice's row range
-    with its sorted midpoint vector. Like reduce_correlations it computes
-    only the surviving write per (pass, l) (see the module docstring), but
-    its floats can differ from reduce_correlations' in the last bit
-    (row-wise einsum here, a BLAS dot product in residualize). That decides
-    the rank of residuals that tie exactly, so the two sweeps can then
-    return different designs.
-
-    A pass reads only its own block's rows, so each block is swept on its
-    own, to its own fixed point (_sweep_block), in one call: a few copies of
-    the block bound the temporaries, so the batch's size bounds them.
+    with its sorted midpoint vector. Each block is swept on its own
+    (_sweep_block): a few copies of it bound the temporaries.
     """
     if stacked.shape[2] >= 2:
         for rows, mids in blocks:
@@ -232,13 +250,9 @@ def _sweep_batch(
 
 
 def _sweep_block(dest: np.ndarray, mids: np.ndarray, iterations: int) -> None:
-    """Sweep the block ``dest`` (m, n_j, p), a view, to its fixed point.
-
-    The block is copied once into a contiguous (m, p, n_j) array, replicate
-    i's column l at [i, l]. A replicate whose forward state repeats the last
-    iteration's, or that one iteration leaves unchanged, is at its fixed
-    point: it is written back and drops out.
-    """
+    """Sweep the block ``dest`` (m, n_j, p), a view, in one contiguous
+    (m, p, n_j) copy: a replicate at its fixed point is written back and
+    drops out."""
     state = dest.transpose(0, 2, 1).copy()
     m, p, n_j = state.shape
     # Flat start of each (replicate, column) row, for the rank-restore scatter.
@@ -291,10 +305,12 @@ def _residual_pass(state: np.ndarray, covariate: int, responses: slice) -> None:
 
 
 def _rank_restore_rows(
-    state: np.ndarray, mids: np.ndarray, offsets: np.ndarray, columns: slice
+    state: np.ndarray, targets: np.ndarray, offsets: np.ndarray, columns: slice
 ) -> None:
-    """Map each (replicate, column) row of ``state`` in ``columns`` onto
-    ``mids`` by rank, ties by position: one stable argsort, one flat scatter."""
-    order = np.argsort(state[:, columns], axis=2, kind="stable")
-    order += offsets[:, columns]
-    np.put(state, order, mids)  # mids repeats along each row of order
+    """Map each row of ``state`` (..., p, n_j) in ``columns`` onto the sorted
+    ``targets`` by rank, ties by position: one stable argsort, one flat
+    scatter. ``targets`` is one (n_j,) row, which put repeats along every
+    row, or one row per restored row; ``offsets`` is each row's flat start."""
+    order = np.argsort(state[..., columns, :], axis=-1, kind="stable")
+    order += offsets[..., columns, :]
+    np.put(state, order, targets)

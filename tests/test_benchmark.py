@@ -795,6 +795,41 @@ def test_custom_integrand_requires_callable_and_mean():
         run_experiment(cfg, custom_true_mean=0.5)
 
 
+def test_non_callable_custom_integrand_is_rejected_before_any_draw(monkeypatch):
+    # It drew a chunk and then failed with "'int' object is not callable".
+    cfg = _config(integrand="custom", sizes=SliceSizes((3, 3)), methods=("MLH",), replicates=2)
+    drawn = []
+    draw = benchmark._batch_designs
+
+    def spy(method, cfg, blocks, reps):
+        drawn.append(reps)
+        return draw(method, cfg, blocks, reps)
+
+    monkeypatch.setattr(benchmark, "_batch_designs", spy)
+    with pytest.raises(ValueError, match="^custom_integrand must be callable, got 3$"):
+        run_experiment(cfg, custom_integrand=3, custom_true_mean=0.5)
+    with pytest.raises(ValueError, match="^custom_integrand must be callable, got 'x'$"):
+        method_estimates("MLH", cfg, "x")
+    assert drawn == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_custom_integrand_values_are_rejected(bad):
+    # One NaN made the method's RMSE NaN with no error; f1 and f2 reject
+    # points outside their domain, and a custom integrand is held to the same.
+    cfg = _config(integrand="custom", sizes=SliceSizes((3, 3)), methods=("MLH", "SLH"),
+                  replicates=4)
+
+    def integrand(V):
+        F = V[:, :, 0].copy()
+        F[-1, 2] = bad
+        return F
+
+    message = "^custom_integrand returned a non-finite value for MLH$"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg, custom_integrand=integrand, custom_true_mean=0.5)
+
+
 @pytest.mark.parametrize("integrand, dim", [("f1", 5), ("f2", 2)])
 def test_custom_arguments_are_rejected_for_built_in_integrands(integrand, dim):
     # Each was ignored: a custom mean on f2 returned f2's RMSE.

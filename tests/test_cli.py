@@ -93,6 +93,23 @@ def test_values_format_round_trip(tmp_path):
     assert run_cli("validate", str(out), "--sizes", "3,4") == 0
 
 
+@pytest.mark.parametrize("fmt", ["levels", "values"])
+def test_design_text_rows_equal_per_element_formatting(fmt):
+    # Rows are formatted from tolist(): str of a Python int and repr of a
+    # Python float must give the bytes of str(int(v)) and repr(float(v)).
+    # The values design is jittered off the midpoints, so its reprs run long.
+    design = generate_sliced_lhd(SliceSizes((3, 7, 12)), 4, RngStream(5))
+    if fmt == "values":
+        jitter = np.random.default_rng(2).uniform(-0.4, 0.4, design.values.shape)
+        design = type(design)(design.values + jitter / design.n, design.sizes)
+        want = [" ".join(repr(float(v)) for v in row) for row in design.values]
+    else:
+        want = [" ".join(str(int(v)) for v in row) for row in 2 * design.levels() - 1]
+    text = cli._design_text(design, 5, False, fmt)
+    assert text.splitlines()[8:] == want
+    assert text.endswith("\n") and text.count("\n") == 8 + design.n
+
+
 def test_generate_decorrelate_with_trace(tmp_path):
     out = tmp_path / "design.txt"
     trace = tmp_path / "trace.csv"

@@ -19,7 +19,7 @@ from slicedlhd import (
     rms_correlation,
     validate_sliced,
 )
-from slicedlhd.decorrelate import _sweep_batch
+from slicedlhd.decorrelate import _rms, _sweep_batch
 from slicedlhd.generate import method_blocks, slice_blocks
 
 from _frozen_sweep import frozen_reduce_correlations, frozen_sweep_batch
@@ -550,6 +550,62 @@ def test_trace_repeats_its_tail_after_the_fixed_point():
     )
     assert fixed_at < iterations
     assert trace.whole[fixed_at:] == (trace.whole[fixed_at],) * (iterations + 1 - fixed_at)
+
+
+def test_trace_entries_hold_when_slices_stop_at_different_iterations():
+    # Each slice drops out at its own fixed point and repeats its last
+    # entry. The oracle recomputes every entry from the state reached by
+    # one-iteration steps, as in test_trace_repeats_its_tail_after_the_fixed_point.
+    sizes = SliceSizes((4, 9, 20))
+    design = generate_sliced_lhd(sizes, 3, RngStream(3))
+    iterations = 8
+    _, trace = reduce_correlations(design, iterations=iterations)
+    off = design.slice_offsets
+    states = [design.values]
+    for _ in range(iterations):
+        states.append(reduce_correlations(Design(states[-1], sizes), iterations=1)[0].values)
+    for k, values in enumerate(states):
+        assert trace.whole[k] == rms_correlation(values), k
+        for j, row in enumerate(trace.per_slice):
+            assert row[k] == rms_correlation(values[off[j]:off[j + 1]]), (k, j)
+    # The first iteration that leaves each slice unchanged: distinct, and
+    # each within the run, so the per-slice stop is what the trace shows.
+    stops = [
+        next(k for k in range(1, iterations + 1)
+             if np.array_equal(states[k][off[j]:off[j + 1]], states[k - 1][off[j]:off[j + 1]]))
+        for j in range(sizes.t)
+    ]
+    assert len(set(stops)) == sizes.t
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    p=st.integers(2, 8),
+    kind=st.sampled_from(["midpoints", "tied", "jittered"]),
+    start=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, p=2, kind="tied", start=0, seed=0)
+def test_unchecked_rms_equals_rms_correlation(n, p, kind, start, seed):
+    # _rms runs np.corrcoef's own steps without the checks: every bit must
+    # match rms_correlation and np.corrcoef itself, on the rows of a larger
+    # C-ordered array (the sweep's slice blocks) as on a whole array.
+    rng = np.random.default_rng(seed)
+    big = np.empty((start + n + 1, p))
+    m = big[start:start + n]
+    if kind == "tied":
+        # Three values only, each column holding the lowest and the highest.
+        m[...] = rng.choice([0.1, 0.5, 0.9], size=(n, p))
+        m[0], m[-1] = 0.1, 0.9
+    else:
+        m[...] = (np.argsort(rng.random((n, p)), axis=0) + 0.5) / n
+        if kind == "jittered":
+            m += rng.uniform(-0.5, 0.5, (n, p)) / n
+    corr = np.corrcoef(m, rowvar=False)
+    want = float(np.sqrt(np.mean(corr[np.triu_indices(p, k=1)] ** 2)))
+    assert _rms(m) == rms_correlation(m) == want
+    assert _rms(m.copy()) == want
 
 
 # Block sizes of 1 (never swept), 2 and either side of powers of two.
