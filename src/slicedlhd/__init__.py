@@ -13,7 +13,6 @@ from .core import (
     SliceSizes,
     level_midpoints,
     levels_from_values,
-    uniform_permutation,
 )
 from .partition import DeltaSequence, LevelStep, assignment_steps, delta_sequence, partition_levels
 from .generate import (
@@ -34,7 +33,6 @@ from .benchmark import (
     RmseReport,
     eval_f1,
     eval_f2,
-    mc_mean,
     render_table,
     run_experiment,
     true_mean_f1,
@@ -66,7 +64,6 @@ __all__ = [
     "is_lhd_column",
     "level_midpoints",
     "levels_from_values",
-    "mc_mean",
     "partition_levels",
     "reduce_correlations",
     "render_table",
@@ -75,7 +72,6 @@ __all__ = [
     "run_experiment",
     "true_mean_f1",
     "true_mean_f2",
-    "uniform_permutation",
     "validate_sliced",
     "write_trace_csv",
     "__version__",

@@ -26,7 +26,6 @@ __all__ = [
     "RngStream",
     "level_midpoints",
     "levels_from_values",
-    "uniform_permutation",
 ]
 
 
@@ -59,6 +58,12 @@ class SliceSizes:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.sizes, (tuple, list)) and not (
+            isinstance(self.sizes, np.ndarray) and self.sizes.ndim == 1
+        ):
+            raise ValueError(
+                f"slice sizes must be a tuple, a list or a 1-D integer array, got {self.sizes!r}"
+            )
         sizes = tuple(self.sizes)
         if not all(map(_is_integer, sizes)):
             raise ValueError(f"slice sizes must be integers, got {sizes!r}")
@@ -146,18 +151,10 @@ class Design:
     def slice_offsets(self) -> tuple[int, ...]:
         return self.sizes.offsets()
 
-    def slice_block(self, j: int) -> np.ndarray:
-        """View of slice j's rows (no copy)."""
-        off = self.slice_offsets
-        return self.values[off[j] : off[j + 1], :]
-
     def levels(self) -> np.ndarray:
         """Integer levels a with value == (2a-1)/(2n); only meaningful for
         designs on the full midpoint grid."""
         return levels_from_values(self.values, self.n)
-
-    def copy(self) -> "Design":
-        return Design(self.values.copy(), self.sizes)
 
 
 def levels_from_values(values: np.ndarray, n: int) -> np.ndarray:
@@ -308,14 +305,3 @@ def _rekeyed(pool, h, replicates: range, tail: tuple[int, ...]):
         keyed["key"] = key
         bitgen.state = state
         yield gen
-
-
-def uniform_permutation(m: int, rng: RngStream) -> np.ndarray:
-    """A uniformly random permutation of {1, ..., m} drawn from ``rng``.
-
-    Pure with respect to the stream: the same stream yields the same
-    permutation. Callers wanting independent permutations split first.
-    """
-    if m < 1:
-        raise ValueError(f"permutation length must be >= 1, got {m}")
-    return rng.generator().permutation(m) + 1

@@ -14,7 +14,7 @@ the block state as it was at the START of that pass. Writes do not chain:
 when several k touch the same l inside one pass, the last write wins (k = p
 in the forward pass, k = 1 in the backward pass). This stale-read behavior
 is deliberate and pinned by golden tests; chaining the updates produces
-different (and not reproducible) matrices. So both sweeps compute only the
+different (and not reproducible) matrices. So the sweep computes only the
 surviving writes: forward, every column l < p against column p; backward,
 every column l > 1 against column 1. Each is the very call the literal
 loops make last, so reduce_correlations returns their result bit for bit.
@@ -25,43 +25,41 @@ Only the columns a pass wrote are restored (one stable argsort and one
 scatter): the other one (p forward, 1 backward) holds its own values, and a
 stable rank restore maps it to itself.
 
-A pass reads only its own block's rows, so both sweeps hold each slice block
-as one contiguous (column, row) array (the batch sweep one per replicate) and
-sweep it to its own fixed point: once one iteration leaves a block unchanged,
-every later one would too. They stop half an iteration sooner too. Write S_k = B(F(S_{k-1})), F the forward pass
-and its restore, B the backward one. If F(S_{k-1}) equals the last
-F(S_{k-2}), then S_k = B(F(S_{k-2})) = S_{k-1}: the fixed point, so S_{k-1}
-is kept and B not run. A stopped block drops out while the others go on:
-reduce_correlations repeats its last per-slice trace entry, which would
-measure the same state, and pads the whole trace once no block is left.
-Outputs and traces are bit-identical to running all iterations in full,
-unless a slice column holds both 0.0 and -0.0: then the sign of a zero can
-differ.
+One loop (_sweep_block) and one pass (_residual_pass) serve both callers. A
+pass reads only its own block's rows, so a block is one contiguous (column,
+row) array per replicate: reduce_correlations sweeps each slice as a block of
+one, the benchmark's batch sweep a chunk of replicates at a time, so the chunk
+bounds its memory. Each replicate is swept to its own fixed point: once one
+iteration leaves it unchanged, every later one would too. It stops half an
+iteration sooner too. Write S_k = B(F(S_{k-1})), F the forward pass and its
+restore, B the backward one. If F(S_{k-1}) equals the last F(S_{k-2}), then
+S_k = B(F(S_{k-2})) = S_{k-1}: the fixed point, so S_{k-1} is kept and B not
+run. A stopped replicate drops out while the others go on: reduce_correlations
+repeats a stopped slice's last trace entry, which would measure the same
+state, and pads the whole trace once no slice is left. Outputs and traces are
+bit-identical to running all iterations in full, unless a slice column holds
+both 0.0 and -0.0: then the sign of a zero can differ. Every sum runs along a
+block row, as for one replicate swept alone, so neither the chunk nor the
+stop moves a bit.
 
-The two sweeps differ only in the dot kernel of the slopes: one 1-D BLAS dot
-per response row in reduce_correlations (residualize's own call), a row-wise
-einsum in the batch sweep. Their last bits can differ, and they decide the
-rank of residuals that tie exactly, so the sweeps can then return different
-designs. The benchmark hands the batch sweep one chunk of replicates at a
-time, so the chunk bounds its memory. Every sum runs along a block row, as
-for one replicate swept alone, so neither the chunk nor the stop moves a bit.
+The slope kernel is the only fork: one 1-D BLAS dot per response row in
+reduce_correlations (_blas_slopes, residualize's own call), a row-wise einsum
+in the batch sweep (_einsum_slopes). Their last bits can differ, and they
+decide the rank of residuals that tie exactly, so the two callers can then
+return different designs; each kernel keeps its own pinned outputs.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Design, LevelPartition, _as_integer
 
-__all__ = [
-    "SweepTrace",
-    "residualize",
-    "rms_correlation",
-    "reduce_correlations",
-]
+__all__ = ["SweepTrace", "residualize", "rms_correlation", "reduce_correlations"]
 
 
 def residualize(response, covariate) -> np.ndarray:
@@ -94,6 +92,8 @@ def rms_correlation(matrix) -> float:
         raise ValueError("need a matrix with at least two columns")
     if m.shape[0] < 2:
         raise ValueError("need at least two rows to correlate")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix values must be finite")
     if np.any(m.std(axis=0) == 0.0):
         raise ValueError("zero-variance column has undefined correlation")
     return _rms(m)
@@ -114,14 +114,6 @@ def _rms(m: np.ndarray) -> float:
     c /= stddev[None, :]
     np.clip(c, -1, 1, out=c)
     return float(np.sqrt(np.mean(c[_upper(c.shape[0])] ** 2)))
-
-
-def _block_rms(block: np.ndarray) -> float:
-    # Per-slice trace entry; a block too small to correlate contributes 0.0
-    # so trace entries stay within [0, 1].
-    if block.shape[0] < 2:
-        return 0.0
-    return rms_correlation(block)
 
 
 @dataclass(frozen=True)
@@ -168,67 +160,29 @@ def reduce_correlations(
     values = design.values.copy()
     blocks = [values[off[j] : off[j + 1]] for j in range(design.sizes.t)]
     whole_trace = [rms_correlation(values)]
-    slice_traces = [[_block_rms(block)] for block in blocks]
-    sweeps = {j: _slice_sweep(block) for j, block in enumerate(blocks) if block.shape[0] >= 2}
-    for it in range(iterations):
+    # A slice too small to correlate has trace entries of 0.0, so every entry
+    # stays within [0, 1]; each larger one is swept as a block of one,
+    # restored onto its own sorted columns.
+    slice_traces = [[rms_correlation(block) if len(block) > 1 else 0.0] for block in blocks]
+    sweeps = {
+        j: _sweep_block(block[None], np.sort(block.T, axis=1), iterations, _blas_slopes)
+        for j, block in enumerate(blocks)
+        if len(block) > 1
+    }
+    for _ in range(iterations):
         # A slice at its fixed point drops out and repeats its last trace
         # entry. Restores keep each column's multiset: no _rms check needed.
-        sweeps = {j: sweep for j, sweep in sweeps.items() if next(sweep, False)}
-        if not sweeps:
-            pad = iterations - it
-            whole_trace.extend([whole_trace[-1]] * pad)
-            for row in slice_traces:
-                row.extend([row[-1]] * pad)
-            break
-        whole_trace.append(_rms(values))
+        for j, sweep in list(sweeps.items()):
+            state = next(sweep, None)
+            if state is None:
+                del sweeps[j]
+            else:
+                blocks[j][...] = state[0].T
+        whole_trace.append(_rms(values) if sweeps else whole_trace[-1])
         for j, row in enumerate(slice_traces):
             row.append(_rms(blocks[j]) if j in sweeps else row[-1])
-
-    trace = SweepTrace(
-        whole=tuple(whole_trace),
-        per_slice=tuple(tuple(s) for s in slice_traces),
-    )
+    trace = SweepTrace(tuple(whole_trace), tuple(map(tuple, slice_traces)))
     return Design(values, design.sizes), trace
-
-
-def _slice_sweep(block: np.ndarray):
-    """Sweep the slice ``block`` (n_j, p), a view, in one contiguous (p, n_j)
-    copy, one iteration a step: yields True after each iteration that moved
-    it, ends at its fixed point. Rank restore puts back ``own``, the copy's
-    sorted rows; the block holds the state as of the last iteration."""
-    state = block.T.copy()
-    p, n_j = state.shape
-    own = np.sort(state, axis=1)
-    offsets = np.arange(0, state.size, n_j)[:, None]  # flat start of each row
-    half = None  # the forward state of the last iteration
-    while True:
-        _library_pass(state, own, offsets, p - 1, slice(0, p - 1))
-        if half is not None and np.array_equal(state, half):
-            # F(S_{k-1}) = F(S_{k-2}), so S_k = S_{k-1}: the fixed point,
-            # found half an iteration early (see the module docstring).
-            return
-        half = state.copy()
-        _library_pass(state, own, offsets, 0, slice(1, p))
-        done = np.array_equal(state, block.T)
-        block[...] = state.T
-        if done:
-            return
-        yield True
-
-
-def _library_pass(state, own, offsets, covariate: int, responses: slice) -> None:
-    """Residualize the ``responses`` rows of ``state`` (p, n_j) on the
-    ``covariate`` row, all read as the pass starts, and rank-restore them.
-    residualize's arithmetic, its covariate terms computed once: add.reduce
-    / n_j is np.mean's, and each slope one 1-D BLAS dot, which sets ties."""
-    means = np.add.reduce(state, axis=1) / state.shape[1]
-    cd = state[covariate] - means[covariate]
-    den = float(cd @ cd)
-    if den != 0.0:  # a constant covariate leaves the responses as they are
-        for l in range(responses.start, responses.stop):
-            slope = float(cd @ (state[l] - means[l])) / den
-            state[l] -= slope * cd
-    _rank_restore_rows(state, own[responses], offsets, responses)
 
 
 def _sweep_batch(
@@ -245,72 +199,91 @@ def _sweep_batch(
     if stacked.shape[2] >= 2:
         for rows, mids in blocks:
             if mids.size >= 2:
-                _sweep_block(stacked[:, rows, :], mids, iterations)
+                # Exhausted without holding a yielded state, which would raise the peak.
+                deque(_sweep_block(stacked[:, rows, :], mids, iterations, _einsum_slopes), 0)
     return stacked
 
 
-def _sweep_block(dest: np.ndarray, mids: np.ndarray, iterations: int) -> None:
-    """Sweep the block ``dest`` (m, n_j, p), a view, in one contiguous
-    (m, p, n_j) copy: a replicate at its fixed point is written back and
-    drops out."""
+def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes):
+    """Sweep the block ``dest`` (m, n_j, p), a view, in contiguous (m, p, n_j)
+    states, restoring onto ``targets`` (each row's sorted values, or one
+    (n_j,) row for all). Yields the live replicates' state after each
+    iteration that moved one; a replicate at its fixed point is written back
+    to ``dest`` and drops out, and the rest are written back at the end."""
     state = dest.transpose(0, 2, 1).copy()
     m, p, n_j = state.shape
+    restored = np.empty((p, n_j))  # each row's sorted values
+    restored[...] = targets
     # Flat start of each (replicate, column) row, for the rank-restore scatter.
     offsets = np.arange(0, state.size, n_j).reshape(m, p, 1)
+    forward = (p - 1, slice(0, p - 1), restored[:-1])
+    backward = (0, slice(1, p), restored[1:])
     live = np.arange(m)
     half = None  # the forward state of the last iteration, live rows only
     for _ in range(iterations):
-        before = state.copy()
-        _residual_pass(state, p - 1, slice(0, p - 1))
-        _rank_restore_rows(state, mids, offsets[: live.size], slice(0, p - 1))
-        if half is not None:
+        # Each pass returns a new state, so the last ones need no copies. A
+        # spent state is dropped at once, which lowers the compactions' peak.
+        last, half = half, _residual_pass(state, *forward, offsets, slopes)
+        if last is not None:
             # F(S_{k-1}) = F(S_{k-2}) means S_k = S_{k-1}: write S_{k-1} back.
-            done = ~(state != half).reshape(live.size, -1).any(axis=1)
-            if done.any():
-                dest[live[done]] = before[done].transpose(0, 2, 1)
-                state, before, live = state[~done], before[~done], live[~done]
+            moved = (half != last).any(axis=(1, 2))
+            del last
+            if np.count_nonzero(moved) < live.size:
+                dest[live[~moved]] = state[~moved].transpose(0, 2, 1)
+                state, half, live = state[moved], half[moved], live[moved]
                 if live.size == 0:
                     return
-        half = state.copy()
-        _residual_pass(state, 0, slice(1, p))
-        _rank_restore_rows(state, mids, offsets[: live.size], slice(1, p))
-        done = ~(state != before).reshape(live.size, -1).any(axis=1)
-        del before  # lowers the peak while the live set is compacted
-        if done.any():
-            dest[live[done]] = state[done].transpose(0, 2, 1)
-            state, half, live = state[~done], half[~done], live[~done]
+        last, state = state, _residual_pass(half, *backward, offsets, slopes)
+        moved = (state != last).any(axis=(1, 2))
+        del last
+        if np.count_nonzero(moved) < live.size:
+            dest[live[~moved]] = state[~moved].transpose(0, 2, 1)
+            state, half, live = state[moved], half[moved], live[moved]
             if live.size == 0:
                 return
+        yield state
     dest[live] = state.transpose(0, 2, 1)
 
 
-def _residual_pass(state: np.ndarray, covariate: int, responses: slice) -> None:
-    """Residualize the ``responses`` columns of ``state`` (m, p, n_j) on the
-    ``covariate`` column, row by row, all read as the pass starts.
+def _residual_pass(state, covariate: int, responses: slice, targets, offsets, slopes):
+    """``state`` (m, p, n_j) with its ``responses`` rows residualized on the
+    ``covariate`` row, all read as the pass starts, and rank-restored onto
+    ``targets``, their sorted values: a new array; ``state`` is left as it is.
 
-    Each sum runs along one contiguous row: add.reduce / n_j is np.mean's
-    own arithmetic, and the einsum row reduction is the one whose last bits
-    set the order of exactly tied residuals, so neither may change."""
-    centred = state - np.add.reduce(state, axis=2, keepdims=True) / state.shape[2]
-    cd = centred[:, covariate, :]
+    Each sum runs along one contiguous row, and add.reduce / n_j is
+    np.mean's own arithmetic. ``slopes(centred, covariate, responses)``
+    gives the (m, r) slopes; its dot kernel sets the order of exactly tied
+    residuals, so neither may change."""
+    out = state - np.add.reduce(state, axis=2, keepdims=True) / state.shape[2]
+    slope = slopes(out, covariate, responses)
+    # The responses' centred rows are spent: they take slope * cd, then the
+    # residuals, while the covariate row takes its values back.
+    rows = out[:, responses]
+    np.multiply(slope[:, :, None], out[:, covariate, None], out=rows)
+    np.subtract(state[:, responses], rows, out=rows)
+    out[:, covariate] = state[:, covariate]
+    # Rank restore, ties by position: one stable argsort, one flat scatter
+    # (``offsets`` is each row's flat start), which repeats ``targets`` for
+    # every replicate.
+    order = rows.argsort(axis=-1, kind="stable")
+    order += offsets[: len(out), responses]
+    out.put(order, targets)
+    return out
+
+
+def _einsum_slopes(centred, covariate: int, responses: slice) -> np.ndarray:
+    """Slopes by one row-wise einsum; 0 on a constant covariate."""
     # [i, k] = sum_j centred[i, k, j] * cd[i, j]; at k = covariate that is
     # the covariate's own sum of squares, the slopes' denominator.
-    num = np.einsum("ikj,ij->ik", centred, cd)
+    num = np.einsum("ikj,ij->ik", centred, centred[:, covariate, :])
     den = num[:, covariate, None]
     num = num[:, responses]
-    slope = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    # The responses' centred rows are spent: reuse them for slope * cd.
-    shift = np.multiply(slope[:, :, None], cd[:, None, :], out=centred[:, responses, :])
-    state[:, responses, :] -= shift
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _rank_restore_rows(
-    state: np.ndarray, targets: np.ndarray, offsets: np.ndarray, columns: slice
-) -> None:
-    """Map each row of ``state`` (..., p, n_j) in ``columns`` onto the sorted
-    ``targets`` by rank, ties by position: one stable argsort, one flat
-    scatter. ``targets`` is one (n_j,) row, which put repeats along every
-    row, or one row per restored row; ``offsets`` is each row's flat start."""
-    order = np.argsort(state[..., columns, :], axis=-1, kind="stable")
-    order += offsets[..., columns, :]
-    np.put(state, order, targets)
+def _blas_slopes(centred, covariate: int, responses: slice) -> np.ndarray:
+    """Slopes of an m = 1 block by residualize's own 1-D BLAS dots; 0 on a
+    constant covariate."""
+    cd = centred[0, covariate]
+    den = float(cd @ cd)
+    return np.array([[float(cd @ row) / den if den else 0.0 for row in centred[0, responses]]])

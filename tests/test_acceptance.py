@@ -39,7 +39,6 @@ from slicedlhd import (
     eval_f2,
     generate_sliced_lhd,
     levels_from_values,
-    mc_mean,
     partition_levels,
     reduce_correlations,
     residualize,
@@ -61,6 +60,7 @@ from _goldens import (
     SWEEP_FINAL,
     SWEEP_START,
 )
+from _monte_carlo import mc_mean
 from _quadrature import f2_quadrature
 
 SEED = 20240817

@@ -19,7 +19,6 @@ from slicedlhd import (
     eval_f1,
     eval_f2,
     level_midpoints,
-    mc_mean,
     reduce_correlations,
     render_table,
     run_experiment,
@@ -33,6 +32,7 @@ from slicedlhd import benchmark, core
 from slicedlhd.benchmark import RmseReport, method_estimates
 from slicedlhd.generate import method_blocks
 
+from _monte_carlo import mc_mean
 from _quadrature import f2_quadrature
 
 

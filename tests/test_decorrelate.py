@@ -19,7 +19,7 @@ from slicedlhd import (
     rms_correlation,
     validate_sliced,
 )
-from slicedlhd.decorrelate import _rms, _sweep_batch
+from slicedlhd.decorrelate import _blas_slopes, _einsum_slopes, _rms, _sweep_batch
 from slicedlhd.generate import method_blocks, slice_blocks
 
 from _frozen_sweep import frozen_reduce_correlations, frozen_sweep_batch
@@ -328,6 +328,60 @@ def test_rms_correlation_basics():
         rms_correlation(m[:1])
     with pytest.raises(ValueError):
         rms_correlation(np.array([[0.1, 0.5], [0.1, 0.7]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rms_correlation_rejects_non_finite_values(bad):
+    # Unchecked, a NaN came back as a NaN correlation without an error.
+    with pytest.raises(ValueError, match="^matrix values must be finite$"):
+        rms_correlation([[bad, 1.0], [2.0, 3.0], [1.0, 0.5]])
+
+
+def _centred(block):
+    # A sweep state (1, p, n_j) of ``block`` (n_j, p), centred as a pass does.
+    state = block.T[None].copy()
+    return state - np.add.reduce(state, axis=2, keepdims=True) / state.shape[2]
+
+
+def test_slope_kernels_split_the_known_tie():
+    # The one place the library and the batch sweep differ is the dot kernel
+    # of the slopes. On the first forward pass of the first slice of sizes
+    # (5,1,4), p = 2, RngStream(3).split(97), the BLAS dot gives exactly
+    # -0.5 and the row-wise einsum one ulp nearer 0. That bit decides the order
+    # of exactly tied residuals, so the two sweeps can return different
+    # designs, and each kernel keeps its pinned outputs.
+    design = generate_sliced_lhd(SliceSizes((5, 1, 4)), 2, RngStream(3).split(97))
+    centred = _centred(design.values[:5])
+    assert _blas_slopes(centred, 1, slice(0, 1)).tolist() == [[-0.5]]
+    assert _einsum_slopes(centred, 1, slice(0, 1)).tolist() == [[-0.5 + 2.0**-54]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_j=st.integers(2, 60),
+    p=st.integers(2, 8),
+    covariate=st.sampled_from(["first", "last"]),
+    constant=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slope_kernels_agree_to_rounding(n_j, p, covariate, constant, seed):
+    # Apart from their last bits the two kernels give the same slopes, and
+    # both give 0 on a constant covariate.
+    block = np.random.default_rng(seed).random((n_j, p))
+    cov, responses = (0, slice(1, p)) if covariate == "first" else (p - 1, slice(0, p - 1))
+    if constant:
+        block[:, cov] = 0.25
+    centred = _centred(block)
+    blas = _blas_slopes(centred, cov, responses)
+    einsum = _einsum_slopes(centred, cov, responses)
+    assert blas.shape == einsum.shape == (1, p - 1)
+    cd = centred[0, cov]
+    den = float(cd @ cd)
+    if den == 0.0:
+        assert not blas.any() and not einsum.any()
+        return
+    bound = 1e-12 * np.linalg.norm(cd) * np.linalg.norm(centred[0, responses], axis=1) / den
+    assert np.all(np.abs(blas[0] - einsum[0]) <= bound)
 
 
 def test_batch_sweep_matches_reference_exactly():
