@@ -104,16 +104,18 @@ _upper = functools.cache(functools.partial(np.triu_indices, k=1))
 
 def _rms(m: np.ndarray) -> float:
     """rms_correlation of a float64 (n, p) array, unchecked: np.corrcoef's
-    own steps on the same layouts, so the same bits."""
+    own steps on the same layouts, so the same bits. Each np.mean is written
+    as its own arithmetic, add.reduce / count, without its Python wrapper."""
     X = np.array(m).T
-    X -= X.mean(axis=1)[:, None]
+    X -= (np.add.reduce(X, axis=1) / X.shape[1])[:, None]
     c = np.dot(X, X.T.conj())
     c *= np.true_divide(1, X.shape[1] - 1)
-    stddev = np.sqrt(np.diag(c))
+    stddev = np.sqrt(c.diagonal())
     c /= stddev[:, None]
     c /= stddev[None, :]
     np.clip(c, -1, 1, out=c)
-    return float(np.sqrt(np.mean(c[_upper(c.shape[0])] ** 2)))
+    upper = c[_upper(c.shape[0])] ** 2
+    return float(np.sqrt(np.add.reduce(upper) / upper.size))
 
 
 @dataclass(frozen=True)
