@@ -17,7 +17,6 @@ from .core import (
 from .partition import DeltaSequence, LevelStep, assignment_steps, delta_sequence, partition_levels
 from .generate import (
     generate_independent_lhds,
-    generate_midpoint_lhd,
     generate_randomized_lhd,
     generate_sliced_lhd,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "eval_f1",
     "eval_f2",
     "generate_independent_lhds",
-    "generate_midpoint_lhd",
     "generate_randomized_lhd",
     "generate_sliced_lhd",
     "is_lhd_column",

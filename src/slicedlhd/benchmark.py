@@ -56,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RngStream, SliceSizes, _as_integer
+from .core import RngStream, SliceSizes, _as_integer, _as_slice_sizes
 from .decorrelate import SweepTrace, _sweep_batch
 from .generate import method_blocks
 
@@ -173,8 +173,7 @@ class ExperimentConfig:
     f1_variant: str = "literal"
 
     def __post_init__(self):
-        if not isinstance(self.sizes, SliceSizes):
-            raise ValueError(f"sizes must be a SliceSizes, got {self.sizes!r}")
+        _as_slice_sizes(self.sizes)
         for name in ("dim", "replicates", "seed"):
             object.__setattr__(self, name, _as_integer(name, getattr(self, name)))
         if self.integrand not in ("f1", "f2", "custom"):

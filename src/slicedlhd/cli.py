@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import ExperimentConfig, render_table, run_experiment, write_trace_csv
-from .core import Design, RngStream, SliceSizes
+from .core import Design, RngStream, SliceSizes, levels_from_values
 from .decorrelate import reduce_correlations
 from .generate import generate_sliced_lhd
 from .validate import validate_sliced
@@ -74,7 +74,8 @@ def _design_text(design: Design, seed: int, decorrelated: bool, fmt: str) -> str
         # Store the odd numerators 2a-1 of the midpoints (2a-1)/(2n); exact.
         # tolist() yields Python ints and floats: their str and repr are the
         # bytes of str(int(v)) and repr(float(v)) per element.
-        lines += [" ".join(map(str, row)) for row in (2 * design.levels() - 1).tolist()]
+        levels = levels_from_values(design.values, design.n)
+        lines += [" ".join(map(str, row)) for row in (2 * levels - 1).tolist()]
     else:
         lines += [" ".join(map(repr, row)) for row in design.values.tolist()]
     return "\n".join(lines) + "\n"

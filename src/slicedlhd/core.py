@@ -90,6 +90,13 @@ class SliceSizes:
         return tuple(out)
 
 
+def _as_slice_sizes(sizes) -> SliceSizes:
+    """``sizes`` itself, or a ValueError naming it if it is not a SliceSizes."""
+    if not isinstance(sizes, SliceSizes):
+        raise ValueError(f"sizes must be a SliceSizes, got {sizes!r}")
+    return sizes
+
+
 @dataclass(frozen=True)
 class LevelPartition:
     """Groups G_1,...,G_t of levels {1,...,n}, each exposed sorted ascending."""
@@ -128,8 +135,7 @@ class Design:
     sizes: SliceSizes
 
     def __post_init__(self):
-        if not isinstance(self.sizes, SliceSizes):
-            raise ValueError(f"sizes must be a SliceSizes, got {self.sizes!r}")
+        _as_slice_sizes(self.sizes)
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("design values must be a 2-D matrix")
@@ -150,11 +156,6 @@ class Design:
     @property
     def slice_offsets(self) -> tuple[int, ...]:
         return self.sizes.offsets()
-
-    def levels(self) -> np.ndarray:
-        """Integer levels a with value == (2a-1)/(2n); only meaningful for
-        designs on the full midpoint grid."""
-        return levels_from_values(self.values, self.n)
 
 
 def levels_from_values(values: np.ndarray, n: int) -> np.ndarray:

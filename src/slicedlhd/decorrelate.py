@@ -29,18 +29,19 @@ One loop (_sweep_block) and one pass (_residual_pass) serve both callers. A
 pass reads only its own block's rows, so a block is one contiguous (column,
 row) array per replicate: reduce_correlations sweeps each slice as a block of
 one, the benchmark's batch sweep a chunk of replicates at a time, so the chunk
-bounds its memory. Each replicate is swept to its own fixed point: once one
-iteration leaves it unchanged, every later one would too. It stops half an
-iteration sooner too. Write S_k = B(F(S_{k-1})), F the forward pass and its
-restore, B the backward one. If F(S_{k-1}) equals the last F(S_{k-2}), then
-S_k = B(F(S_{k-2})) = S_{k-1}: the fixed point, so S_{k-1} is kept and B not
-run. A stopped replicate drops out while the others go on: reduce_correlations
-repeats a stopped slice's last trace entry, which would measure the same
-state, and pads the whole trace once no slice is left. Outputs and traces are
-bit-identical to running all iterations in full, unless a slice column holds
-both 0.0 and -0.0: then the sign of a zero can differ. Every sum runs along a
-block row, as for one replicate swept alone, so neither the chunk nor the
-stop moves a bit.
+bounds its memory. Each replicate is swept to its own fixed point, and one
+check after each pass finds it. Write S_k = B(F(S_{k-1})), F the forward pass
+and its restore, B the backward one. If a pass's new output equals its own
+previous one, the next output of the other pass does too, and so on: the
+replicate is at its fixed point. After a backward pass that point is the new
+S_k; after a forward pass it is S_{k-1}, since F(S_{k-1}) = F(S_{k-2}) gives
+S_k = S_{k-1}, so B is not run. A stopped replicate drops out while the
+others go on: reduce_correlations repeats a stopped slice's last trace entry,
+which would measure the same state, and pads the whole trace once no slice
+is left. Outputs and traces are bit-identical to running all iterations in
+full, unless a slice column holds both 0.0 and -0.0: then the sign of a zero
+can differ. Every sum runs along a block row, as for one replicate swept
+alone, so neither the chunk nor the stop moves a bit.
 
 The slope kernel is the only fork: one 1-D BLAS dot per response row in
 reduce_correlations (_blas_slopes, residualize's own call), a row-wise einsum
@@ -153,6 +154,8 @@ def reduce_correlations(
         raise ValueError("correlation reduction needs at least two columns")
     if design.n < 2:
         raise ValueError("correlation reduction needs at least two rows")
+    if partition is not None and not isinstance(partition, LevelPartition):
+        raise ValueError(f"partition must be a LevelPartition, got {partition!r}")
     if partition is not None and partition.sizes != design.sizes:
         raise ValueError("partition slice sizes do not match the design")
     if not np.isfinite(design.values).all():
@@ -212,39 +215,31 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes)
     (n_j,) row for all). Yields the live replicates' state after each
     iteration that moved one; a replicate at its fixed point is written back
     to ``dest`` and drops out, and the rest are written back at the end."""
-    state = dest.transpose(0, 2, 1).copy()
-    m, p, n_j = state.shape
+    # last[i] is pass i's last output, pass 0 the forward and 1 the backward
+    # pass; NaN, equal to no value, and the input stand in for them at the
+    # start. A spent state is dropped at once, never held under another name.
+    last = [np.nan, dest.transpose(0, 2, 1).copy()]
+    m, p, n_j = last[1].shape
     restored = np.empty((p, n_j))  # each row's sorted values
     restored[...] = targets
     # Flat start of each (replicate, column) row, for the rank-restore scatter.
-    offsets = np.arange(0, state.size, n_j).reshape(m, p, 1)
-    forward = (p - 1, slice(0, p - 1), restored[:-1])
-    backward = (0, slice(1, p), restored[1:])
+    offsets = np.arange(0, last[1].size, n_j).reshape(m, p, 1)
+    passes = ((p - 1, slice(0, p - 1), restored[:-1]), (0, slice(1, p), restored[1:]))
     live = np.arange(m)
-    half = None  # the forward state of the last iteration, live rows only
     for _ in range(iterations):
-        # Each pass returns a new state, so the last ones need no copies. A
-        # spent state is dropped at once, which lowers the compactions' peak.
-        last, half = half, _residual_pass(state, *forward, offsets, slopes)
-        if last is not None:
-            # F(S_{k-1}) = F(S_{k-2}) means S_k = S_{k-1}: write S_{k-1} back.
-            moved = (half != last).any(axis=(1, 2))
-            del last
+        for i, step in enumerate(passes):
+            # Pass i reads the other pass's output and takes the place of its
+            # own previous one, which is popped, compared and dropped.
+            last.insert(i, _residual_pass(last[i - 1], *step, offsets, slopes))
+            moved = (last.pop(i + 1) != last[i]).any(axis=(1, 2))
             if np.count_nonzero(moved) < live.size:
-                dest[live[~moved]] = state[~moved].transpose(0, 2, 1)
-                state, half, live = state[moved], half[moved], live[moved]
+                # A repeat is the fixed point, and last[1] holds it.
+                dest[live[~moved]] = last[1][~moved].transpose(0, 2, 1)
+                last, live = [state[moved] for state in last], live[moved]
                 if live.size == 0:
                     return
-        last, state = state, _residual_pass(half, *backward, offsets, slopes)
-        moved = (state != last).any(axis=(1, 2))
-        del last
-        if np.count_nonzero(moved) < live.size:
-            dest[live[~moved]] = state[~moved].transpose(0, 2, 1)
-            state, half, live = state[moved], half[moved], live[moved]
-            if live.size == 0:
-                return
-        yield state
-    dest[live] = state.transpose(0, 2, 1)
+        yield last[1]
+    dest[live] = last[1].transpose(0, 2, 1)
 
 
 def _residual_pass(state, covariate: int, responses: slice, targets, offsets, slopes):

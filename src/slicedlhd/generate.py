@@ -17,6 +17,7 @@ from .core import (
     RngStream,
     SliceSizes,
     _as_integer,
+    _as_slice_sizes,
     level_midpoints,
 )
 from .decorrelate import reduce_correlations
@@ -24,7 +25,6 @@ from .partition import partition_levels
 
 __all__ = [
     "generate_sliced_lhd",
-    "generate_midpoint_lhd",
     "generate_randomized_lhd",
     "generate_independent_lhds",
 ]
@@ -43,6 +43,7 @@ def method_blocks(grid: str, sizes: SliceSizes) -> list[tuple[slice, np.ndarray]
     its own n_j-level grid) or "sliced" (slice j on its partition group of
     the n-level grid).
     """
+    _as_slice_sizes(sizes)
     if grid == "full":
         return [(slice(0, sizes.n), level_midpoints(np.arange(1, sizes.n + 1), sizes.n))]
     if grid == "own":
@@ -87,15 +88,6 @@ def generate_sliced_lhd(
     if partition is not None and partition != partition_levels(sizes):
         raise ValueError("partition is not the partition of these slice sizes")
     return Design(_fill(method_blocks("sliced", sizes), sizes.n, p, rng), sizes)
-
-
-def generate_midpoint_lhd(n: int, p: int, rng: RngStream) -> Design:
-    """Single-slice design with each column a permutation of the n midpoints."""
-    n, p = _as_integer("n", n), _as_integer("p", p)
-    if n < 1 or p < 1:
-        raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
-    sizes = SliceSizes((n,))
-    return Design(_fill(method_blocks("full", sizes), n, p, rng), sizes)
 
 
 def generate_randomized_lhd(n: int, p: int, rng: RngStream) -> Design:

@@ -21,7 +21,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import SliceSizes, LevelPartition
+from .core import SliceSizes, LevelPartition, _as_slice_sizes
 
 __all__ = [
     "DeltaSequence",
@@ -80,7 +80,7 @@ def _walk(sizes: SliceSizes):
     ``assignments`` lists the (slice_index, level) pairs made at level i.
     The working set is the walk's own list, valid until the next level.
     """
-    closings = _closings(sizes)
+    closings = _closings(_as_slice_sizes(sizes))
     closing = next(closings, None)
     working: list[int] = []  # stays sorted: appended in increasing order
     for i in range(1, sizes.n + 1):
@@ -122,7 +122,7 @@ def partition_levels(sizes: SliceSizes) -> LevelPartition:
     ((m-1)/n_j, m/n_j] exactly once; the LevelPartition constructor
     re-checks the cheap structural invariants.
     """
-    groups: list[list[int]] = [[] for _ in range(sizes.t)]
+    groups: list[list[int]] = [[] for _ in range(_as_slice_sizes(sizes).t)]
     for _, assigned, _ in _walk(sizes):
         for k, u in assigned:
             groups[k].append(u)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Design, level_midpoints, levels_from_values
+from .core import Design, _as_integer, level_midpoints, levels_from_values
 
 __all__ = ["ValidationReport", "is_lhd_column", "validate_sliced"]
 
@@ -29,6 +29,9 @@ def is_lhd_column(column, bins: int) -> bool:
     ceil can round 7/25 into bin 8 of 25. Out-of-range and non-finite
     entries fail the check rather than being clamped into a bin.
     """
+    bins = _as_integer("bins", bins)
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     col = np.asarray(column, dtype=np.float64)
     if col.ndim != 1:
         raise ValueError("column must be a 1-D vector")

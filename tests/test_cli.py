@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slicedlhd import RngStream, SliceSizes, generate_sliced_lhd, reduce_correlations
+from slicedlhd import (
+    RngStream, SliceSizes, generate_sliced_lhd, levels_from_values, reduce_correlations,
+)
 from slicedlhd import cli
 from slicedlhd.cli import _parse_design_file, main
 
@@ -104,7 +106,8 @@ def test_design_text_rows_equal_per_element_formatting(fmt):
         design = type(design)(design.values + jitter / design.n, design.sizes)
         want = [" ".join(repr(float(v)) for v in row) for row in design.values]
     else:
-        want = [" ".join(str(int(v)) for v in row) for row in 2 * design.levels() - 1]
+        levels = levels_from_values(design.values, design.n)
+        want = [" ".join(str(int(v)) for v in row) for row in 2 * levels - 1]
     text = cli._design_text(design, 5, False, fmt)
     assert text.splitlines()[8:] == want
     assert text.endswith("\n") and text.count("\n") == 8 + design.n

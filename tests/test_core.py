@@ -10,8 +10,13 @@ from slicedlhd import (
     LevelPartition,
     RngStream,
     SliceSizes,
+    assignment_steps,
+    delta_sequence,
+    generate_independent_lhds,
+    generate_sliced_lhd,
     level_midpoints,
     levels_from_values,
+    partition_levels,
 )
 
 
@@ -101,6 +106,25 @@ def test_design_shape_checks():
 def test_design_rejects_sizes_that_are_not_slice_sizes():
     with pytest.raises(ValueError, match=r"^sizes must be a SliceSizes, got \(2,\)"):
         Design(np.zeros((2, 1)), sizes=(2,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        partition_levels,
+        delta_sequence,
+        assignment_steps,
+        lambda sizes: generate_sliced_lhd(sizes, 2, RngStream(0)),
+        lambda sizes: generate_independent_lhds(sizes, 2, RngStream(0)),
+    ],
+    ids=["partition_levels", "delta_sequence", "assignment_steps",
+         "generate_sliced_lhd", "generate_independent_lhds"],
+)
+def test_functions_of_slice_sizes_name_a_plain_tuple(call):
+    # A plain tuple is named, as Design and ExperimentConfig name it, not
+    # left to fail on a missing attribute.
+    with pytest.raises(ValueError, match=r"^sizes must be a SliceSizes, got \(2, 3\)$"):
+        call((2, 3))
 
 
 def test_rng_stream_is_pure_and_splits():

@@ -8,7 +8,6 @@ from slicedlhd import (
     RngStream,
     SliceSizes,
     generate_independent_lhds,
-    generate_midpoint_lhd,
     generate_randomized_lhd,
     generate_sliced_lhd,
     level_midpoints,
@@ -307,14 +306,17 @@ def test_sweep_input_checks():
 
 def test_partition_argument_is_checked_and_unused():
     # Still accepted for calls written for the earlier signature: the
-    # design's own partition changes nothing, one of other slice sizes is
-    # rejected.
+    # design's own partition changes nothing, one of other slice sizes or
+    # anything but a LevelPartition is rejected.
     design, part = _sweep_design()
     out, trace = reduce_correlations(design, part, iterations=10)
     assert np.array_equal(out.values, SWEEP_FINAL)
     assert trace == reduce_correlations(design)[1]
     with pytest.raises(ValueError, match="^partition slice sizes do not match the design$"):
         reduce_correlations(design, partition_levels(SliceSizes((7, 6))))
+    for bad in ("x", GROUPS_6_7):
+        with pytest.raises(ValueError, match="^partition must be a LevelPartition, got "):
+            reduce_correlations(design, bad)
 
 
 def test_rms_correlation_basics():
@@ -460,7 +462,7 @@ def _assert_chunked_sweep_is_exact(stacked, blocks, iterations):
 def _draw(grid, sizes, p, stream):
     # One design on the rows and midpoints of method_blocks(grid, sizes).
     if grid == "full":
-        return generate_midpoint_lhd(sizes.n, p, stream).values
+        return generate_sliced_lhd(SliceSizes((sizes.n,)), p, stream).values
     if grid == "own":
         return generate_independent_lhds(sizes, p, stream).values
     return generate_sliced_lhd(sizes, p, stream).values

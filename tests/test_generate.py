@@ -8,7 +8,6 @@ from slicedlhd import (
     RngStream,
     SliceSizes,
     generate_independent_lhds,
-    generate_midpoint_lhd,
     generate_randomized_lhd,
     generate_sliced_lhd,
     is_lhd_column,
@@ -88,8 +87,9 @@ def test_sliced_lhd_rejects_foreign_partition():
 
 
 def test_midpoint_lhd_columns_are_midpoint_permutations():
+    # The midpoint LHD is the one-slice sliced LHD.
     n = 9
-    d = generate_midpoint_lhd(n, 4, RngStream(21))
+    d = generate_sliced_lhd(SliceSizes((n,)), 4, RngStream(21))
     mids = level_midpoints(np.arange(1, n + 1), n)
     for l in range(4):
         assert np.array_equal(np.sort(d.values[:, l]), mids)
@@ -224,20 +224,11 @@ def test_method_blocks_tile_the_rows_on_their_grids(sizes):
         method_blocks("half", sizes)
 
 
-def test_midpoint_lhd_is_the_one_slice_sliced_lhd():
-    for n, p, seed in [(1, 2, 0), (7, 3, 4), (30, 5, 9)]:
-        single = generate_midpoint_lhd(n, p, RngStream(seed))
-        sliced = generate_sliced_lhd(SliceSizes((n,)), p, RngStream(seed))
-        assert single.sizes == sliced.sizes
-        assert np.array_equal(single.values, sliced.values)
-
-
 @pytest.mark.parametrize("p", [2.5, 2.0, True, "2"])
 def test_generators_reject_non_integer_p(p):
     sizes, rng = SliceSizes((3, 4)), RngStream(1)
     for call in (
         lambda: generate_sliced_lhd(sizes, p, rng),
-        lambda: generate_midpoint_lhd(7, p, rng),
         lambda: generate_randomized_lhd(7, p, rng),
         lambda: generate_independent_lhds(sizes, p, rng),
     ):
@@ -247,9 +238,8 @@ def test_generators_reject_non_integer_p(p):
 
 @pytest.mark.parametrize("n", [7.0, 6.5])
 def test_single_slice_generators_reject_non_integer_n(n):
-    for gen in (generate_midpoint_lhd, generate_randomized_lhd):
-        with pytest.raises(ValueError, match="^n must be an integer"):
-            gen(n, 2, RngStream(1))
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        generate_randomized_lhd(n, 2, RngStream(1))
 
 
 @pytest.mark.parametrize("decorrelate", [False, True])

@@ -66,6 +66,19 @@ def test_is_lhd_column_input_checks():
         is_lhd_column(np.array([0.5, 0.7]), 3)
 
 
+@pytest.mark.parametrize("bins", [True, 1.0, "1", None])
+def test_is_lhd_column_rejects_non_integer_bins(bins):
+    with pytest.raises(ValueError, match="^bins must be an integer"):
+        is_lhd_column(np.array([0.5]), bins)
+
+
+@pytest.mark.parametrize("bins", [0, -1])
+def test_is_lhd_column_rejects_bins_below_one(bins):
+    # An empty column once passed as filling its 0 bins.
+    with pytest.raises(ValueError, match=f"^bins must be >= 1, got {bins}$"):
+        is_lhd_column(np.array([]), bins)
+
+
 def test_validate_sliced_passes_construction():
     d = generate_sliced_lhd(SliceSizes((2, 5, 10)), 2, RngStream(0))
     report = validate_sliced(d)
