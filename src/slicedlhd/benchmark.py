@@ -102,7 +102,7 @@ def eval_f1(x, variant: str = "literal") -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[-1] != 5:
         raise ValueError("f1 expects 5 coordinates")
-    if np.any(arr <= 0.0) or np.any(arr > 1.0):
+    if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise ValueError("f1 coordinates must lie in (0, 1]")
     if variant == "literal":
         prod = arr[..., 0] * arr[..., 1] * arr[..., 1] * arr[..., 3] * arr[..., 4]
@@ -118,7 +118,7 @@ def eval_f2(x) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.shape[-1] != 2:
         raise ValueError("f2 expects 2 coordinates")
-    if np.any(arr <= 0.0) or np.any(arr > 1.0):
+    if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise ValueError("f2 coordinates must lie in (0, 1]")
     return np.log(arr[..., 0] ** -0.5 + arr[..., 1] ** -0.5)
 

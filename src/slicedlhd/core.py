@@ -47,6 +47,9 @@ def level_midpoints(levels, n: int) -> np.ndarray:
     A single division per entry, so every call site rounds identically and
     midpoint-exactness checks can compare values for strict equality.
     """
+    n = _as_integer("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     arr = np.asarray(levels, dtype=np.int64)
     return (2.0 * arr - 1.0) / (2.0 * n)
 
@@ -160,6 +163,9 @@ class Design:
 
 def levels_from_values(values: np.ndarray, n: int) -> np.ndarray:
     """Nearest level a in {1,...,n} for each value, via a = round(v*n + 1/2)."""
+    n = _as_integer("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return np.rint(np.asarray(values) * n + 0.5).astype(np.int64)
 
 

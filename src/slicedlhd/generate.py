@@ -1,10 +1,11 @@
 """Design generators: the sliced construction plus the baseline families.
 
-A midpoint family is a list of row blocks, each permuting its own sorted
-midpoints (see method_blocks); the benchmark draws and sweeps the same
-blocks. All generators split their RngStream per (block, column), so adding
-columns or slices never perturbs the draws of earlier ones and golden tests
-stay stable across refactors.
+Generators only draw; sweeping a design is reduce_correlations. A midpoint
+family is a list of row blocks, each permuting its own sorted midpoints (see
+method_blocks); the benchmark draws and sweeps the same blocks. All
+generators split their RngStream per (block, column), so adding columns or
+slices never perturbs the draws of earlier ones and golden tests stay stable
+across refactors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .core import (
     _as_slice_sizes,
     level_midpoints,
 )
-from .decorrelate import reduce_correlations
 from .partition import partition_levels
 
 __all__ = [
@@ -28,12 +28,6 @@ __all__ = [
     "generate_randomized_lhd",
     "generate_independent_lhds",
 ]
-
-
-def slice_blocks(sizes: SliceSizes, mids) -> list[tuple[slice, np.ndarray]]:
-    """Pair slice j's row range with the j-th entry of ``mids``, its sorted midpoints."""
-    off = sizes.offsets()
-    return [(slice(off[j], off[j + 1]), m) for j, m in enumerate(mids)]
 
 
 def method_blocks(grid: str, sizes: SliceSizes) -> list[tuple[slice, np.ndarray]]:
@@ -47,21 +41,27 @@ def method_blocks(grid: str, sizes: SliceSizes) -> list[tuple[slice, np.ndarray]
     if grid == "full":
         return [(slice(0, sizes.n), level_midpoints(np.arange(1, sizes.n + 1), sizes.n))]
     if grid == "own":
-        return slice_blocks(
-            sizes, [level_midpoints(np.arange(1, nj + 1), nj) for nj in sizes.sizes]
-        )
-    if grid == "sliced":
-        return slice_blocks(sizes, map(partition_levels(sizes).group_midpoints, range(sizes.t)))
-    raise ValueError(f"unknown grid: {grid!r}")
+        mids = [level_midpoints(np.arange(1, nj + 1), nj) for nj in sizes.sizes]
+    elif grid == "sliced":
+        mids = map(partition_levels(sizes).group_midpoints, range(sizes.t))
+    else:
+        raise ValueError(f"unknown grid: {grid!r}")
+    off = sizes.offsets()
+    return [(slice(off[j], off[j + 1]), m) for j, m in enumerate(mids)]
 
 
-def _fill(blocks, n: int, p: int, rng: RngStream) -> np.ndarray:
-    """n x p values; block j, column l permutes its midpoints under rng.split(j, l)."""
-    values = np.empty((n, p), dtype=np.float64)
+def _midpoint_design(grid: str, sizes: SliceSizes, p: int, rng: RngStream) -> Design:
+    """n x p design on method_blocks(grid, sizes); block j, column l permutes
+    the block's midpoints under rng.split(j, l)."""
+    p = _as_integer("p", p)
+    if p < 1:
+        raise ValueError(f"dimension must be >= 1, got {p}")
+    blocks = method_blocks(grid, sizes)
+    values = np.empty((sizes.n, p), dtype=np.float64)
     for j, (rows, mids) in enumerate(blocks):
         for l in range(p):
             values[rows, l] = rng.split(j, l).generator().permutation(mids)
-    return values
+    return Design(values, sizes)
 
 
 def generate_sliced_lhd(
@@ -80,14 +80,13 @@ def generate_sliced_lhd(
 
     ``partition`` is not used, as the groups are a pure function of
     ``sizes``. It is still accepted, and must be partition_levels(sizes),
-    so that calls written for the earlier signature keep working.
+    so that calls written for the earlier signature keep working; it is
+    checked after ``p`` and ``sizes``.
     """
-    p = _as_integer("p", p)
-    if p < 1:
-        raise ValueError(f"dimension must be >= 1, got {p}")
+    design = _midpoint_design("sliced", sizes, p, rng)
     if partition is not None and partition != partition_levels(sizes):
         raise ValueError("partition is not the partition of these slice sizes")
-    return Design(_fill(method_blocks("sliced", sizes), sizes.n, p, rng), sizes)
+    return design
 
 
 def generate_randomized_lhd(n: int, p: int, rng: RngStream) -> Design:
@@ -110,28 +109,12 @@ def generate_randomized_lhd(n: int, p: int, rng: RngStream) -> Design:
     return Design(values, sizes)
 
 
-def generate_independent_lhds(
-    sizes: SliceSizes,
-    p: int,
-    rng: RngStream,
-    decorrelate: bool = False,
-    iterations: int = 10,
-) -> Design:
+def generate_independent_lhds(sizes: SliceSizes, p: int, rng: RngStream) -> Design:
     """Stack t independently generated midpoint LHDs of sizes n_1..n_t.
 
     Block j lives on its own grid {(2i-1)/(2n_j)}; the stacked matrix is
     generally not a Latin hypercube on the combined n-level grid, only each
-    slice block is one at its own resolution. With ``decorrelate`` set, the
-    stack goes through the correlation-reduction sweep in one call, which
-    sweeps each block on its own grid (for p >= 2; a single column or a
-    single run has nothing to decorrelate).
+    slice block is one at its own resolution. reduce_correlations sweeps
+    the stack, each block on its own grid.
     """
-    p, iterations = _as_integer("p", p), _as_integer("iterations", iterations)
-    if p < 1:
-        raise ValueError(f"dimension must be >= 1, got {p}")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    design = Design(_fill(method_blocks("own", sizes), sizes.n, p, rng), sizes)
-    if decorrelate and p >= 2 and max(sizes.sizes) >= 2:
-        design, _ = reduce_correlations(design, iterations=iterations)
-    return design
+    return _midpoint_design("own", sizes, p, rng)

@@ -86,6 +86,15 @@ def test_eval_f2_goldens():
         eval_f2(np.array([0.5, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("f, dim", [(eval_f1, 5), (eval_f2, 2)], ids=["f1", "f2"])
+def test_integrands_reject_non_finite_points(f, dim, bad):
+    x = np.full((3, dim), 0.5)
+    x[1, 0] = bad
+    with pytest.raises(ValueError, match=r"coordinates must lie in \(0, 1\]$"):
+        f(x)
+
+
 def test_true_means():
     assert true_mean_f1() == -5.0
     # The stored f2 mean is the quadrature's float, which agrees with the

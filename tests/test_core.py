@@ -31,6 +31,26 @@ def test_level_midpoints_roundtrip(n):
     assert np.array_equal(levels_from_values(mids, n), levels)
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [(0, "^n must be >= 1, got 0$"), (-3, "^n must be >= 1, got -3$"),
+     (2.0, "^n must be an integer"), (True, "^n must be an integer")],
+)
+def test_level_midpoints_reject_a_bad_grid_size(n, message):
+    with pytest.raises(ValueError, match=message):
+        level_midpoints([1, 2], n)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(0, "^n must be >= 1, got 0$"), (-3, "^n must be >= 1, got -3$"),
+     (2.5, "^n must be an integer"), ("4", "^n must be an integer")],
+)
+def test_levels_from_values_reject_a_bad_grid_size(n, message):
+    with pytest.raises(ValueError, match=message):
+        levels_from_values([0.25, 0.75], n)
+
+
 def test_slice_sizes_basics():
     s = SliceSizes((2, 5, 10))
     assert s.t == 3

@@ -19,7 +19,7 @@ from slicedlhd import (
     validate_sliced,
 )
 from slicedlhd.decorrelate import _blas_slopes, _einsum_slopes, _rms, _sweep_batch
-from slicedlhd.generate import method_blocks, slice_blocks
+from slicedlhd.generate import method_blocks
 
 from _frozen_sweep import frozen_reduce_correlations, frozen_sweep_batch
 
@@ -293,6 +293,9 @@ def test_sweep_input_checks():
     design, _ = _sweep_design()
     with pytest.raises(ValueError):
         reduce_correlations(design, iterations=0)
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="^iterations must be an integer"):
+            reduce_correlations(design, iterations=bad)
     with pytest.raises(ValueError):
         reduce_correlations(Design(design.values[:, :1], design.sizes))
     with pytest.raises(ValueError, match="^zero-variance column has undefined correlation$"):
@@ -390,13 +393,12 @@ def test_batch_sweep_matches_reference_exactly():
     cases = [((2, 5, 10), 3), ((6, 7), 4), ((9, 7, 6), 2), ((4,), 3)]
     for sizes_tuple, p in cases:
         sizes = SliceSizes(sizes_tuple)
-        part = partition_levels(sizes)
         designs = [
             generate_sliced_lhd(sizes, p, RngStream(seed))
             for seed in range(6)
         ]
         stacked = np.stack([d.values for d in designs])
-        blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
+        blocks = method_blocks("sliced", sizes)
         _sweep_batch(stacked, blocks, iterations=10)
         for r, d in enumerate(designs):
             ref, _ = reduce_correlations(d, iterations=10)
@@ -489,6 +491,10 @@ _BLOCK_SIZES = st.one_of(
 )
 @example(grid="sliced", sizes=[5, 1, 4], p=2, R=1,
          fixed=[False] * 9, seed=3, first=97, iterations=10)
+@example(grid="sliced", sizes=[6, 7], p=5, R=1,
+         fixed=[False] * 9, seed=0, first=0, iterations=10)
+@example(grid="full", sizes=[9, 7, 6], p=5, R=1,
+         fixed=[False] * 9, seed=0, first=0, iterations=10)
 def test_chunked_batch_sweep_equals_unchunked_sweep(
     grid, sizes, p, R, fixed, seed, first, iterations
 ):
@@ -558,24 +564,23 @@ def test_one_sweep_over_own_grid_blocks_equals_per_block_sweeps(sizes, p, R, see
 @pytest.mark.parametrize("R", [255, 256, 257])
 def test_chunked_batch_sweep_is_exact_at_chunk_size(R):
     sizes = SliceSizes((5, 1, 4))
-    part = partition_levels(sizes)
     stacked = np.stack([
         generate_sliced_lhd(sizes, 2, RngStream(3).split(r)).values
         for r in range(R)
     ])
-    blocks = slice_blocks(sizes, map(part.group_midpoints, range(sizes.t)))
+    blocks = method_blocks("sliced", sizes)
     _assert_chunked_sweep_is_exact(stacked, blocks, iterations=10)
 
 
 def test_sweep_of_a_fixed_point_changes_nothing():
-    design, part = _sweep_design()
+    design, _ = _sweep_design()
     fixed = Design(SWEEP_FINAL.copy(), design.sizes)
     out, trace = reduce_correlations(fixed, iterations=5)
     assert np.array_equal(out.values, SWEEP_FINAL)
     assert trace.whole == (trace.whole[0],) * 6
     assert all(row == (row[0],) * 6 for row in trace.per_slice)
     stacked = np.stack([SWEEP_FINAL, SWEEP_START, SWEEP_FINAL])
-    blocks = slice_blocks(design.sizes, map(part.group_midpoints, range(design.sizes.t)))
+    blocks = method_blocks("sliced", design.sizes)
     _sweep_batch(stacked, blocks, iterations=10)
     assert np.array_equal(stacked[0], SWEEP_FINAL)
     assert np.array_equal(stacked[1], SWEEP_FINAL)

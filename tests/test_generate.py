@@ -126,7 +126,7 @@ def test_independent_lhds_decorrelate_flag_reduces_block_correlation():
     count = 0
     for seed in range(100):
         plain = generate_independent_lhds(sizes, 3, RngStream(seed))
-        swept = generate_independent_lhds(sizes, 3, RngStream(seed), decorrelate=True)
+        swept, _ = reduce_correlations(plain)
         for j in range(sizes.t):
             plain_sum += rms_correlation(plain.values[off[j]:off[j + 1]])
             swept_sum += rms_correlation(swept.values[off[j]:off[j + 1]])
@@ -137,7 +137,7 @@ def test_independent_lhds_decorrelate_flag_reduces_block_correlation():
 def test_independent_lhds_keep_block_grids_under_decorrelation():
     sizes = SliceSizes((5, 6))
     off = sizes.offsets()
-    d = generate_independent_lhds(sizes, 3, RngStream(2), decorrelate=True)
+    d, _ = reduce_correlations(generate_independent_lhds(sizes, 3, RngStream(2)))
     for j, nj in enumerate(sizes.sizes):
         mids = level_midpoints(np.arange(1, nj + 1), nj)
         block = d.values[off[j]:off[j + 1]]
@@ -150,7 +150,7 @@ def test_independent_lhds_decorrelate_skips_single_run_slices():
     # swept on their own grids exactly as alone.
     sizes = SliceSizes((1, 5))
     plain = generate_independent_lhds(sizes, 3, RngStream(4))
-    swept = generate_independent_lhds(sizes, 3, RngStream(4), decorrelate=True)
+    swept, _ = reduce_correlations(plain)
     assert np.array_equal(swept.values[:1], [[0.5, 0.5, 0.5]])
     own = SliceSizes((5,))
     ref, _ = reduce_correlations(Design(plain.values[1:], own))
@@ -158,17 +158,16 @@ def test_independent_lhds_decorrelate_skips_single_run_slices():
 
 
 def _per_block_independent_sweep(sizes, p, rng, iterations):
-    # generate_independent_lhds(decorrelate=True) in its earlier form, kept
-    # frozen as the oracle: each block of two or more runs swept alone, as
-    # a one-slice design on its own grid.
+    # The sweep of an independent stack in its earlier form, kept frozen as
+    # the oracle: each block of two or more runs swept alone, as a one-slice
+    # design on its own grid.
     values = generate_independent_lhds(sizes, p, rng).values
-    if p >= 2:
-        for rows, mids in method_blocks("own", sizes):
-            if mids.size < 2:
-                continue
-            own = SliceSizes((mids.size,))
-            swept, _ = reduce_correlations(Design(values[rows], own), iterations=iterations)
-            values[rows] = swept.values
+    for rows, mids in method_blocks("own", sizes):
+        if mids.size < 2:
+            continue
+        own = SliceSizes((mids.size,))
+        swept, _ = reduce_correlations(Design(values[rows], own), iterations=iterations)
+        values[rows] = swept.values
     return values
 
 
@@ -181,25 +180,39 @@ _SLICE_SIZES = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    sizes=st.lists(_SLICE_SIZES, min_size=1, max_size=5),
-    p=st.integers(1, 6),
+    sizes=st.lists(_SLICE_SIZES, min_size=1, max_size=5).filter(lambda s: max(s) >= 2),
+    p=st.integers(2, 6),
     seed=st.integers(0, 2**32 - 1),
     iterations=st.integers(1, 10),
 )
-@example(sizes=[1, 1, 1], p=3, seed=0, iterations=10)
-@example(sizes=[1], p=2, seed=0, iterations=1)
 @example(sizes=[1, 6, 1, 3], p=3, seed=5, iterations=10)
 @example(sizes=[65, 1, 17], p=6, seed=1, iterations=10)
 def test_independent_lhds_sweep_in_one_call_equals_per_block_sweeps(sizes, p, seed, iterations):
     # Blocks are swept independently and a block at its fixed point maps to
     # itself, so one sweep of the whole stack equals sweeping each block
-    # alone, bit for bit, one-run blocks and all-ones sizes included.
+    # alone, bit for bit, one-run blocks included.
     sizes = SliceSizes(tuple(sizes))
-    got = generate_independent_lhds(
-        sizes, p, RngStream(seed), decorrelate=True, iterations=iterations
+    got, _ = reduce_correlations(
+        generate_independent_lhds(sizes, p, RngStream(seed)), iterations=iterations
     )
     want = _per_block_independent_sweep(sizes, p, RngStream(seed), iterations)
     assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize(
+    "sizes, p, message",
+    [
+        ((3, 4), 1, "^correlation reduction needs at least two columns$"),
+        ((1, 1, 1), 3, "^zero-variance column has undefined correlation$"),
+        ((1,), 2, "^correlation reduction needs at least two rows$"),
+    ],
+)
+def test_sweep_of_an_independent_stack_with_nothing_to_decorrelate_raises(sizes, p, message):
+    # One column, or one-run blocks only: the sweep names the problem
+    # rather than return the stack unswept.
+    design = generate_independent_lhds(SliceSizes(sizes), p, RngStream(0))
+    with pytest.raises(ValueError, match=message):
+        reduce_correlations(design, iterations=10)
 
 
 @pytest.mark.parametrize("sizes", [(2, 5, 10), (1, 4), (6,), (3, 1, 1, 7)])
@@ -240,28 +253,3 @@ def test_generators_reject_non_integer_p(p):
 def test_single_slice_generators_reject_non_integer_n(n):
     with pytest.raises(ValueError, match="^n must be an integer"):
         generate_randomized_lhd(n, 2, RngStream(1))
-
-
-@pytest.mark.parametrize("decorrelate", [False, True])
-def test_independent_lhds_reject_non_integer_iterations(decorrelate):
-    with pytest.raises(ValueError, match="^iterations must be an integer"):
-        generate_independent_lhds(
-            SliceSizes((3, 4)), 2, RngStream(1), decorrelate=decorrelate, iterations=2.5
-        )
-
-
-@pytest.mark.parametrize(
-    "sizes, p, decorrelate, iterations",
-    [
-        ((3, 4), 1, True, 0),  # one column: no sweep runs
-        ((1, 1), 2, True, -5),  # one-run slices: no sweep runs
-        ((3, 4), 2, True, 0),
-        ((3, 4), 2, False, 0),
-    ],
-)
-def test_independent_lhds_reject_iterations_below_one(sizes, p, decorrelate, iterations):
-    # Checked with p, whether or not a sweep runs.
-    with pytest.raises(ValueError, match="^iterations must be >= 1$"):
-        generate_independent_lhds(
-            SliceSizes(sizes), p, RngStream(1), decorrelate=decorrelate, iterations=iterations
-        )
