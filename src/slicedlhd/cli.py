@@ -190,7 +190,7 @@ def _cmd_validate(args) -> int:
 def _cmd_bench(args) -> int:
     try:
         config = ExperimentConfig.from_path(args.config)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
     if config.integrand == "custom":
@@ -200,11 +200,7 @@ def _cmd_bench(args) -> int:
     print(render_table([report]))
     print(f"replicates: {report.replicates}   true mean: {report.true_mean!r}")
     if args.output:
-        try:
-            Path(args.output).write_text(report.to_json() + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 3
+        return _write_text(args.output, report.to_json() + "\n")
     return 0
 
 
@@ -242,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="run a benchmark config")
     ben.add_argument("config", help="JSON experiment config")
-    ben.add_argument("-o", "--output", default=None, help="write the report as JSON")
+    ben.add_argument("-o", "--output", default=None, help="JSON report file (- for stdout)")
     ben.set_defaults(func=_cmd_bench)
     return parser
 

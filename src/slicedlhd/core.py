@@ -42,7 +42,8 @@ def _as_integer(name: str, value) -> int:
 
 
 def level_midpoints(levels, n: int) -> np.ndarray:
-    """Map integer levels a in {1,...,n} to midpoints (2a-1)/(2n).
+    """Map integer levels a in {1,...,n} to midpoints (2a-1)/(2n); any other
+    level raises ValueError, never truncated or mapped off the grid.
 
     A single division per entry, so every call site rounds identically and
     midpoint-exactness checks can compare values for strict equality.
@@ -50,7 +51,9 @@ def level_midpoints(levels, n: int) -> np.ndarray:
     n = _as_integer("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    arr = np.asarray(levels, dtype=np.int64)
+    arr = np.asarray(levels)
+    if arr.size and not (arr.dtype.kind in "iu" and arr.min() >= 1 and arr.max() <= n):
+        raise ValueError(f"levels must be integers in 1..{n}, got {levels!r}")
     return (2.0 * arr - 1.0) / (2.0 * n)
 
 
@@ -162,11 +165,16 @@ class Design:
 
 
 def levels_from_values(values: np.ndarray, n: int) -> np.ndarray:
-    """Nearest level a in {1,...,n} for each value, via a = round(v*n + 1/2)."""
+    """Nearest level a in {1,...,n} for each value v in (0, 1], via
+    a = round(v*n + 1/2) held to 1..n; any other value, NaN and infinity
+    included, raises ValueError."""
     n = _as_integer("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return np.rint(np.asarray(values) * n + 0.5).astype(np.int64)
+    arr = np.asarray(values, dtype=np.float64)
+    if not ((arr > 0.0) & (arr <= 1.0)).all():
+        raise ValueError(f"values must lie in (0, 1], got {values!r}")
+    return np.clip(np.rint(arr * n + 0.5), 1, n).astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -37,11 +37,13 @@ def is_lhd_column(column, bins: int) -> bool:
         raise ValueError("column must be a 1-D vector")
     if col.size != bins:
         raise ValueError(f"column has {col.size} entries but bins={bins}")
-    return bool(_columns_fill_bins(col[:, None], bins, bins)[0])
+    col = col[:, None]
+    return bool(_columns_fill_bins(col, _grid_levels(col, bins), bins, bins)[0])
 
 
-def _columns_fill_bins(values: np.ndarray, bins: int, n: int) -> np.ndarray:
+def _columns_fill_bins(values: np.ndarray, grid, bins: int, n: int) -> np.ndarray:
     """Per column of ``values``: does each of the ``bins`` bins hold one entry?
+    ``grid`` is ``_grid_levels(values, n)``.
 
     An entry equal to the midpoint (2a-1)/(2n) of the n-level grid is binned
     exactly, as ceil(bins*(2a-1) / (2n)) in integers: a midpoint can sit on
@@ -51,8 +53,8 @@ def _columns_fill_bins(values: np.ndarray, bins: int, n: int) -> np.ndarray:
     ceil(x * bins); entries outside (0, 1], NaN included, get bin 0, which
     no column may hold.
     """
-    in_range, levels = _grid_levels(values, n)
-    on_grid = in_range & (values == level_midpoints(levels, n))
+    in_range, levels, mids = grid
+    on_grid = in_range & (values == mids)
     exact = -(-(bins * (2 * levels - 1)) // (2 * n))
     scaled = np.where(in_range, values, 0.0) * bins
     edge = np.rint(scaled)
@@ -62,15 +64,12 @@ def _columns_fill_bins(values: np.ndarray, bins: int, n: int) -> np.ndarray:
     return np.all(np.sort(idx, axis=0) == want, axis=0)
 
 
-def _grid_levels(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of entries in (0, 1], and each entry's nearest level in 1..n.
-
-    Out-of-range entries get level n; they never reach the integer cast, so
-    NaN and huge values raise no cast warning.
-    """
+def _grid_levels(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask of entries in (0, 1], each entry's nearest level in 1..n and its
+    midpoint. Out-of-range entries, NaN included, are read as 1.0 (level n)."""
     in_range = (values > 0.0) & (values <= 1.0)
     levels = levels_from_values(np.where(in_range, values, 1.0), n)
-    return in_range, np.clip(levels, 1, n)
+    return in_range, levels, level_midpoints(levels, n)
 
 
 @dataclass(frozen=True)
@@ -126,13 +125,14 @@ def validate_sliced(design: Design) -> ValidationReport:
     p = design.p
     off = design.slice_offsets
 
-    column_ok = tuple(_columns_fill_bins(values, n, n).tolist())
+    # The whole grid's levels, computed once; each slice reads its rows.
+    grid = _grid_levels(values, n)
+    column_ok = tuple(_columns_fill_bins(values, grid, n, n).tolist())
     slice_ok = tuple(
-        tuple(_columns_fill_bins(values[off[j] : off[j + 1]], nj, n).tolist())
-        for j, nj in enumerate(design.sizes.sizes)
+        tuple(_columns_fill_bins(values[rows], [g[rows] for g in grid], nj, n).tolist())
+        for rows, nj in zip(map(slice, off, off[1:]), design.sizes.sizes)
     )
-    nearest = level_midpoints(_grid_levels(values, n)[1], n)
-    midpoints_exact = bool(np.all(np.abs(values - nearest) <= MIDPOINT_TOL))
+    midpoints_exact = bool(np.all(np.abs(values - grid[2]) <= MIDPOINT_TOL))
     return ValidationReport(
         column_ok=column_ok,
         slice_ok=slice_ok,

@@ -254,6 +254,15 @@ def test_config_rejects_empty_or_repeated_methods(methods, message):
         _config(methods=methods)
 
 
+@pytest.mark.parametrize("methods", ["SLH", 5, [["SLH"]], ("SLH", 1)])
+def test_config_rejects_methods_that_are_not_a_list_of_names(methods):
+    # A string was split into its letters ("unknown method: 'S'"), and 5 or
+    # a nested list raised a bare TypeError.
+    message = f"methods must be a list of method names, got {methods!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _config(methods=methods)
+
+
 def test_fsd_is_recognized_but_unavailable():
     with pytest.raises(ValueError, match="method unavailable"):
         _config(methods=("FSD",))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicedlhd import (
-    RngStream, SliceSizes, generate_sliced_lhd, levels_from_values, reduce_correlations,
+    ExperimentConfig, RngStream, SliceSizes, generate_sliced_lhd, levels_from_values,
+    reduce_correlations,
 )
 from slicedlhd import cli
 from slicedlhd.cli import _parse_design_file, main
@@ -240,6 +242,13 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
 
 
+_BENCH_CONFIG = {
+    "integrand": "f2", "sizes": [9, 7, 6], "dim": 2,
+    "methods": ["MLH"], "replicates": 5,
+    "scenario": "all-complete", "seed": 11,
+}
+
+
 def test_bench_rejects_replicates_past_the_stream_limit(tmp_path, capsys, monkeypatch):
     # More replicates than RngStream.generators can key is a bad config:
     # exit 2 and one line, before anything is drawn or allocated.
@@ -274,6 +283,33 @@ def test_bench_smoke(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert set(report["rmse"]) == {"MLH", "SLH"}
     assert report["replicates"] == 5
+
+
+def test_bench_report_to_stdout_follows_the_table(tmp_path, capsys, monkeypatch):
+    # -o - prints the JSON report after the table, as generate -o - prints
+    # its design; it writes no file named "-".
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(json.dumps(_BENCH_CONFIG))
+    report_path = tmp_path / "report.json"
+    assert run_cli("bench", str(cfg_path), "-o", str(report_path)) == 0
+    table = capsys.readouterr().out
+    assert run_cli("bench", str(cfg_path), "-o", "-") == 0
+    captured = capsys.readouterr()
+    assert captured.out == table + report_path.read_text()
+    assert captured.err == ""
+    assert not (tmp_path / "-").exists()
+
+
+def test_bench_unwritable_report_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(json.dumps(_BENCH_CONFIG))
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert run_cli("bench", str(cfg_path), "-o", str(target)) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+    assert "true mean" in captured.out  # the table was printed before the write
 
 
 def test_bench_rejects_bad_configs(tmp_path, capsys):
@@ -313,28 +349,92 @@ def test_bench_rejects_an_f1_variant_off_f1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, message",
     [
-        ("replicates", 1.5),
-        ("replicates", 10.0),
-        ("sizes", [9, 7.9, 6]),
-        ("seed", True),
-        ("dim", False),
-        ("methods", "MLH"),
-        ("colour", "blue"),
+        pytest.param("replicates", 1.5, "replicates must be an integer, got 1.5",
+                     id="replicates-1.5"),
+        pytest.param("replicates", 10.0, "replicates must be an integer, got 10.0",
+                     id="replicates-10.0"),
+        pytest.param("sizes", [9, 7.9, 6], "slice sizes must be integers, got (9, 7.9, 6)",
+                     id="sizes-value2"),
+        pytest.param("seed", True, "seed must be an integer, got True", id="seed-True"),
+        pytest.param("dim", False, "dim must be an integer, got False", id="dim-False"),
+        pytest.param("methods", "MLH", "methods must be a list of method names, got 'MLH'",
+                     id="methods-MLH"),
+        pytest.param("colour", "blue", "unknown config key: 'colour'", id="colour-blue"),
     ],
 )
-def test_bench_rejects_loose_config_values(tmp_path, capsys, key, value):
-    cfg = {
-        "integrand": "f2", "sizes": [9, 7, 6], "dim": 2,
-        "methods": ["MLH"], "replicates": 5,
-        "scenario": "all-complete", "seed": 11,
-    }
-    cfg[key] = value
+def test_bench_rejects_loose_config_values(tmp_path, capsys, key, value, message):
     path = tmp_path / "loose.cfg"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps({**_BENCH_CONFIG, key: value}))
     assert run_cli("bench", str(path)) == 2
-    assert repr(key) in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.err == f"error: bad config: {message}\n"
+    assert captured.out == ""
+
+
+# JSON values of every kind for the config table below: null, booleans,
+# integers, floats integral or not, strings, and empty, flat, nested and
+# mixed lists and objects.
+_JSON_VALUES = [
+    None, True, False, 0, 1, 2, -1, 2**33, 1.5, 2.0, 1e300, -1e300,
+    "", "SLH", "f2", "all-complete", "one-slice-fails", "literal", "x3",
+    [], [3, 2], [1.5], [True], [None], ["MLH"], ["MLH", "SLH"], [[3, 2]],
+    [3, "2"], ["MLH", 1], {}, {"a": 1},
+]
+# The (key, JSON value) pairs of the table that make a valid config; the
+# loose kinds (a bool or an integral float for an integer) are all rejected.
+_ACCEPTED = {
+    ("integrand", '"f2"'), ("sizes", "[3, 2]"), ("dim", "2"), ("methods", '["MLH"]'),
+    ("methods", '["MLH", "SLH"]'), ("replicates", "1"), ("replicates", "2"),
+    ("seed", "0"), ("seed", "1"), ("seed", "2"), ("seed", str(2**33)),
+    ("scenario", '"all-complete"'), ("scenario", '"one-slice-fails"'),
+    ("f1_variant", '"literal"'),
+}
+# What each key's error message must name.
+_FIELD_NAMES = {"sizes": "size", "methods": "method", "f1_variant": "f1.variant"}
+
+
+def _python_config(key, value) -> ExperimentConfig:
+    """The config a Python caller builds with ``key`` set to ``value``."""
+    kwargs = {**_BENCH_CONFIG, "sizes": SliceSizes((9, 7, 6)), key: value}
+    if key == "sizes":
+        kwargs["sizes"] = SliceSizes(value)
+    return ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key", [*_BENCH_CONFIG, "f1_variant"])
+def test_config_table_one_validator_for_json_and_python(tmp_path, capsys, key):
+    # One validator: for every JSON value of every key, from_json and a
+    # Python-built config accept the same configs and reject the rest with
+    # the same ValueError, which names the key; bench exits 2 with that
+    # one line. No value reaches bench as a KeyError or a TypeError.
+    path = tmp_path / "table.cfg"
+    accepted = set()
+    for value in _JSON_VALUES:
+        path.write_text(json.dumps({**_BENCH_CONFIG, key: value}))
+        try:
+            expected = _python_config(key, value)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as parsed:
+                ExperimentConfig.from_path(path)
+            assert str(parsed.value) == str(exc), value
+            assert re.search(_FIELD_NAMES.get(key, key), str(exc)), (value, str(exc))
+            assert run_cli("bench", str(path)) == 2, value
+            captured = capsys.readouterr()
+            assert captured.err == f"error: bad config: {exc}\n"
+            assert captured.out == ""
+        else:
+            assert ExperimentConfig.from_path(path) == expected, value
+            accepted.add((key, json.dumps(value)))
+    assert accepted == {pair for pair in _ACCEPTED if pair[0] == key}
+    # Every key but f1_variant is required.
+    path.write_text(json.dumps({k: v for k, v in _BENCH_CONFIG.items() if k != key}))
+    if key == "f1_variant":
+        assert ExperimentConfig.from_path(path) == _python_config(key, "literal")
+    else:
+        assert run_cli("bench", str(path)) == 2
+        assert capsys.readouterr().err == f"error: bad config: config missing key: {key}\n"
 
 
 @pytest.mark.parametrize("methods", [[], ["CLH", "CLH"]])

@@ -51,6 +51,39 @@ def test_levels_from_values_reject_a_bad_grid_size(n, message):
         levels_from_values([0.25, 0.75], n)
 
 
+def test_level_midpoints_reject_non_integer_levels():
+    # 1.7 was truncated to level 1.
+    with pytest.raises(ValueError, match=r"^levels must be integers in 1\.\.3, got \[1\.7, 2\]$"):
+        level_midpoints([1.7, 2], 3)
+
+
+@pytest.mark.parametrize("levels", [[0, 2], [1, 4], [-1]])
+def test_level_midpoints_reject_levels_off_the_grid(levels):
+    # [0, 4] at n = 3 gave -1/6 and 7/6.
+    with pytest.raises(ValueError, match=r"^levels must be integers in 1\.\.3, got "):
+        level_midpoints(levels, 3)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, 1.5, 2.0, np.nan, np.inf, -np.inf])
+def test_levels_from_values_reject_values_outside_the_unit_interval(value):
+    # NaN gave the int64 minimum and a RuntimeWarning (an error under the
+    # test configuration); 2.0 and -1.0 gave levels 6 and -2 at n = 3.
+    with pytest.raises(ValueError, match=r"^values must lie in \(0, 1\], got "):
+        levels_from_values([0.5, value], 3)
+
+
+@pytest.mark.parametrize("value, level", [(1.0, 3), (5e-324, 1), (1 / 6, 1), (5 / 6, 3)])
+def test_levels_from_values_stay_in_one_to_n(value, level):
+    # round(v*n + 1/2) gives 4 at v = 1.0 and 0 at the smallest float.
+    assert levels_from_values([value], 3).tolist() == [level]
+
+
+def test_level_helpers_accept_empty_input():
+    assert level_midpoints([], 3).shape == (0,)
+    assert levels_from_values([], 3).shape == (0,)
+    assert levels_from_values(np.empty((0, 2)), 3).shape == (0, 2)
+
+
 def test_slice_sizes_basics():
     s = SliceSizes((2, 5, 10))
     assert s.t == 3
