@@ -144,6 +144,20 @@ def true_mean_f2() -> float:
     return _F2_MEAN
 
 
+def _json_fields(cls, text: str, kind: str) -> dict:
+    """``text`` as a JSON object of every field of ``cls`` without a default, and no other key."""
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{kind} must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {kind} key: {', '.join(map(repr, unknown))}")
+    for f in fields(cls):
+        if f.name not in raw and f.default is MISSING:
+            raise ValueError(f"{kind} missing key: {f.name}")
+    return raw
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark run: integrand, sizes, methods, scenario, seed."""
@@ -203,15 +217,7 @@ class ExperimentConfig:
         """Parse a config: a JSON object holding every field (``f1_variant``
         may be left out) and no other key. The values are checked by the
         constructor alone, as for a config built in Python."""
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
-        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config key: {', '.join(map(repr, unknown))}")
-        for f in fields(cls):
-            if f.name not in raw and f.default is MISSING:
-                raise ValueError(f"config missing key: {f.name}")
+        raw = _json_fields(cls, text, "config")
         return cls(**{**raw, "sizes": SliceSizes(raw["sizes"])})
 
     @classmethod
@@ -236,14 +242,20 @@ class RmseReport:
     f1_variant: str
     rmse: dict[str, float]
 
+    def __post_init__(self):
+        object.__setattr__(self, "sizes", SliceSizes(self.sizes).sizes)
+        _as_integer("replicates", self.replicates)
+        if not isinstance(self.rmse, dict):
+            raise ValueError(f"rmse must map method names to numbers, got {self.rmse!r}")
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RmseReport":
-        raw = json.loads(text)
-        raw["sizes"] = tuple(raw["sizes"])
-        return cls(**raw)
+        """Parse a report: a JSON object holding every field and no other
+        key. The values are checked by the constructor."""
+        return cls(**_json_fields(cls, text, "report"))
 
 
 def render_table(reports: list[RmseReport]) -> str:
@@ -288,7 +300,7 @@ _MAX_CHUNK = 1024
 
 def _generators(code: int, cfg: ExperimentConfig, role: int, reps: range):
     """The generators of replicates ``reps`` for one method and role (see RngStream.generators)."""
-    return RngStream(cfg.seed).generators((code,), reps, (role,))
+    return RngStream(cfg.seed).generators(code, reps, role)
 
 
 def _batch_designs(method: str, cfg: ExperimentConfig, blocks, reps: range) -> np.ndarray:

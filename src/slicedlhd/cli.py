@@ -136,7 +136,7 @@ def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     fmt = None
-    rows: list[list[float]] = []
+    data: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -146,18 +146,23 @@ def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
             if body.startswith("format:"):
                 fmt = body.split(":", 1)[1].strip()
             continue
-        try:
-            rows.append([float(tok) for tok in stripped.split()])
-        except ValueError:
-            raise ValueError(f"line {lineno}: not numeric: {stripped!r}")
-    if not rows:
+        data.append((lineno, stripped))
+    if not data:
         raise ValueError("no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    try:
+        # One conversion of every token, as float() reads each; it fails on a
+        # non-numeric token or on rows of unequal widths, and the pass below
+        # names which.
+        arr = np.array([line.split() for _, line in data], dtype=np.float64)
+    except ValueError:
+        for lineno, line in data:
+            try:
+                [float(tok) for tok in line.split()]
+            except ValueError:
+                raise ValueError(f"line {lineno}: not numeric: {line!r}")
         raise ValueError("rows have inconsistent widths")
-    arr = np.asarray(rows, dtype=np.float64)
-    if len(rows) != sizes.n:
-        raise ValueError(f"file has {len(rows)} rows but sizes sum to {sizes.n}")
+    if len(arr) != sizes.n:
+        raise ValueError(f"file has {len(arr)} rows but sizes sum to {sizes.n}")
     if fmt is None:
         # No header: integer-looking content is levels-format numerators.
         fmt = "levels" if np.all(arr == np.rint(arr)) and np.all(arr >= 1) else "values"

@@ -5,16 +5,18 @@ builds on the small vocabulary defined here: slice size vectors, level
 partitions, design matrices, and a reproducible RNG stream that can be split
 per (slice, column) or per (method, replicate) without aliasing.
 
-A stream's generator is numpy's own SeedSequence + Philox. For a run of
-sibling streams, such as one per benchmark replicate, ``RngStream.generators``
-reproduces SeedSequence's hash in uint32 array arithmetic: the seed and fixed
-path words are hashed once, the replicate word and the words after it for a
-whole range of replicates at once, and one Philox is re-keyed to each result.
-It draws the same numbers as the per-stream path at a small part of its cost.
+A stream's generator is numpy's own SeedSequence + Philox. For the streams
+of a product of path components, such as one per (slice, column) of a design
+or one per benchmark replicate, ``RngStream.generators`` reproduces
+SeedSequence's hash in uint32 array arithmetic: the first seed words in
+Python ints, then every further word for all the streams and all four pool
+lanes at once, and one Philox is re-keyed to each result. It draws the same
+numbers as the per-stream ``generator`` at a small part of its cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +54,10 @@ def level_midpoints(levels, n: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     arr = np.asarray(levels)
-    if arr.size and not (arr.dtype.kind in "iu" and arr.min() >= 1 and arr.max() <= n):
+    # asarray reads a bool among integers as 0 or 1, so a sequence's elements are typed first.
+    bools = not isinstance(levels, np.ndarray) and {bool, np.bool_} & set(
+        map(type, np.asarray(levels, dtype=object).flat))
+    if bools or arr.size and not (arr.dtype.kind in "iu" and arr.min() >= 1 and arr.max() <= n):
         raise ValueError(f"levels must be integers in 1..{n}, got {levels!r}")
     return (2.0 * arr - 1.0) / (2.0 * n)
 
@@ -184,9 +189,11 @@ class RngStream:
     A stream is identified by (seed, path). ``split`` extends the path;
     distinct paths never alias because they map to distinct SeedSequence
     spawn keys. ``generator`` materializes a fresh counter-based generator,
-    so the same stream always replays the same draws. ``generators`` yields
-    the generators of a run of sibling streams, keyed in one batched hash.
-    The seed and every path component must be nonnegative integers.
+    so the same stream always replays the same draws. ``generators(*c)``
+    yields the generators of every stream in a row-major product of path
+    components, such as ``generators(range(t), range(p))``, keyed in one
+    batched hash. The seed and every path component must be nonnegative
+    integers.
     """
 
     seed: int
@@ -206,23 +213,22 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(seq))
 
-    def generators(self, head, replicates: range, tail=()):
-        """The generator of ``self.split(*head, r, *tail)`` for each r in ``replicates``.
+    def generators(self, *components):
+        """The generator of ``self.split(*c)`` for each c in the row-major
+        product of ``components``: an integer is fixed, and a range of step 1
+        within [0, 2**32] varies.
 
-        ``replicates`` is a range of step 1 within [0, 2**32]. Draws what
-        ``generator`` draws on each of those streams, but keys the whole range
-        in one vectorized SeedSequence hash and re-keys a single Philox for
-        each. That one Generator is yielded every time: each is valid only
-        until the next one is drawn.
+        Draws what ``generator`` draws on each stream, but keys them all in
+        one vectorized SeedSequence hash and re-keys a single Philox for each.
+        That one Generator is yielded every time: each is valid only until
+        the next one is drawn.
         """
-        head = self.path + _path_components(head)
-        tail = _path_components(tail)
-        if not (isinstance(replicates, range) and replicates.step == 1
-                and 0 <= replicates.start and replicates.stop <= _M32 + 1):
-            raise ValueError(
-                f"replicates must be a range of step 1 within [0, 2**32], got {replicates!r}"
-            )
-        return _rekeyed(*_seed_pool(self.seed, head), replicates, tail)
+        varying = iter(_product_words([c for c in components if isinstance(c, range)]))
+        words = _words(self.seed)
+        words += [0] * (_POOL - len(words))
+        for c in self.path + components:
+            words += [next(varying)] if isinstance(c, range) else _words(*_path_components((c,)))
+        return _rekeyed(_mix_words(*_seed_pool(words[:_POOL]), words[_POOL:]))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
@@ -251,8 +257,22 @@ def _words(x: int) -> list[int]:
     return out
 
 
+def _product_words(ranges: list[range]) -> list[np.ndarray]:
+    """Each range's word in every stream of the ranges' row-major product, as
+    uint32 arrays; each must be a range of step 1 within [0, 2**32]."""
+    for r in ranges:
+        if not (r.step == 1 and 0 <= r.start and r.stop <= _M32 + 1):
+            raise ValueError(
+                f"stream path range must be a range of step 1 within [0, 2**32], got {r!r}"
+            )
+    shape = [len(r) for r in ranges]
+    grid = np.indices(shape).reshape(len(shape), math.prod(shape))
+    return [(row + r.start).astype(np.uint32) for r, row in zip(ranges, grid)]
+
+
 # Each step works on Python ints and on uint32 arrays alike: products are
 # masked before they meet an array, and array arithmetic wraps mod 2**32.
+# ``h`` may be a column of hash constants, one a pool lane.
 def _hashmix(value, h, mult=_MULT_A):
     value = value ^ h
     h = h * mult & _M32
@@ -265,16 +285,16 @@ def _mix(x, y):
     return x ^ x >> 16
 
 
-def _seed_pool(seed: int, head: tuple[int, ...]):
-    """SeedSequence's pool and hash constant after the seed words and ``head``.
+def _lanes(h: int, mult: int) -> np.ndarray:
+    """The hash constants of _POOL successive steps from ``h``, as a uint32 column."""
+    return np.array([h * pow(mult, k, _M32 + 1) & _M32 for k in range(_POOL)], np.uint32)[:, None]
 
-    The spawn key is never empty here (it holds the replicate), so the seed
-    words are zero-padded to the pool size, as SeedSequence does.
-    """
-    words = _words(seed)
-    words += [0] * (_POOL - len(words))
+
+def _seed_pool(words: list[int]):
+    """SeedSequence's pool and hash constant after its first _POOL words,
+    zero-padded, as SeedSequence pads (or hashes 0 for) missing seed words."""
     pool, h = [], _INIT_A
-    for w in words[:_POOL]:
+    for w in words:
         v, h = _hashmix(w, h)
         pool.append(v)
     for src in range(_POOL):
@@ -282,31 +302,28 @@ def _seed_pool(seed: int, head: tuple[int, ...]):
             if src != dst:
                 v, h = _hashmix(pool[src], h)
                 pool[dst] = _mix(pool[dst], v)
-    return _mix_words(pool, h, words[_POOL:] + [w for c in head for w in _words(c)])
-
-
-def _mix_words(pool, h, words):
-    """Mix each word into every pool entry, as SeedSequence does past the pool size."""
-    pool = list(pool)
-    for w in words:
-        for dst in range(_POOL):
-            v, h = _hashmix(w, h)
-            pool[dst] = _mix(pool[dst], v)
     return pool, h
 
 
-def _philox_keys(pool, h, replicate_words: np.ndarray, tail) -> np.ndarray:
-    """``generate_state(2, uint64)`` after each replicate word, then ``tail``: an (m, 2) array."""
-    pool, _ = _mix_words(pool, h, [replicate_words] + [w for c in tail for w in _words(c)])
-    out, h = [], _INIT_B
-    for v in pool:
-        v, h = _hashmix(v, h, _MULT_B)
-        out.append(v.astype(np.uint64))
-    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+def _mix_words(pool, h, words) -> np.ndarray:
+    """Mix each word into every pool entry, as SeedSequence does past the pool
+    size, then take ``generate_state(2, uint64)``: the (m, 2) Philox keys.
+
+    A word is a Python int, shared by the m streams, or an (m,) uint32 array.
+    The hash constants of a word's _POOL steps depend only on the step count,
+    so the steps run as one (_POOL, m) operation, one lane a pool entry.
+    """
+    pool = np.array(pool, np.uint32)[:, None]
+    lanes = _lanes(h, _MULT_A)
+    for w in words:
+        pool = _mix(pool, _hashmix(w, lanes)[0])
+        lanes = lanes * pow(_MULT_A, _POOL, _M32 + 1)
+    v = _hashmix(pool, _lanes(_INIT_B, _MULT_B), _MULT_B)[0].astype(np.uint64)
+    return np.stack([v[0] | v[1] << 32, v[2] | v[3] << 32], axis=1)
 
 
-def _rekeyed(pool, h, replicates: range, tail: tuple[int, ...]):
-    """One Generator, re-keyed in turn to each replicate's key from ``_philox_keys``."""
+def _rekeyed(keys: np.ndarray):
+    """One Generator, re-keyed in turn to each Philox key in ``keys``."""
     bitgen = np.random.Philox(0)
     # The state a new Philox starts in (counter 0, empty buffer), held in
     # lists, which the state setter reads faster than arrays.
@@ -315,8 +332,7 @@ def _rekeyed(pool, h, replicates: range, tail: tuple[int, ...]):
     keyed = state["state"]
     keyed["counter"] = keyed["counter"].tolist()
     gen = np.random.Generator(bitgen)
-    words = np.arange(replicates.start, replicates.stop).astype(np.uint32)
-    for key in _philox_keys(pool, h, words, tail).tolist():
+    for key in keys.tolist():
         keyed["key"] = key
         bitgen.state = state
         yield gen

@@ -5,7 +5,8 @@ family is a list of row blocks, each permuting its own sorted midpoints (see
 method_blocks); the benchmark draws and sweeps the same blocks. All
 generators split their RngStream per (block, column), so adding columns or
 slices never perturbs the draws of earlier ones and golden tests stay stable
-across refactors.
+across refactors. A design keys all its streams in one RngStream.generators
+call, which draws what rng.split(j, l).generator() draws for each.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ def _midpoint_design(grid: str, sizes: SliceSizes, p: int, rng: RngStream) -> De
         raise ValueError(f"dimension must be >= 1, got {p}")
     blocks = method_blocks(grid, sizes)
     values = np.empty((sizes.n, p), dtype=np.float64)
-    for j, (rows, mids) in enumerate(blocks):
-        for l in range(p):
-            values[rows, l] = rng.split(j, l).generator().permutation(mids)
+    gens = rng.generators(range(len(blocks)), range(p))
+    for rows, mids in blocks:
+        for l, gen in zip(range(p), gens):
+            values[rows, l] = gen.permutation(mids)
     return Design(values, sizes)
 
 
@@ -101,8 +103,7 @@ def generate_randomized_lhd(n: int, p: int, rng: RngStream) -> Design:
         raise ValueError(f"need n >= 1 and p >= 1, got n={n}, p={p}")
     sizes = SliceSizes((n,))
     values = np.empty((n, p), dtype=np.float64)
-    for l in range(p):
-        gen = rng.split(0, l).generator()
+    for l, gen in enumerate(rng.generators(0, range(p))):
         perm = gen.permutation(n) + 1
         jitter = gen.random(n)
         values[:, l] = (perm - jitter) / n

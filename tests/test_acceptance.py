@@ -23,6 +23,7 @@ Known discrepancies, kept deliberately red rather than papered over:
   inconsistency of the printed variant demonstrated in the same test.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_column_assembly_exact(monkeypatch):
         def permutation(self, mids):
             return mids[index_perm[mids.size] - 1]
 
-    monkeypatch.setattr(RngStream, "generator", lambda self: Pinned())
+    monkeypatch.setattr(RngStream, "generators", lambda self, *c: itertools.repeat(Pinned()))
     design = generate_sliced_lhd(SliceSizes(SIZES_2_5_10), 1, RngStream(0))
     expected = np.asarray(COLUMN_NUMER_2_5_10, dtype=np.float64) / 34.0
     assert np.array_equal(design.values[:, 0], expected)

@@ -280,6 +280,35 @@ def test_report_round_trip_and_table():
     assert set(parsed["rmse"]) == {"MLH", "SLH"}
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "report must be a JSON object"),
+        ('{"sizes": 5}', "report missing key: integrand"),
+        ('{"integrand": "f2"}', "report missing key: scenario"),
+        ('{"integrand": "f2", "colour": 1}', "unknown report key: 'colour'"),
+    ],
+)
+def test_report_from_json_names_the_bad_field(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RmseReport.from_json(text)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("sizes", 5, "slice sizes must be a tuple, a list or a 1-D integer array, got 5"),
+        ("sizes", [3, 0], "slice sizes must be positive, got (3, 0)"),
+        ("replicates", 1.5, "replicates must be an integer, got 1.5"),
+        ("rmse", [0.1], "rmse must map method names to numbers, got [0.1]"),
+    ],
+)
+def test_report_from_json_checks_each_value(key, value, message):
+    raw = json.loads(run_experiment(_config(replicates=2)).to_json())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RmseReport.from_json(json.dumps({**raw, key: value}))
+
+
 def test_run_experiment_is_deterministic():
     a = run_experiment(_config(scenario="one-slice-fails", methods=("RLH", "CSLH")))
     b = run_experiment(_config(scenario="one-slice-fails", methods=("RLH", "CSLH")))
@@ -610,14 +639,15 @@ def test_each_chunk_keys_only_its_own_streams(monkeypatch):
     cfg = dataclasses.replace(cfg, methods=("CLH",), replicates=600)
     chunk = benchmark._BUDGET // (cfg.sizes.n * cfg.dim)
     keyed = {}
-    hash_keys = core._philox_keys
+    hash_keys = core._mix_words
 
-    def spy(pool, h, replicate_words, tail):
+    def spy(pool, h, words):
+        (replicate_words,) = [w for w in words if isinstance(w, np.ndarray)]
         assert len(replicate_words) <= chunk
-        keyed.setdefault(tuple(tail), []).extend(replicate_words.tolist())
-        return hash_keys(pool, h, replicate_words, tail)
+        keyed.setdefault((words[-1],), []).extend(replicate_words.tolist())
+        return hash_keys(pool, h, words)
 
-    monkeypatch.setattr(core, "_philox_keys", spy)
+    monkeypatch.setattr(core, "_mix_words", spy)
     method_estimates("CLH", cfg)
     roles = (benchmark._ROLE_DESIGN, benchmark._ROLE_FAILURE, benchmark._ROLE_ASSIGNMENT)
     assert keyed == {(role,): list(range(600)) for role in roles}

@@ -51,6 +51,8 @@ def test_generate_validate_round_trip(tmp_path, capsys):
 )
 @example(sizes=[1], dim=1, seed=0, fmt="levels", decorrelate=True, iterations=1)
 @example(sizes=[2, 5, 10], dim=3, seed=7, fmt="values", decorrelate=True, iterations=10)
+@example(sizes=[7, 1, 12, 5, 3, 9], dim=8, seed=18446744073709551621, fmt="values",
+         decorrelate=True, iterations=10)
 def test_generate_then_validate_round_trip_property(sizes, dim, seed, fmt, decorrelate, iterations):
     # generate writes what the library builds and validate passes it, in
     # either format; --decorrelate only where it is a valid request.
@@ -185,6 +187,40 @@ def test_unparseable_design_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     assert run_cli("validate", str(missing), "--sizes", "1,1") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [("1_0", 10.0), ("nan", np.nan), ("inf", np.inf), ("+3", 3.0), ("0x10", None)],
+)
+def test_design_file_tokens_read_as_float_reads_them(tmp_path, token, value):
+    # Each token means what float() makes of it; one it rejects names its line.
+    path = tmp_path / "design.txt"
+    path.write_text(f"# format: values\n0.25 {token}\n0.75 0.5\n")
+    if value is None:
+        with pytest.raises(ValueError, match=f"^line 2: not numeric: '0.25 {token}'$"):
+            _parse_design_file(str(path), SliceSizes((1, 1)))
+    else:
+        parsed = _parse_design_file(str(path), SliceSizes((1, 1)))
+        assert np.array_equal(parsed.values, [[0.25, value], [0.75, 0.5]], equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# format: values\n\n", "no data rows"),
+        ("1 3\n3 one\n", "line 2: not numeric: '3 one'"),
+        ("1 2 3\n4 5\n6 7 8 9\n", "rows have inconsistent widths"),
+        ("1 2 3\nx\n4 5\n", "line 2: not numeric: 'x'"),
+        ("1 3\n3 1\n", "file has 2 rows but sizes sum to 3"),
+        ("# format: grid\n1 3\n3 1\n5 5\n", "unknown format: 'grid'"),
+    ],
+)
+def test_design_file_errors_name_the_fault(tmp_path, text, message):
+    path = tmp_path / "design.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _parse_design_file(str(path), SliceSizes((1, 2)))
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -13,11 +14,13 @@ from slicedlhd import (
     assignment_steps,
     delta_sequence,
     generate_independent_lhds,
+    generate_randomized_lhd,
     generate_sliced_lhd,
     level_midpoints,
     levels_from_values,
     partition_levels,
 )
+from slicedlhd.generate import method_blocks
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 17, 400])
@@ -55,6 +58,17 @@ def test_level_midpoints_reject_non_integer_levels():
     # 1.7 was truncated to level 1.
     with pytest.raises(ValueError, match=r"^levels must be integers in 1\.\.3, got \[1\.7, 2\]$"):
         level_midpoints([1.7, 2], 3)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [[True, 2], (1, False), [np.True_, 2], [[1, 2], [3, True]], [True, True]],
+    ids=["bool-first", "bool-last", "numpy-bool", "nested", "all-bool"],
+)
+def test_level_midpoints_reject_bool_levels(levels):
+    # [True, 2] was read as levels 1 and 2 and gave [1/6, 1/2].
+    with pytest.raises(ValueError, match=r"^levels must be integers in 1\.\.3, got "):
+        level_midpoints(levels, 3)
 
 
 @pytest.mark.parametrize("levels", [[0, 2], [1, 4], [-1]])
@@ -229,9 +243,16 @@ def test_rng_stream_distinct_seeds_differ():
 
 
 _words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))
+# A varying component: a range of step 1 anywhere in [0, 2**32], ending at
+# 2**32 at most; a few of them multiply to at most a few hundred streams.
+_ranges = st.builds(
+    lambda start, count: range(start, min(start + count, 2**32)),
+    st.one_of(st.just(0), st.integers(0, 2**32 - 1), st.just(2**32 - 3)),
+    st.integers(0, 5),
+)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.one_of(
         st.integers(0, 2**32 - 1),  # one word
@@ -239,22 +260,23 @@ _words = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))
         st.integers(2**128, 2**130),  # more words than the pool holds
     ),
     path=st.lists(_words, max_size=2),
-    head=st.lists(_words, max_size=3),
-    tail=st.lists(_words, max_size=3),
-    first=st.one_of(st.just(0), st.integers(0, 2**32 - 1)),
-    count=st.integers(1, 600),
+    components=st.lists(st.one_of(_words, _ranges), max_size=4),
 )
-@example(seed=7, path=[], head=[3], tail=[1], first=2**32 - 5, count=600)
-def test_batched_keys_match_seed_sequence(seed, path, head, tail, first, count):
+@example(seed=7, path=[], components=[3, range(2**32 - 5, 2**32), 1])
+@example(seed=2**64 + 5, path=[2**40], components=[range(600)])
+@example(seed=18446744073709551621, path=[], components=[range(6), range(8)])
+@example(seed=1, path=[], components=[range(2), 2**33 + 1, range(3), range(2)])
+def test_batched_keys_match_seed_sequence(seed, path, components):
     # Each yielded generator's Philox holds exactly the state numpy's own
     # SeedSequence + Philox path gives: the key bit for bit, counter 0 and
-    # an empty buffer. The range may start anywhere and end at 2**32.
+    # an empty buffer. The streams are the row-major product of the
+    # components; a range may sit anywhere, start anywhere and end at 2**32.
+    streams = list(itertools.product(*[c if isinstance(c, range) else [c] for c in components]))
     base = RngStream(seed, tuple(path))
-    replicates = range(first, min(first + count, 2**32))
-    for r, gen in zip(replicates, base.generators(tuple(head), replicates, tuple(tail))):
-        spawn_key = tuple(path) + tuple(head) + (r,) + tuple(tail)
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
-        got = gen.bit_generator.state
+    states = [gen.bit_generator.state for gen in base.generators(*components)]
+    assert len(states) == len(streams)
+    for key, got in zip(streams, states):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path) + key)
         want = np.random.Philox(seq).state
         assert np.array_equal(got["state"]["key"], seq.generate_state(2, np.uint64))
         assert np.array_equal(got["state"]["counter"], want["state"]["counter"])
@@ -262,8 +284,9 @@ def test_batched_keys_match_seed_sequence(seed, path, head, tail, first, count):
         assert [got[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
             want[k] for k in ("buffer_pos", "has_uint32", "uinteger")
         ]
-    assert r == replicates[-1]
 
+
+_BAD_RANGE = r"^stream path range must be a range of step 1 within \[0, 2\*\*32\], got "
 
 _DRAWS = {
     "permutation-int": lambda gen: gen.permutation(23),
@@ -280,7 +303,7 @@ def test_batched_generators_draw_as_per_replicate_generators(draw, role):
     # starts, draws what each of its streams draws alone.
     seed, code, fn = 20240817_000123, 3, _DRAWS[draw]
     for replicates in (range(300), range(137, 300), range(299, 300), range(150, 150)):
-        batched = [fn(gen) for gen in RngStream(seed).generators((code,), replicates, (role,))]
+        batched = [fn(gen) for gen in RngStream(seed).generators(code, replicates, role)]
         assert len(batched) == len(replicates)
         for r, got in zip(replicates, batched):
             want = fn(RngStream(seed).split(code, r, role).generator())
@@ -289,7 +312,8 @@ def test_batched_generators_draw_as_per_replicate_generators(draw, role):
 
 def test_batched_generators_yield_nothing_for_zero_count():
     for replicates in (range(0), range(7, 7), range(9, 3), range(2**32, 2**32)):
-        assert list(RngStream(5).generators((1,), replicates, (2,))) == []
+        assert list(RngStream(5).generators(1, replicates, 2)) == []
+    assert list(RngStream(5).generators(range(3), range(0), 2)) == []
 
 
 @pytest.mark.parametrize(
@@ -304,24 +328,44 @@ def test_batched_generators_yield_nothing_for_zero_count():
 def test_batched_generators_reject_loose_inputs(head, count, tail, message):
     # Rejected when called, with the messages RngStream itself uses.
     with pytest.raises(ValueError, match=message):
-        RngStream(1).generators(head, range(count), tail)
+        RngStream(1).generators(*head, range(count), *tail)
 
 
 @pytest.mark.parametrize(
-    "replicates",
+    "replicates, message",
     [
-        pytest.param(3, id="int"),
-        pytest.param(2.0, id="float"),
-        pytest.param(True, id="bool"),
-        pytest.param([0, 1, 2], id="list"),
-        pytest.param(range(0, 6, 2), id="step-2"),
-        pytest.param(range(-1, 3), id="negative-start"),
-        pytest.param(range(0, 2**32 + 1), id="stop-past-2**32"),
+        pytest.param(2.0, "^stream path component must be an integer, got ", id="float"),
+        pytest.param(True, "^stream path component must be an integer, got ", id="bool"),
+        pytest.param([0, 1, 2], "^stream path component must be an integer, got ", id="list"),
+        pytest.param(range(0, 6, 2), _BAD_RANGE, id="step-2"),
+        pytest.param(range(-1, 3), _BAD_RANGE, id="negative-start"),
+        pytest.param(range(0, 2**32 + 1), _BAD_RANGE, id="stop-past-2**32"),
     ],
 )
-def test_batched_generators_reject_a_bad_replicate_range(replicates):
-    # Only a range of step 1 within [0, 2**32] names replicate streams;
-    # anything else is rejected when called, naming the argument.
-    message = r"^replicates must be a range of step 1 within \[0, 2\*\*32\], got "
+def test_batched_generators_reject_a_bad_replicate_range(replicates, message):
+    # A varying component is a range of step 1 within [0, 2**32], and any
+    # other is an integer; anything else is rejected when called, naming
+    # the value.
     with pytest.raises(ValueError, match=message + re.escape(repr(replicates)) + "$"):
-        RngStream(1).generators((1,), replicates, (2,))
+        RngStream(1).generators(1, replicates, 2)
+    with pytest.raises(ValueError, match=message + re.escape(repr(replicates)) + "$"):
+        RngStream(1).generators(range(2), replicates)
+
+
+def test_library_generators_draw_as_per_stream_generators():
+    # Each library generator keys its (block, column) streams in one call;
+    # it draws what each stream's own generator() draws.
+    rng = RngStream(2**70 + 3, (4,))
+    for sizes, p in [((2, 5, 10), 3), ((7, 1, 12, 5, 3, 9), 8), ((1,), 1)]:
+        sizes = SliceSizes(sizes)
+        for generate, grid in [(generate_sliced_lhd, "sliced"), (generate_independent_lhds, "own")]:
+            want = np.empty((sizes.n, p))
+            for j, (rows, mids) in enumerate(method_blocks(grid, sizes)):
+                for l in range(p):
+                    want[rows, l] = rng.split(j, l).generator().permutation(mids)
+            assert np.array_equal(generate(sizes, p, rng).values, want)
+        want = np.empty((sizes.n, p))
+        for l in range(p):
+            gen = rng.split(0, l).generator()
+            want[:, l] = (gen.permutation(sizes.n) + 1 - gen.random(sizes.n)) / sizes.n
+        assert np.array_equal(generate_randomized_lhd(sizes.n, p, rng).values, want)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +38,7 @@ def test_walkthrough_column_assembly(monkeypatch):
         def permutation(self, mids):
             return mids[index_perm[mids.size] - 1]
 
-    monkeypatch.setattr(RngStream, "generator", lambda self: Pinned())
+    monkeypatch.setattr(RngStream, "generators", lambda self, *c: itertools.repeat(Pinned()))
     design = generate_sliced_lhd(SliceSizes(SIZES_2_5_10), 1, RngStream(0))
     expected = np.asarray(COLUMN_NUMER_2_5_10, dtype=np.float64) / 34.0
     assert np.array_equal(design.values[:, 0], expected)
