@@ -298,16 +298,11 @@ _BUDGET = 2**16
 _MAX_CHUNK = 1024
 
 
-def _generators(code: int, cfg: ExperimentConfig, role: int, reps: range):
-    """The generators of replicates ``reps`` for one method and role (see RngStream.generators)."""
-    return RngStream(cfg.seed).generators(code, reps, role)
-
-
 def _batch_designs(method: str, cfg: ExperimentConfig, blocks, reps: range) -> np.ndarray:
     """The designs of replicates ``reps``, drawn from their design streams
     onto ``blocks`` (method_blocks of the method's grid)."""
     n, p = cfg.sizes.n, cfg.dim
-    gens = _generators(_METHODS[method][0], cfg, _ROLE_DESIGN, reps)
+    gens = RngStream(cfg.seed).generators(_METHODS[method][0], reps, _ROLE_DESIGN)
     out = np.empty((len(reps), n, p))
     if method == "RLH":
         # Column l is (permutation(n) + 1 - random(n)) / n, its permutation
@@ -343,14 +338,14 @@ def _estimates(method: str, cfg: ExperimentConfig, F: np.ndarray, reps: range) -
     code, grid, _ = _METHODS[method]
     off = cfg.sizes.offsets()
     t = cfg.sizes.t
-    failure = _generators(code, cfg, _ROLE_FAILURE, reps)
+    failure = RngStream(cfg.seed).generators(code, reps, _ROLE_FAILURE)
     fail = np.fromiter((gen.integers(t) for gen in failure), dtype=np.int64, count=m)
     totals = F.sum(axis=1)
     if grid == "full":
         # Assign rows to computers uniformly at random: shuffle each
         # replicate's values in place (the draws of permutation(n)), so
         # each computer's group is a contiguous block.
-        for row, gen in zip(F, _generators(code, cfg, _ROLE_ASSIGNMENT, reps)):
+        for row, gen in zip(F, RngStream(cfg.seed).generators(code, reps, _ROLE_ASSIGNMENT)):
             gen.shuffle(row)
     block_sums = np.stack(
         [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(t)], axis=1

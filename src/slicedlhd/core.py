@@ -7,9 +7,9 @@ per (slice, column) or per (method, replicate) without aliasing.
 
 A stream's generator is numpy's own SeedSequence + Philox. For the streams
 of a product of path components, such as one per (slice, column) of a design
-or one per benchmark replicate, ``RngStream.generators`` reproduces
-SeedSequence's hash in uint32 array arithmetic: the first seed words in
-Python ints, then every further word for all the streams and all four pool
+or one per benchmark replicate, ``RngStream.generators`` lets SeedSequence
+hash the seed and the fixed path prefix, then goes on with its hash in uint32
+array arithmetic: every further word for all the streams and all four pool
 lanes at once, and one Philox is re-keyed to each result. It draws the same
 numbers as the per-stream ``generator`` at a small part of its cost.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -223,12 +224,16 @@ class RngStream:
         That one Generator is yielded every time: each is valid only until
         the next one is drawn.
         """
+        fixed = tuple(takewhile(lambda c: not isinstance(c, range), components))
+        prefix = self.path + _path_components(fixed)
         varying = iter(_product_words([c for c in components if isinstance(c, range)]))
-        words = _words(self.seed)
-        words += [0] * (_POOL - len(words))
-        for c in self.path + components:
+        words = []
+        for c in components[len(fixed):]:
             words += [next(varying)] if isinstance(c, range) else _words(*_path_components((c,)))
-        return _rekeyed(_mix_words(*_seed_pool(words[:_POOL]), words[_POOL:]))
+        # SeedSequence takes _POOL hash steps a word, the seed padded to _POOL words.
+        steps = _POOL * (max(_POOL, len(_words(self.seed))) + sum(len(_words(c)) for c in prefix))
+        seq = np.random.SeedSequence(self.seed, spawn_key=prefix)
+        return _rekeyed(np.random.Philox(seq), _mix_words(seq.pool, steps, words))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4.
@@ -270,18 +275,16 @@ def _product_words(ranges: list[range]) -> list[np.ndarray]:
     return [(row + r.start).astype(np.uint32) for r, row in zip(ranges, grid)]
 
 
-# Each step works on Python ints and on uint32 arrays alike: products are
-# masked before they meet an array, and array arithmetic wraps mod 2**32.
-# ``h`` may be a column of hash constants, one a pool lane.
+# Each step works on uint32 arrays, whose arithmetic wraps mod 2**32; the
+# Python-int constants, all below 2**32, stay uint32. ``h`` may be a column
+# of hash constants, one a pool lane.
 def _hashmix(value, h, mult=_MULT_A):
-    value = value ^ h
-    h = h * mult & _M32
-    value = value * h & _M32
-    return value ^ value >> 16, h
+    value = (value ^ h) * (h * mult)
+    return value ^ value >> 16
 
 
 def _mix(x, y):
-    x = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    x = _MIX_L * x - _MIX_R * y
     return x ^ x >> 16
 
 
@@ -290,41 +293,26 @@ def _lanes(h: int, mult: int) -> np.ndarray:
     return np.array([h * pow(mult, k, _M32 + 1) & _M32 for k in range(_POOL)], np.uint32)[:, None]
 
 
-def _seed_pool(words: list[int]):
-    """SeedSequence's pool and hash constant after its first _POOL words,
-    zero-padded, as SeedSequence pads (or hashes 0 for) missing seed words."""
-    pool, h = [], _INIT_A
-    for w in words:
-        v, h = _hashmix(w, h)
-        pool.append(v)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    return pool, h
-
-
-def _mix_words(pool, h, words) -> np.ndarray:
-    """Mix each word into every pool entry, as SeedSequence does past the pool
-    size, then take ``generate_state(2, uint64)``: the (m, 2) Philox keys.
+def _mix_words(pool: np.ndarray, steps: int, words) -> np.ndarray:
+    """Mix each word into every entry of SeedSequence's ``pool`` after its
+    ``steps`` hash steps, as SeedSequence does past the pool size, then take
+    ``generate_state(2, uint64)``: the (m, 2) Philox keys.
 
     A word is a Python int, shared by the m streams, or an (m,) uint32 array.
     The hash constants of a word's _POOL steps depend only on the step count,
     so the steps run as one (_POOL, m) operation, one lane a pool entry.
     """
-    pool = np.array(pool, np.uint32)[:, None]
-    lanes = _lanes(h, _MULT_A)
+    pool = pool[:, None]
+    lanes = _lanes(_INIT_A * pow(_MULT_A, steps, _M32 + 1), _MULT_A)
     for w in words:
-        pool = _mix(pool, _hashmix(w, lanes)[0])
+        pool = _mix(pool, _hashmix(w, lanes))
         lanes = lanes * pow(_MULT_A, _POOL, _M32 + 1)
-    v = _hashmix(pool, _lanes(_INIT_B, _MULT_B), _MULT_B)[0].astype(np.uint64)
+    v = _hashmix(pool, _lanes(_INIT_B, _MULT_B), _MULT_B).astype(np.uint64)
     return np.stack([v[0] | v[1] << 32, v[2] | v[3] << 32], axis=1)
 
 
-def _rekeyed(keys: np.ndarray):
-    """One Generator, re-keyed in turn to each Philox key in ``keys``."""
-    bitgen = np.random.Philox(0)
+def _rekeyed(bitgen: np.random.Philox, keys: np.ndarray):
+    """One Generator on a new ``bitgen``, re-keyed in turn to each Philox key in ``keys``."""
     # The state a new Philox starts in (counter 0, empty buffer), held in
     # lists, which the state setter reads faster than arrays.
     state = bitgen.state

@@ -3,9 +3,10 @@
 Two guarantees are checked, mirroring what the sliced construction promises:
 whole-grid stratification (each column puts one point in each of the n bins
 ((m-1)/n, m/n]) and per-slice stratification (slice j's rows do the same at
-the coarser n_j resolution). A third flag records whether every entry sits
-exactly on the full midpoint grid, which separates midpoint designs from
-jittered or stacked-independent ones.
+the coarser n_j resolution), both by one rule: against the float bin edges.
+A third flag records whether every entry sits exactly on the full midpoint
+grid, which separates midpoint designs from jittered or stacked-independent
+ones.
 """
 
 from __future__ import annotations
@@ -24,10 +25,9 @@ MIDPOINT_TOL = 1e-12
 def is_lhd_column(column, bins: int) -> bool:
     """True iff each bin ((m-1)/bins, m/bins], m=1..bins, holds one entry.
 
-    Entries are classified by ceil(x * bins), except that an entry equal
-    to a bin edge m/bins goes into bin m, which the edge closes: float
-    ceil can round 7/25 into bin 8 of 25. Out-of-range and non-finite
-    entries fail the check rather than being clamped into a bin.
+    Entries are binned against the float edges m/bins (see
+    _columns_fill_bins). Out-of-range and non-finite entries fail the
+    check rather than being clamped into a bin.
     """
     bins = _as_integer("bins", bins)
     if bins < 1:
@@ -37,39 +37,23 @@ def is_lhd_column(column, bins: int) -> bool:
         raise ValueError("column must be a 1-D vector")
     if col.size != bins:
         raise ValueError(f"column has {col.size} entries but bins={bins}")
-    col = col[:, None]
-    return bool(_columns_fill_bins(col, _grid_levels(col, bins), bins, bins)[0])
+    return bool(_columns_fill_bins(col[:, None], bins)[0])
 
 
-def _columns_fill_bins(values: np.ndarray, grid, bins: int, n: int) -> np.ndarray:
+def _columns_fill_bins(values: np.ndarray, bins: int) -> np.ndarray:
     """Per column of ``values``: does each of the ``bins`` bins hold one entry?
-    ``grid`` is ``_grid_levels(values, n)``.
 
-    An entry equal to the midpoint (2a-1)/(2n) of the n-level grid is binned
-    exactly, as ceil(bins*(2a-1) / (2n)) in integers: a midpoint can sit on
-    a coarser bin edge, where float ceil(x * bins) may round it into the
-    next bin. So is an entry equal to a bin edge m/bins, which closes bin
-    m (7/25 * 25 rounds to 7.000000000000001). Other entries in (0, 1] use
-    ceil(x * bins); entries outside (0, 1], NaN included, get bin 0, which
-    no column may hold.
+    x is in bin m iff e(m-1) < x <= e(m), e(m) the float m/bins. e(m) is m/bins
+    correctly rounded, so an edge float closes its own bin (7/25 * 25 rounds
+    to 7.000000000000001, yet 7/25 is in bin 7) and any other float is binned
+    by its own exact value. So is a midpoint (2a-1)/(2n): on an edge it is
+    that edge's float, and off it it differs from every edge by at least
+    1/(2n*bins), far more than an ulp while 2n*bins < 2**53. Entries outside
+    (0, 1], NaN included, get bin 0 or bins+1, which no column may hold.
     """
-    in_range, levels, mids = grid
-    on_grid = in_range & (values == mids)
-    exact = -(-(bins * (2 * levels - 1)) // (2 * n))
-    scaled = np.where(in_range, values, 0.0) * bins
-    edge = np.rint(scaled)
-    approx = np.where(edge / bins == values, edge, np.ceil(scaled)).astype(np.int64)
-    idx = np.where(on_grid, exact, approx)
+    idx = np.digitize(values, np.arange(bins + 1) / bins, right=True)
     want = np.arange(1, bins + 1)[:, None]
     return np.all(np.sort(idx, axis=0) == want, axis=0)
-
-
-def _grid_levels(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mask of entries in (0, 1], each entry's nearest level in 1..n and its
-    midpoint. Out-of-range entries, NaN included, are read as 1.0 (level n)."""
-    in_range = (values > 0.0) & (values <= 1.0)
-    levels = levels_from_values(np.where(in_range, values, 1.0), n)
-    return in_range, levels, level_midpoints(levels, n)
 
 
 @dataclass(frozen=True)
@@ -125,14 +109,15 @@ def validate_sliced(design: Design) -> ValidationReport:
     p = design.p
     off = design.slice_offsets
 
-    # The whole grid's levels, computed once; each slice reads its rows.
-    grid = _grid_levels(values, n)
-    column_ok = tuple(_columns_fill_bins(values, grid, n, n).tolist())
+    column_ok = tuple(_columns_fill_bins(values, n).tolist())
     slice_ok = tuple(
-        tuple(_columns_fill_bins(values[rows], [g[rows] for g in grid], nj, n).tolist())
+        tuple(_columns_fill_bins(values[rows], nj).tolist())
         for rows, nj in zip(map(slice, off, off[1:]), design.sizes.sizes)
     )
-    midpoints_exact = bool(np.all(np.abs(values - grid[2]) <= MIDPOINT_TOL))
+    # Out-of-range entries and NaN, read as 1.0 to find a level, fail all the same.
+    in_range = (values > 0.0) & (values <= 1.0)
+    mids = level_midpoints(levels_from_values(np.where(in_range, values, 1.0), n), n)
+    midpoints_exact = bool(np.all(np.abs(values - mids) <= MIDPOINT_TOL))
     return ValidationReport(
         column_ok=column_ok,
         slice_ok=slice_ok,

@@ -338,11 +338,10 @@ def test_batched_streams_match_per_replicate_streams(monkeypatch, method, scenar
     cfg = _config(replicates=45, scenario=scenario)
     batched = method_estimates(method, cfg)
 
-    def per_replicate(code, cfg, role, reps):
-        base = RngStream(cfg.seed)
-        return (base.split(code, r, role).generator() for r in reps)
+    def per_replicate(stream, code, reps, role):
+        return (stream.split(code, r, role).generator() for r in reps)
 
-    monkeypatch.setattr(benchmark, "_generators", per_replicate)
+    monkeypatch.setattr(RngStream, "generators", per_replicate)
     assert np.array_equal(batched, method_estimates(method, cfg))
 
 
@@ -357,7 +356,7 @@ def _reference_designs(method, cfg):
     for rows, mids in blocks:
         out[:, rows, :] = mids[:, None]
     reps = range(cfg.replicates)
-    for r, gen in enumerate(benchmark._generators(code, cfg, benchmark._ROLE_DESIGN, reps)):
+    for r, gen in enumerate(RngStream(cfg.seed).generators(code, reps, benchmark._ROLE_DESIGN)):
         if method == "RLH":
             for l in range(p):
                 perm = gen.permutation(n) + 1
@@ -442,7 +441,7 @@ def _reference_estimates(method, cfg, F):
     sizes = np.asarray(cfg.sizes.sizes)
     off = cfg.sizes.offsets()
     t = cfg.sizes.t
-    failure = benchmark._generators(code, cfg, benchmark._ROLE_FAILURE, range(R))
+    failure = RngStream(cfg.seed).generators(code, range(R), benchmark._ROLE_FAILURE)
     fail = np.fromiter((gen.integers(t) for gen in failure), dtype=np.int64, count=R)
     totals = F.sum(axis=1)
     if grid != "full":
@@ -452,7 +451,7 @@ def _reference_estimates(method, cfg, F):
         dropped = block_sums[np.arange(R), fail]
     else:
         dropped = np.empty(R)
-        assignment = benchmark._generators(code, cfg, benchmark._ROLE_ASSIGNMENT, range(R))
+        assignment = RngStream(cfg.seed).generators(code, range(R), benchmark._ROLE_ASSIGNMENT)
         for r, gen in enumerate(assignment):
             perm = gen.permutation(n)
             j = fail[r]
@@ -641,11 +640,11 @@ def test_each_chunk_keys_only_its_own_streams(monkeypatch):
     keyed = {}
     hash_keys = core._mix_words
 
-    def spy(pool, h, words):
+    def spy(pool, steps, words):
         (replicate_words,) = [w for w in words if isinstance(w, np.ndarray)]
         assert len(replicate_words) <= chunk
         keyed.setdefault((words[-1],), []).extend(replicate_words.tolist())
-        return hash_keys(pool, h, words)
+        return hash_keys(pool, steps, words)
 
     monkeypatch.setattr(core, "_mix_words", spy)
     method_estimates("CLH", cfg)

@@ -266,6 +266,11 @@ _ranges = st.builds(
 @example(seed=2**64 + 5, path=[2**40], components=[range(600)])
 @example(seed=18446744073709551621, path=[], components=[range(6), range(8)])
 @example(seed=1, path=[], components=[range(2), 2**33 + 1, range(3), range(2)])
+# The step count after numpy's hash: a seed of more words than the pool
+# holds, with a two-word fixed component before the first range; and a
+# call with no range at all, which yields one stream.
+@example(seed=2**130 + 9, path=[5], components=[2**40 + 3, range(4), 2])
+@example(seed=11, path=[], components=[3, 2**40])
 def test_batched_keys_match_seed_sequence(seed, path, components):
     # Each yielded generator's Philox holds exactly the state numpy's own
     # SeedSequence + Philox path gives: the key bit for bit, counter 0 and

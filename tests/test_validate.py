@@ -59,6 +59,18 @@ def test_is_lhd_column_bin_edges_close_right():
         assert is_lhd_column(edges[::-1].copy(), bins), bins
 
 
+def test_is_lhd_column_fails_next_float_above_an_edge():
+    # The next float above m/bins lies in bin m+1 as an exact rational, so
+    # bin m is empty. Binned by the rounded product x * bins it would land
+    # in bin m: the next float above 1/3, times 3, rounds to 1.0.
+    for bins in range(1, 201):
+        edges = np.arange(1, bins + 1) / bins
+        for m in range(bins):
+            col = edges.copy()
+            col[m] = np.nextafter(col[m], 2.0)
+            assert not is_lhd_column(col, bins), (bins, m + 1)
+
+
 def test_is_lhd_column_input_checks():
     with pytest.raises(ValueError):
         is_lhd_column(np.zeros((2, 2)), 2)
@@ -202,7 +214,7 @@ def _constructed(family, sizes, p, rng):
     return generate_randomized_lhd(sizes.n, p, rng).values
 
 
-_MUTATIONS = ("swap", "shift", "edge", "edge column", "zero", "above one", "nan")
+_MUTATIONS = ("swap", "shift", "edge", "beside edge", "edge column", "zero", "above one", "nan")
 
 
 @settings(max_examples=150, deadline=None)
@@ -218,12 +230,17 @@ _MUTATIONS = ("swap", "shift", "edge", "edge column", "zero", "above one", "nan"
 )
 @example(family="sliced", sizes=[25], p=1, seed=0, mutations=[("edge column", 0, 0)])
 @example(family="sliced", sizes=[50, 7, 38], p=2, seed=1, mutations=[])
+# 1/6, 1/2, 5/6 made 0.33333333333333337, 2/3, 5/6: bin 1 of 3 is empty.
+@example(
+    family="sliced", sizes=[3], p=1, seed=0, mutations=[("beside edge", 0, 3), ("edge", 1, 1)]
+)
 def test_validate_sliced_agrees_with_brute_force_counter(family, sizes, p, seed, mutations):
     # Construction outputs and mutated copies, at entry (i, l) picked by u:
     # swapped with an entry of another slice, shifted one level, set to a
-    # bin edge of the whole grid or of a slice, 0, above 1 or NaN; or
-    # column l set to a permutation of the edges m/n. The examples are the
-    # 7/25 edge and the (50, 7, 38) midpoint on a slice edge.
+    # bin edge of the whole grid or of a slice or to the next float below
+    # or above it, 0, above 1 or NaN; or column l set to a permutation of
+    # the edges m/n. The examples are the 7/25 edge, the (50, 7, 38)
+    # midpoint on a slice edge and the next float above 1/3.
     sizes = SliceSizes(tuple(sizes))
     n, off = sizes.n, sizes.offsets()
     values = _constructed(family, sizes, p, RngStream(seed))
@@ -238,9 +255,10 @@ def test_validate_sliced_agrees_with_brute_force_counter(family, sizes, p, seed,
         elif kind == "shift" and 0.0 < x <= 1.0 and n > 1:
             a = int(levels_from_values(x, n))
             values[i, l] = level_midpoints(a + 1 if a < n else a - 1, n)
-        elif kind == "edge":
+        elif kind in ("edge", "beside edge"):
             bins = ((n,) + sizes.sizes)[w % (sizes.t + 1)]
-            values[i, l] = (w % bins + 1) / bins
+            edge = (w % bins + 1) / bins
+            values[i, l] = edge if kind == "edge" else np.nextafter(edge, w // bins % 2 * 2.0)
         elif kind == "edge column":
             values[:, l] = np.random.default_rng(w).permutation(np.arange(1, n + 1)) / n
         elif kind in ("zero", "above one", "nan"):
