@@ -144,6 +144,14 @@ def true_mean_f2() -> float:
     return _F2_MEAN
 
 
+def _as_finite(name: str, value) -> float:
+    """``value`` as a float: a finite int or float, never a bool or a string."""
+    x = np.asarray(value)
+    if x.ndim or x.dtype.kind not in "iuf" or not np.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(x)
+
+
 def _json_fields(cls, text: str, kind: str) -> dict:
     """``text`` as a JSON object of every field of ``cls`` without a default, and no other key."""
     raw = json.loads(text)
@@ -243,10 +251,19 @@ class RmseReport:
     rmse: dict[str, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", SliceSizes(self.sizes).sizes)
-        _as_integer("replicates", self.replicates)
+        sizes = SliceSizes(self.sizes)
+        object.__setattr__(self, "sizes", sizes.sizes)
         if not isinstance(self.rmse, dict):
             raise ValueError(f"rmse must map method names to numbers, got {self.rmse!r}")
+        # The fields a config shares are checked by the config that would
+        # have made this report, with its own messages.
+        dim = 5 if self.integrand == "f1" else 2 if self.integrand == "f2" else 1
+        ExperimentConfig(self.integrand, sizes, dim, tuple(self.rmse), self.replicates,
+                         self.scenario, 0, self.f1_variant)
+        _as_finite("true_mean", self.true_mean)
+        for method, value in self.rmse.items():
+            if _as_finite(f"rmse of {method}", value) < 0:
+                raise ValueError(f"rmse of {method} must be >= 0, got {value!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -386,11 +403,8 @@ def _true_mean(cfg: ExperimentConfig, custom_true_mean) -> float:
     _check_custom(cfg, "custom_true_mean", custom_true_mean)
     if cfg.integrand != "custom":
         return true_mean_f1() if cfg.integrand == "f1" else true_mean_f2()
-    # A real number, never parsed from a string; NaN or inf makes every RMSE NaN.
-    mu = np.asarray(custom_true_mean)
-    if mu.ndim or mu.dtype.kind not in "iuf" or not np.isfinite(mu):
-        raise ValueError(f"custom_true_mean must be a finite number, got {custom_true_mean!r}")
-    return float(mu)
+    # NaN or inf would make every RMSE NaN.
+    return _as_finite("custom_true_mean", custom_true_mean)
 
 
 def method_estimates(

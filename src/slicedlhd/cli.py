@@ -161,8 +161,6 @@ def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
             except ValueError:
                 raise ValueError(f"line {lineno}: not numeric: {line!r}")
         raise ValueError("rows have inconsistent widths")
-    if len(arr) != sizes.n:
-        raise ValueError(f"file has {len(arr)} rows but sizes sum to {sizes.n}")
     if fmt is None:
         # No header: integer-looking content is levels-format numerators.
         fmt = "levels" if np.all(arr == np.rint(arr)) and np.all(arr >= 1) else "values"

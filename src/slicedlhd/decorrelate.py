@@ -95,7 +95,7 @@ def rms_correlation(matrix) -> float:
         raise ValueError("need at least two rows to correlate")
     if not np.isfinite(m).all():
         raise ValueError("matrix values must be finite")
-    if np.any(m.std(axis=0) == 0.0):
+    if (m == m[0]).all(axis=0).any():
         raise ValueError("zero-variance column has undefined correlation")
     return _rms(m)
 
@@ -150,20 +150,15 @@ def reduce_correlations(
     iterations = _as_integer("iterations", iterations)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if design.p < 2:
-        raise ValueError("correlation reduction needs at least two columns")
-    if design.n < 2:
-        raise ValueError("correlation reduction needs at least two rows")
     if partition is not None and not isinstance(partition, LevelPartition):
         raise ValueError(f"partition must be a LevelPartition, got {partition!r}")
     if partition is not None and partition.sizes != design.sizes:
         raise ValueError("partition slice sizes do not match the design")
-    if not np.isfinite(design.values).all():
-        raise ValueError("design values must be finite")
 
     off = design.slice_offsets
     values = design.values.copy()
     blocks = [values[off[j] : off[j + 1]] for j in range(design.sizes.t)]
+    # rms_correlation checks the design, then each slice, before any is swept.
     whole_trace = [rms_correlation(values)]
     # A slice too small to correlate has trace entries of 0.0, so every entry
     # stays within [0, 1]; each larger one is swept as a block of one,

@@ -194,6 +194,8 @@ def test_config_validation():
         _config(integrand="f1")  # dim stays 2, f1 needs 5
     with pytest.raises(ValueError):
         _config(dim=5)  # f2 needs 2
+    with pytest.raises(ValueError, match="^dim must be >= 1$"):
+        _config(integrand="custom", dim=0)  # custom takes the configured dim
     with pytest.raises(ValueError):
         _config(methods=("MLH", "FSD"))
     with pytest.raises(ValueError):
@@ -272,6 +274,7 @@ def test_report_round_trip_and_table():
     report = run_experiment(_config())
     back = RmseReport.from_json(report.to_json())
     assert back == report
+    assert back.to_json() == report.to_json()
     table = render_table([report])
     assert "n/a" in table  # FSD column is always marked unavailable
     assert "MLH" in table and "SLH" in table
@@ -301,12 +304,36 @@ def test_report_from_json_names_the_bad_field(text, message):
         ("sizes", [3, 0], "slice sizes must be positive, got (3, 0)"),
         ("replicates", 1.5, "replicates must be an integer, got 1.5"),
         ("rmse", [0.1], "rmse must map method names to numbers, got [0.1]"),
+        ("scenario", "nope", "unknown scenario: 'nope'"),
+        ("replicates", -3, "replicates must be >= 1"),
+        ("integrand", 7, "unknown integrand: 7"),
+        ("f1_variant", "x3", "f1_variant 'x3' applies only to integrand 'f1'"),
+        ("rmse", {"BOGUS": 0.1}, "unknown method: 'BOGUS'"),
+        ("rmse", {"SLH": "x"}, "rmse of SLH must be a finite number, got 'x'"),
+        ("rmse", {"SLH": True}, "rmse of SLH must be a finite number, got True"),
+        ("rmse", {"SLH": None}, "rmse of SLH must be a finite number, got None"),
+        ("rmse", {"MLH": 0.1, "SLH": -0.5}, "rmse of SLH must be >= 0, got -0.5"),
+        ("true_mean", "abc", "true_mean must be a finite number, got 'abc'"),
+        ("true_mean", False, "true_mean must be a finite number, got False"),
+        ("true_mean", [1.0], "true_mean must be a finite number, got [1.0]"),
+        ("rmse", {"MLH": float("nan")}, "rmse of MLH must be a finite number, got nan"),
+        ("rmse", {"MLH": float("inf")}, "rmse of MLH must be a finite number, got inf"),
     ],
 )
 def test_report_from_json_checks_each_value(key, value, message):
+    # The fields a report shares with its config (the rmse keys read as
+    # method names) get the config's own messages. Each rmse value must be
+    # a finite number >= 0, and the true mean a finite number.
     raw = json.loads(run_experiment(_config(replicates=2)).to_json())
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RmseReport.from_json(json.dumps({**raw, key: value}))
+
+
+def test_custom_report_is_checked_as_a_custom_config():
+    cfg = _config(integrand="custom", dim=3, methods=("SLH",), replicates=2)
+    report = run_experiment(cfg, custom_integrand=lambda v: v.sum(axis=2),
+                            custom_true_mean=1.5)
+    assert RmseReport.from_json(report.to_json()) == report
 
 
 def test_run_experiment_is_deterministic():

@@ -130,6 +130,17 @@ def test_generate_decorrelate_with_trace(tmp_path):
     assert run_cli("validate", str(out), "--sizes", "6,7") == 0
 
 
+def test_unwritable_trace_exits_3(tmp_path, capsys):
+    # The design goes to stdout, then the trace path fails: one error line.
+    target = tmp_path / "no-such-dir" / "t.csv"
+    assert run_cli("generate", "--sizes", "2,5,10", "--dim", "3", "--decorrelate",
+                   "--trace-out", str(target)) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("# slicedlhd design\n")
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_trace_requires_decorrelate(tmp_path):
     assert run_cli("generate", "--sizes", "6,7", "--dim", "2",
                    "--trace-out", str(tmp_path / "t.csv")) == 2
@@ -212,7 +223,7 @@ def test_design_file_tokens_read_as_float_reads_them(tmp_path, token, value):
         ("1 3\n3 one\n", "line 2: not numeric: '3 one'"),
         ("1 2 3\n4 5\n6 7 8 9\n", "rows have inconsistent widths"),
         ("1 2 3\nx\n4 5\n", "line 2: not numeric: 'x'"),
-        ("1 3\n3 1\n", "file has 2 rows but sizes sum to 3"),
+        ("1 3\n3 1\n", "design has 2 rows, sizes imply 3"),
         ("# format: grid\n1 3\n3 1\n5 5\n", "unknown format: 'grid'"),
     ],
 )

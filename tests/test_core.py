@@ -151,6 +151,8 @@ def test_level_partition_validates_cover():
         LevelPartition(((1, 2), (2, 3, 4)), sizes)  # duplicate level
     with pytest.raises(ValueError):
         LevelPartition(((1, 2), (3, 4, 6)), sizes)  # not a cover of 1..5
+    with pytest.raises(ValueError, match="^group count does not match slice count$"):
+        LevelPartition(((1, 2, 3, 4, 5),), sizes)
 
 
 def test_level_partition_sorts_groups():

@@ -69,11 +69,13 @@ def test_residualize_degenerate_inputs():
     one = np.array([0.4])
     assert np.array_equal(residualize(one, one), one)
     resp = np.array([0.1, 0.9, 0.5])
-    const = np.full(3, 0.7)
-    out = residualize(resp, const)
-    assert np.array_equal(out, resp)
-    out[0] = -1.0  # a copy, not the input
-    assert resp[0] == 0.1
+    # Three 0.5s centre to exact zeros, the zero-denominator return; three
+    # 0.7s centre to 1.1e-16 each and take the general path.
+    for const in (np.full(3, 0.5), np.full(3, 0.7)):
+        out = residualize(resp, const)
+        assert np.array_equal(out, resp)
+        out[0] = -1.0  # a copy, not the input
+        assert resp[0] == 0.1
     with pytest.raises(ValueError):
         residualize(resp, np.array([0.1, 0.2]))
 
@@ -221,6 +223,24 @@ def test_sweep_two_run_design():
     assert np.allclose(trace.whole, (1.0, 1.0))
 
 
+_CONSTANT_MESSAGE = "^zero-variance column has undefined correlation$"
+
+
+def test_constant_column_with_an_inexact_mean_is_rejected():
+    # Three 0.1s have the mean 0.10000000000000002 and a std of 1.4e-17, not
+    # 0: a std test let this column through, as 1.48e-16, and the sweep
+    # swept it. Equal entries are the test.
+    column = [[0.1, 0.2], [0.1, 0.5], [0.1, 0.3]]
+    with pytest.raises(ValueError, match=_CONSTANT_MESSAGE):
+        rms_correlation(column)
+    # As a whole-design column, and as the column of a 3-row slice whose
+    # design column is not constant.
+    with pytest.raises(ValueError, match=_CONSTANT_MESSAGE):
+        reduce_correlations(Design(np.array(column), SliceSizes((3,))))
+    with pytest.raises(ValueError, match=_CONSTANT_MESSAGE):
+        reduce_correlations(Design(np.array(column + [[0.7, 0.9]]), SliceSizes((3, 1))))
+
+
 def rank_restore(values, group_levels, n):
     # The literal rank-restore step: the u-th smallest entry of values
     # becomes the u-th smallest midpoint (2g-1)/(2n) of the integer levels
@@ -303,7 +323,7 @@ def test_sweep_input_checks():
     for bad in (np.nan, np.inf, -np.inf):
         values = design.values.copy()
         values[4, 1] = bad
-        with pytest.raises(ValueError, match="^design values must be finite$"):
+        with pytest.raises(ValueError, match="^matrix values must be finite$"):
             reduce_correlations(Design(values, design.sizes))
 
 

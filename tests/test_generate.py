@@ -204,9 +204,9 @@ def test_independent_lhds_sweep_in_one_call_equals_per_block_sweeps(sizes, p, se
 @pytest.mark.parametrize(
     "sizes, p, message",
     [
-        ((3, 4), 1, "^correlation reduction needs at least two columns$"),
+        ((3, 4), 1, "^need a matrix with at least two columns$"),
         ((1, 1, 1), 3, "^zero-variance column has undefined correlation$"),
-        ((1,), 2, "^correlation reduction needs at least two rows$"),
+        ((1,), 2, "^need at least two rows to correlate$"),
     ],
 )
 def test_sweep_of_an_independent_stack_with_nothing_to_decorrelate_raises(sizes, p, message):
@@ -249,6 +249,12 @@ def test_generators_reject_non_integer_p(p):
     ):
         with pytest.raises(ValueError, match="^p must be an integer"):
             call()
+
+
+@pytest.mark.parametrize("n, p", [(0, 2), (3, 0)])
+def test_randomized_lhd_rejects_an_empty_shape(n, p):
+    with pytest.raises(ValueError, match=f"^need n >= 1 and p >= 1, got n={n}, p={p}$"):
+        generate_randomized_lhd(n, p, RngStream(1))
 
 
 @pytest.mark.parametrize("n", [7.0, 6.5])
