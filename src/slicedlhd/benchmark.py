@@ -17,7 +17,7 @@ is swept. All but RLH draw each replicate by permuting each block's
 midpoints with one Generator.permuted call along the rows, which runs
 shuffle's Fisher-Yates on each column in turn and so draws exactly what a
 shuffle per column would; RLH shuffles its levels and subtracts its jitter
-in place. A swept method then runs one batch sweep over those same blocks.
+from them. A swept method then runs one batch sweep over those same blocks.
 
 FSD (a flexible sliced design from other work) is recognized by name but
 not constructible here; requesting it is an error and reports mark its
@@ -30,20 +30,22 @@ Scenario 1 ("all-complete") estimates with the mean over all n outputs.
 Scenario 2 ("one-slice-fails") drops one computer's rows, chosen uniformly
 at random, and averages the survivors. Rows are grouped by computer as
 contiguous blocks of the configured group sizes: the slices or own-grid
-blocks already are, and the full-grid methods (RLH, MLH, CLH) first assign
-rows to computers uniformly at random by shuffling each replicate's values
-with its assignment stream. Every method then drops one contiguous block.
+blocks already are, and the full-grid methods (RLH, MLH, CLH) first gather
+each replicate's values by a shuffle of 0..n-1 from its assignment stream,
+as a shuffle of the values would leave them. Every method then drops one
+contiguous block.
 
-Everything is deterministic given the config seed: each (method, replicate)
-pair gets its own RNG stream, so replicates can be computed in any order or
+Everything is deterministic given the config seed: each (method, replicate,
+role) gets its own RNG stream, so replicates can be computed in any order or
 in parallel without changing results. A range of replicates' streams is
 keyed together by RngStream.generators, which draws exactly what one
 SeedSequence + Philox per stream would.
 
 method_estimates draws, sweeps, evaluates and estimates one chunk at a
 time: at most _BUDGET design values (one design, if it holds more) and
-_MAX_CHUNK replicates, so memory stays bounded whatever R and n are. Each
-stage keys its chunk's range of streams itself; no stream outlives it.
+_MAX_CHUNK replicates, so memory stays bounded whatever R and n are. The
+draw keys all the chunk's streams in one call and draws them all in one
+pass, so no stream outlives its chunk and the failure step draws nothing.
 Every sum runs along one replicate's row, so the chunks change no bit; a
 custom integrand is called once per chunk.
 """
@@ -304,68 +306,72 @@ def write_trace_csv(trace: SweepTrace, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the replicate-chunk pipeline, one (method, replicate) stream each
+# the replicate-chunk pipeline, one stream a (method, replicate, role)
 
 # Design values drawn, swept, evaluated and estimated at once: every array
 # but the (R,) estimates holds at most this many (or one design's), whatever
 # R and n are.
 _BUDGET = 2**16
-# Replicates in a chunk at most: its streams' key lists, about 150 B a
-# replicate each, are outside the value budget, so this bounds them on tiny designs.
+# Replicates in a chunk at most: its streams' key lists, about 150 B a stream
+# and up to 3 a replicate, are outside the value budget, so this bounds them.
 _MAX_CHUNK = 1024
 
 
-def _batch_designs(method: str, cfg: ExperimentConfig, blocks, reps: range) -> np.ndarray:
-    """The designs of replicates ``reps``, drawn from their design streams
-    onto ``blocks`` (method_blocks of the method's grid)."""
-    n, p = cfg.sizes.n, cfg.dim
-    gens = RngStream(cfg.seed).generators(_METHODS[method][0], reps, _ROLE_DESIGN)
-    out = np.empty((len(reps), n, p))
+def _draws(method: str, cfg: ExperimentConfig, blocks, reps: range):
+    """Replicates ``reps``' designs on ``blocks`` (method_blocks of the
+    method's grid), failed blocks (one-slice-fails) and row assignments
+    (permutations of 0..n-1, on the full grid), or None: one pass over their
+    streams, keyed in one call in (replicate, role) order."""
+    code, grid, _ = _METHODS[method]
+    n, p, t, m = cfg.sizes.n, cfg.dim, cfg.sizes.t, len(reps)
+    roles = 1 if cfg.scenario == SCENARIO_ALL else 3 if grid == "full" else 2
+    gens = RngStream(cfg.seed).generators(code, reps, range(roles))
+    V = np.empty((m, n, p))
+    fail = np.empty(m, dtype=np.int64) if roles > 1 else None
+    assign = np.broadcast_to(np.arange(n), (m, n)).copy() if roles > 2 else None
     if method == "RLH":
         # Column l is (permutation(n) + 1 - random(n)) / n, its permutation
         # and jitter draws interleaved column by column. permutation(n) is
         # shuffle of 1..n, so shuffling the levels in place draws the same.
-        out[...] = np.arange(1, n + 1)[:, None]
-        jitter = np.empty((p, n))
-        for design, gen in zip(out, gens):
+        V[...] = np.arange(1, n + 1)[:, None]
+        jitter = np.empty((m, p, n))
+    else:
+        for rows, mids in blocks:
+            V[:, rows, :] = mids[:, None]
+    for r, design in enumerate(V):
+        gen = next(gens)
+        if method == "RLH":
             for l in range(p):
                 gen.shuffle(design[:, l])
-                gen.random(out=jitter[l])
-            design -= jitter.T
-            design /= n
-        return out
-    # Permute each block's sorted midpoints in place, one call per block:
-    # permuted(axis=0) runs shuffle's Fisher-Yates on each column in turn,
-    # so it draws what a shuffle per column (or permutation(mids)) would.
-    for rows, mids in blocks:
-        out[:, rows, :] = mids[:, None]
-    for design, gen in zip(out, gens):
-        for rows, _ in blocks:
-            slab = design[rows]
-            gen.permuted(slab, axis=0, out=slab)
-    return out
+                gen.random(out=jitter[r, l])
+        else:
+            # permuted(axis=0) runs shuffle's Fisher-Yates on each column in
+            # turn: the draws of a shuffle (or permutation(mids)) per column.
+            for rows, _ in blocks:
+                slab = design[rows]
+                gen.permuted(slab, axis=0, out=slab)
+        if roles > 1:
+            fail[r] = next(gens).integers(t)
+        if roles > 2:
+            next(gens).shuffle(assign[r])  # the draws of permutation(n)
+    if method == "RLH":
+        V -= jitter.transpose(0, 2, 1)
+        V /= n
+    return V, fail, assign
 
 
-def _estimates(method: str, cfg: ExperimentConfig, F: np.ndarray, reps: range) -> np.ndarray:
-    """Estimates of replicates ``reps`` from their integrand values F (m, n),
-    drawing their failure and assignment streams where these are needed."""
-    m, n = F.shape
-    if cfg.scenario == SCENARIO_ALL:
+def _estimates(cfg: ExperimentConfig, F: np.ndarray, fail, assign) -> np.ndarray:
+    """Estimates from integrand values F (m, n), only read, and _draws'
+    ``fail`` and ``assign``."""
+    if fail is None:
         return F.mean(axis=1)
-    code, grid, _ = _METHODS[method]
+    m, n = F.shape
     off = cfg.sizes.offsets()
-    t = cfg.sizes.t
-    failure = RngStream(cfg.seed).generators(code, reps, _ROLE_FAILURE)
-    fail = np.fromiter((gen.integers(t) for gen in failure), dtype=np.int64, count=m)
     totals = F.sum(axis=1)
-    if grid == "full":
-        # Assign rows to computers uniformly at random: shuffle each
-        # replicate's values in place (the draws of permutation(n)), so
-        # each computer's group is a contiguous block.
-        for row, gen in zip(F, RngStream(cfg.seed).generators(code, reps, _ROLE_ASSIGNMENT)):
-            gen.shuffle(row)
+    if assign is not None:  # the rows a shuffle of each F row would leave
+        F = np.take_along_axis(F, assign, axis=1)
     block_sums = np.stack(
-        [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(t)], axis=1
+        [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(cfg.sizes.t)], axis=1
     )
     dropped = block_sums[np.arange(m), fail]
     kept = n - np.asarray(cfg.sizes.sizes)[fail]
@@ -377,9 +383,8 @@ def _integrand_values(method: str, cfg: ExperimentConfig, V: np.ndarray, custom)
         return eval_f1(V, variant=cfg.f1_variant)
     if cfg.integrand == "f2":
         return eval_f2(V)
-    # A C-ordered copy: the failure step shuffles F in place, so a caller's
-    # array must not be written, and every sum then runs pairwise along a
-    # row, whatever the layout the integrand returned.
+    # A C-ordered copy, so every sum runs pairwise along a row, whatever
+    # the layout the integrand returned.
     F = np.array(custom(V), dtype=np.float64, order="C")
     if F.shape != V.shape[:2]:
         raise ValueError(
@@ -421,13 +426,26 @@ def method_estimates(
     est = np.empty(cfg.replicates)
     for first in range(0, cfg.replicates, chunk):
         reps = range(first, min(first + chunk, cfg.replicates))
-        V = _batch_designs(method, cfg, blocks, reps)
+        V, fail, assign = _draws(method, cfg, blocks, reps)
         if swept:
             _sweep_batch(V, blocks)
         F = _integrand_values(method, cfg, V, custom_integrand)
-        est[reps.start : reps.stop] = _estimates(method, cfg, F, reps)
-        del V, F  # freed before the next chunk is drawn: one chunk at a time
+        est[reps.start : reps.stop] = _estimates(cfg, F, fail, assign)
+        del V, F, assign  # freed before the next chunk is drawn: one chunk at a time
     return est
+
+
+def _rmse(err: np.ndarray) -> float:
+    """sqrt(mean(err**2)), summed in replicate order. Only when the squares
+    of finite errors overflow (errors past about 1.3e154) are the errors
+    scaled by their largest magnitude first, so every other RMSE keeps its
+    bits; an infinite or NaN error gives an infinite or NaN RMSE."""
+    with np.errstate(over="ignore"):
+        mean_sq = np.add.reduce(err * err) / len(err)
+    if np.isfinite(mean_sq) or not np.isfinite(err).all():
+        return float(np.sqrt(mean_sq))
+    scale = np.abs(err).max()
+    return float(scale * _rmse(err / scale))  # at most 1 in magnitude: no overflow
 
 
 def run_experiment(
@@ -441,11 +459,7 @@ def run_experiment(
     runs are bit-identical.
     """
     mu = _true_mean(config, custom_true_mean)
-    rmse: dict[str, float] = {}
-    for method in config.methods:
-        est = method_estimates(method, config, custom_integrand)
-        err = est - mu
-        rmse[method] = float(np.sqrt(np.add.reduce(err * err) / config.replicates))
+    rmse = {m: _rmse(method_estimates(m, config, custom_integrand) - mu) for m in config.methods}
     return RmseReport(
         integrand=config.integrand,
         scenario=config.scenario,

@@ -76,11 +76,12 @@ def residualize(response, covariate) -> np.ndarray:
     cov = np.asarray(covariate, dtype=np.float64)
     if resp.shape != cov.shape or resp.ndim != 1:
         raise ValueError("response and covariate must be equal-length vectors")
-    if resp.size < 2:
+    # Constant by equal entries: a mean of equal floats can round off them.
+    if resp.size < 2 or (cov == cov[0]).all():
         return resp.copy()
     cd = cov - cov.mean()
     den = float(cd @ cd)
-    if den == 0.0:
+    if den == 0.0:  # the squares of entries this close underflow
         return resp.copy()
     slope = float(cd @ (resp - resp.mean())) / den
     return resp - slope * cd

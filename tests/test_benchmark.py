@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,8 +367,11 @@ def test_batched_streams_match_per_replicate_streams(monkeypatch, method, scenar
     cfg = _config(replicates=45, scenario=scenario)
     batched = method_estimates(method, cfg)
 
-    def per_replicate(stream, code, reps, role):
-        return (stream.split(code, r, role).generator() for r in reps)
+    def per_replicate(stream, *components):
+        # Any row-major product of fixed and ranged components, one stream
+        # at a time.
+        axes = [c if isinstance(c, range) else (c,) for c in components]
+        return (stream.split(*path).generator() for path in itertools.product(*axes))
 
     monkeypatch.setattr(RngStream, "generators", per_replicate)
     assert np.array_equal(batched, method_estimates(method, cfg))
@@ -419,7 +424,7 @@ def test_batch_designs_match_per_column_draws(sizes, p, R, seed):
                   replicates=R, seed=seed)
     for method in _ALL_METHODS:
         grid = benchmark._METHODS[method][1]
-        got = benchmark._batch_designs(method, cfg, method_blocks(grid, cfg.sizes), range(R))
+        got, _, _ = benchmark._draws(method, cfg, method_blocks(grid, cfg.sizes), range(R))
         assert np.array_equal(got, _reference_designs(method, cfg)), method
 
 
@@ -432,7 +437,7 @@ def test_permuted_along_rows_is_a_shuffle_per_column(m, p):
     # order, leaving the stream where those shuffles leave it.
     one = RngStream(m).split(p).generator()
     per_column = RngStream(m).split(p).generator()
-    # A block of rows of one replicate, as _batch_designs permutes it.
+    # A block of rows of one replicate, as _draws permutes it.
     batch = np.arange(3 * (m + 4) * p, dtype=np.float64).reshape(3, m + 4, p)
     slab = batch[1, 2:m + 2]
     want = slab.copy()
@@ -523,11 +528,11 @@ _GROUP_SIZE = st.one_of(
 @example(sizes=[7, 8, 9, 127, 128, 129], p=1, R=40, seed=5, exponent_step=1, layout="c")
 @example(sizes=[1], p=1, R=1, seed=0, exponent_step=1, layout="c")
 def test_failure_step_matches_gathered_assignment(sizes, p, R, seed, exponent_step, layout):
-    # Shuffling a full-grid replicate's values with its assignment stream
-    # and dropping a contiguous group gives exactly the estimate of
-    # gathering the group through permutation(n), for every method. The
-    # oracle reads a C-ordered copy of the values the integrand returned
-    # on the designs it was handed.
+    # Gathering a full-grid replicate's values by its shuffled assignment
+    # row and dropping a contiguous group gives exactly the estimate of
+    # gathering the group through permutation(n) of a stream keyed on its
+    # own, for every method. The oracle reads a C-ordered copy of the values
+    # the integrand returned on the designs it was handed.
     integrand = _mixed_integrand(exponent_step, layout)
     base = _config(integrand="custom", sizes=SliceSizes(tuple(sizes)), dim=p,
                    replicates=R, seed=seed)
@@ -544,6 +549,27 @@ def test_failure_step_matches_gathered_assignment(sizes, p, R, seed, exponent_st
             got = method_estimates(method, cfg, spy)
             want = _reference_estimates(method, cfg, np.concatenate(seen))
             assert np.array_equal(got, want), (method, scenario)
+
+
+def test_failure_step_over_several_chunks_matches_per_role_streams(monkeypatch):
+    # A chunk keys its design, failure and assignment streams in one call;
+    # over 3 chunks of 4 replicates and one of 2, every method's estimates
+    # must equal the oracle's, which keys each role of all 14 replicates on
+    # its own.
+    integrand = _mixed_integrand(3, "c")
+    cfg = _config(integrand="custom", sizes=SliceSizes((9, 7, 4)), dim=2,
+                  replicates=14, scenario="one-slice-fails", seed=11)
+    monkeypatch.setattr(benchmark, "_BUDGET", 4 * cfg.sizes.n * cfg.dim)
+    for method in _ALL_METHODS:
+        seen = []
+
+        def spy(V):
+            seen.append(np.array(integrand(V), order="C"))
+            return integrand(V)
+
+        got = method_estimates(method, cfg, spy)
+        assert [len(F) for F in seen] == [4, 4, 4, 2], method
+        assert np.array_equal(got, _reference_estimates(method, cfg, np.concatenate(seen))), method
 
 
 @pytest.mark.parametrize("sizes", [(9, 7, 4), (129, 8), (100, 100, 100)])
@@ -613,15 +639,15 @@ def test_chunks_tile_the_replicates_within_the_value_budget(monkeypatch, sizes, 
                   replicates=R)
     row_values = cfg.sizes.n * p
     chunks = []
-    draw = benchmark._batch_designs
+    draw = benchmark._draws
 
     def spy(method, cfg, blocks, reps):
         chunks.append(reps)
         return draw(method, cfg, blocks, reps)
 
-    monkeypatch.setattr(benchmark, "_batch_designs", spy)
+    monkeypatch.setattr(benchmark, "_draws", spy)
     est = method_estimates("MLH", cfg, lambda V: V[:, :, 0] * V[:, :, 1])
-    V = draw("MLH", cfg, method_blocks("full", cfg.sizes), range(R))
+    V, _, _ = draw("MLH", cfg, method_blocks("full", cfg.sizes), range(R))
     assert np.array_equal(est, (V[:, :, 0] * V[:, :, 1]).mean(axis=1))
     assert [r for reps in chunks for r in reps] == list(range(R))
     sizes = [len(reps) for reps in chunks]
@@ -638,7 +664,7 @@ def test_method_estimates_memory_is_bounded_by_one_chunk(method):
     # so at eight chunks the peak may pass the one-chunk peak by at most
     # one chunk's designs and 8 bytes a replicate. Holding the whole batch,
     # or keys for more replicates than the chunk, would pass it. CLH sweeps
-    # and shuffles its rows into computer groups, RLH has the largest draw.
+    # and gathers its rows into computer groups, RLH has the largest draw.
     cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
     chunk = benchmark._BUDGET // (cfg.sizes.n * cfg.dim)
     assert chunk == 273
@@ -657,26 +683,25 @@ def test_method_estimates_memory_is_bounded_by_one_chunk(method):
 
 
 def test_each_chunk_keys_only_its_own_streams(monkeypatch):
-    # Streams live for one chunk: each vectorized key hash takes at most one
-    # chunk's replicate words, and the words of each role tile 0..R-1 in
-    # order. CLH in the failure scenario keys all three roles; at 600
-    # replicates f1 runs in chunks of 273, 273 and 54.
+    # Streams live for one chunk, and a chunk keys them in one vectorized
+    # hash: every role of its replicates, in (replicate, role) order, and no
+    # other stream. CLH in the failure scenario keys all three roles; at 600
+    # replicates f1 runs in chunks of 273, 273 and 54, so 3 hashes.
     cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
     cfg = dataclasses.replace(cfg, methods=("CLH",), replicates=600)
-    chunk = benchmark._BUDGET // (cfg.sizes.n * cfg.dim)
-    keyed = {}
+    keyed = []
     hash_keys = core._mix_words
 
     def spy(pool, steps, words):
-        (replicate_words,) = [w for w in words if isinstance(w, np.ndarray)]
-        assert len(replicate_words) <= chunk
-        keyed.setdefault((words[-1],), []).extend(replicate_words.tolist())
+        replicate_words, role_words = words
+        keyed.append(list(zip(replicate_words.tolist(), role_words.tolist())))
         return hash_keys(pool, steps, words)
 
     monkeypatch.setattr(core, "_mix_words", spy)
     method_estimates("CLH", cfg)
     roles = (benchmark._ROLE_DESIGN, benchmark._ROLE_FAILURE, benchmark._ROLE_ASSIGNMENT)
-    assert keyed == {(role,): list(range(600)) for role in roles}
+    chunks = (range(0, 273), range(273, 546), range(546, 600))
+    assert keyed == [list(itertools.product(reps, roles)) for reps in chunks]
 
 
 def test_batch_sweep_memory_is_bounded_by_its_value_budget():
@@ -686,7 +711,7 @@ def test_batch_sweep_memory_is_bounded_by_its_value_budget():
     # 4.5 times catches one more spent state held alive (near 5 times).
     cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
     blocks = method_blocks(benchmark._METHODS["CLH"][1], cfg.sizes)
-    V = benchmark._batch_designs("CLH", cfg, blocks, range(273))
+    V, _, _ = benchmark._draws("CLH", cfg, blocks, range(273))
     tracemalloc.start()
     try:
         benchmark._sweep_batch(V, blocks)
@@ -703,7 +728,7 @@ def test_chunks_of_a_large_design_hold_one_replicate(method):
     # the value budget, so each chunk is one replicate: 4 replicates peak no
     # higher than 1 replicate plus one design's bytes. Drawn in one chunk,
     # the 4 designs and their integrand temporaries would peak about four
-    # times as high. MLH shuffles its rows into computer groups, CLH sweeps.
+    # times as high. MLH gathers its rows into computer groups, CLH sweeps.
     cfg = _config(integrand="f1", sizes=SliceSizes((4000,) * 4), dim=5,
                   methods=(method,), scenario="one-slice-fails")
     assert cfg.sizes.n * cfg.dim > benchmark._BUDGET
@@ -726,7 +751,9 @@ def test_shuffled_row_is_the_row_gathered_by_a_permutation(n):
     # numpy's RNG algorithms may change between versions (NEP 19). The
     # full-grid failure step relies on shuffle(row) drawing what
     # permutation(n) draws and leaving the row as row[permutation(n)], with
-    # the stream left where permutation(n) leaves it.
+    # the stream left where permutation(n) leaves it: it shuffles a row of
+    # 0..n-1 and gathers the values by it, the rows the pinned reports'
+    # in-place shuffle of the values left.
     shuffled = RngStream(n).split(2).generator()
     fresh = RngStream(n).split(2).generator()
     F = np.linspace(-1.0, 1.0, 3 * n).reshape(3, n)
@@ -737,9 +764,9 @@ def test_shuffled_row_is_the_row_gathered_by_a_permutation(n):
 
 
 def test_custom_integrand_array_is_never_written():
-    # The failure step shuffles the integrand values in place; an
-    # integrand that hands back the same cached array must find it as it
-    # left it, and every method must see it unchanged.
+    # The failure step only reads the integrand values; an integrand that
+    # hands back the same cached array must find it as it left it, and
+    # every method must see it unchanged.
     cfg = ExperimentConfig(
         integrand="custom", sizes=SliceSizes((5, 4, 3)), dim=2,
         methods=("RLH", "MLH", "CLH"), replicates=6,
@@ -856,6 +883,31 @@ def test_constant_integrand_has_zero_rmse():
     assert report.true_mean == const
 
 
+@pytest.mark.parametrize("scenario", _SCENARIOS)
+def test_rmse_of_errors_whose_squares_overflow(scenario):
+    # Errors of 1e200 square past the float range, yet their RMSE is 1e200:
+    # it is returned with no RuntimeWarning, not refused as inf.
+    cfg = ExperimentConfig(
+        integrand="custom", sizes=SliceSizes((3, 4)), dim=2, methods=_ALL_METHODS,
+        replicates=5, scenario=scenario, seed=3,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_experiment(
+            cfg, custom_integrand=lambda x: np.full(x.shape[:-1], 1e200), custom_true_mean=0
+        )
+    for method, value in report.rmse.items():
+        assert value == pytest.approx(1e200, rel=1e-15), method
+    # An estimate past the float range is itself inf (or inf - inf): the
+    # report refuses it, after the warning of the overflowing sum.
+    with pytest.warns(RuntimeWarning), pytest.raises(
+        ValueError, match="^rmse of RLH must be a finite number, got (inf|nan)$"
+    ):
+        run_experiment(
+            cfg, custom_integrand=lambda x: np.full(x.shape[:-1], 1e308), custom_true_mean=0
+        )
+
+
 def test_custom_integrand_requires_callable_and_mean():
     cfg = ExperimentConfig(
         integrand="custom", sizes=SliceSizes((3, 3)), dim=2,
@@ -871,13 +923,13 @@ def test_non_callable_custom_integrand_is_rejected_before_any_draw(monkeypatch):
     # It drew a chunk and then failed with "'int' object is not callable".
     cfg = _config(integrand="custom", sizes=SliceSizes((3, 3)), methods=("MLH",), replicates=2)
     drawn = []
-    draw = benchmark._batch_designs
+    draw = benchmark._draws
 
     def spy(method, cfg, blocks, reps):
         drawn.append(reps)
         return draw(method, cfg, blocks, reps)
 
-    monkeypatch.setattr(benchmark, "_batch_designs", spy)
+    monkeypatch.setattr(benchmark, "_draws", spy)
     with pytest.raises(ValueError, match="^custom_integrand must be callable, got 3$"):
         run_experiment(cfg, custom_integrand=3, custom_true_mean=0.5)
     with pytest.raises(ValueError, match="^custom_integrand must be callable, got 'x'$"):

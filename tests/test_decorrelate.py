@@ -68,14 +68,19 @@ def test_residualize_reads_pass_start_state():
 def test_residualize_degenerate_inputs():
     one = np.array([0.4])
     assert np.array_equal(residualize(one, one), one)
-    resp = np.array([0.1, 0.9, 0.5])
-    # Three 0.5s centre to exact zeros, the zero-denominator return; three
-    # 0.7s centre to 1.1e-16 each and take the general path.
-    for const in (np.full(3, 0.5), np.full(3, 0.7)):
-        out = residualize(resp, const)
-        assert np.array_equal(out, resp)
-        out[0] = -1.0  # a copy, not the input
-        assert resp[0] == 0.1
+    # A covariate of equal entries returns the response unchanged, although
+    # three 0.7s centre to 1.1e-16 each: against [0.1, 0.2, 0.6] the general
+    # path moved it by [1.4e-17, 2.8e-17, 0].
+    for resp in (np.array([0.1, 0.9, 0.5]), np.array([0.1, 0.2, 0.6])):
+        for const in (np.full(3, 0.5), np.full(3, 0.7)):
+            out = residualize(resp, const)
+            assert np.array_equal(out, resp)
+            out[0] = -1.0  # a copy, not the input
+            assert resp[0] == 0.1
+    # Unequal entries whose centred squares underflow: the zero-denominator
+    # return.
+    tiny = np.array([1e-300, 2e-300, 1e-300])
+    assert np.array_equal(residualize(resp, tiny), resp)
     with pytest.raises(ValueError):
         residualize(resp, np.array([0.1, 0.2]))
 
