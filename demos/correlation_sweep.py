@@ -43,11 +43,10 @@ for r in range(design.n):
     marker = "|" if r == sizes.sizes[0] else " "
     print(f" {marker} {before[r]}  ->  {after[r]}")
 print()
-off = sizes.offsets()
 kept = all(
-    np.array_equal(np.sort(design.values[off[j]:off[j + 1]], axis=0),
-                   np.sort(swept.values[off[j]:off[j + 1]], axis=0))
-    for j in range(sizes.t)
+    np.array_equal(np.sort(design.values[rows], axis=0),
+                   np.sort(swept.values[rows], axis=0))
+    for rows in sizes.rows
 )
 print("each slice column kept its own values:", "yes" if kept else "NO")
 print("validation after the sweep:",

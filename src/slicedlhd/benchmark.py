@@ -366,13 +366,10 @@ def _estimates(cfg: ExperimentConfig, F: np.ndarray, fail, assign) -> np.ndarray
     if fail is None:
         return F.mean(axis=1)
     m, n = F.shape
-    off = cfg.sizes.offsets()
     totals = F.sum(axis=1)
     if assign is not None:  # the rows a shuffle of each F row would leave
         F = np.take_along_axis(F, assign, axis=1)
-    block_sums = np.stack(
-        [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(cfg.sizes.t)], axis=1
-    )
+    block_sums = np.stack([F[:, rows].sum(axis=1) for rows in cfg.sizes.rows], axis=1)
     dropped = block_sums[np.arange(m), fail]
     kept = n - np.asarray(cfg.sizes.sizes)[fail]
     return (totals - dropped) / kept
@@ -412,6 +409,23 @@ def _true_mean(cfg: ExperimentConfig, custom_true_mean) -> float:
     return _as_finite("custom_true_mean", custom_true_mean)
 
 
+def _scaled(fn, x: np.ndarray):
+    """fn(x), for an fn homogeneous of degree 1 (an RMSE, a chunk's estimates).
+    Only when fn overflows on finite x is x scaled by its largest magnitude
+    first, so every other result keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = fn(x)
+        if np.isfinite(out).all() or not np.isfinite(x).all():
+            return out
+        scale = np.abs(x).max()
+        return scale * fn(x / scale)  # at most 1 in magnitude: no overflow
+
+
+def _rmse(err: np.ndarray) -> float:
+    """sqrt(mean(err**2)), summed in replicate order."""
+    return float(_scaled(lambda e: np.sqrt(np.add.reduce(e * e) / len(e)), err))
+
+
 def method_estimates(
     method: str,
     cfg: ExperimentConfig,
@@ -430,22 +444,9 @@ def method_estimates(
         if swept:
             _sweep_batch(V, blocks)
         F = _integrand_values(method, cfg, V, custom_integrand)
-        est[reps.start : reps.stop] = _estimates(cfg, F, fail, assign)
+        est[reps.start : reps.stop] = _scaled(lambda x: _estimates(cfg, x, fail, assign), F)
         del V, F, assign  # freed before the next chunk is drawn: one chunk at a time
     return est
-
-
-def _rmse(err: np.ndarray) -> float:
-    """sqrt(mean(err**2)), summed in replicate order. Only when the squares
-    of finite errors overflow (errors past about 1.3e154) are the errors
-    scaled by their largest magnitude first, so every other RMSE keeps its
-    bits; an infinite or NaN error gives an infinite or NaN RMSE."""
-    with np.errstate(over="ignore"):
-        mean_sq = np.add.reduce(err * err) / len(err)
-    if np.isfinite(mean_sq) or not np.isfinite(err).all():
-        return float(np.sqrt(mean_sq))
-    scale = np.abs(err).max()
-    return float(scale * _rmse(err / scale))  # at most 1 in magnitude: no overflow
 
 
 def run_experiment(

@@ -53,11 +53,6 @@ def _default_seed() -> int:
         raise argparse.ArgumentTypeError(f"{_ENV_SEED} must be an integer: {raw!r}")
 
 
-def _slice_rows(sizes: SliceSizes) -> str:
-    off = sizes.offsets()
-    return ",".join(f"{off[j] + 1}-{off[j + 1]}" for j in range(sizes.t))
-
-
 def _design_text(design: Design, seed: int, decorrelated: bool, fmt: str) -> str:
     sizes = design.sizes
     lines = [
@@ -67,7 +62,7 @@ def _design_text(design: Design, seed: int, decorrelated: bool, fmt: str) -> str
         f"# dim: {design.p}",
         f"# seed: {seed}",
         f"# decorrelated: {'yes' if decorrelated else 'no'}",
-        f"# slice rows: {_slice_rows(sizes)}",
+        f"# slice rows: {','.join(f'{rows.start + 1}-{rows.stop}' for rows in sizes.rows)}",
         f"# format: {fmt}",
     ]
     if fmt == "levels":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import accumulate, takewhile
 
 import numpy as np
 
@@ -94,12 +94,11 @@ class SliceSizes:
     def n(self) -> int:
         return sum(self.sizes)
 
-    def offsets(self) -> tuple[int, ...]:
-        """Prefix sums (0, n_1, n_1+n_2, ..., n); delimits slice row blocks."""
-        out = [0]
-        for s in self.sizes:
-            out.append(out[-1] + s)
-        return tuple(out)
+    @property
+    def rows(self) -> tuple[slice, ...]:
+        """Each slice's rows in order: slice j is rows n_1+...+n_{j-1} up to n_1+...+n_j."""
+        stops = tuple(accumulate(self.sizes))
+        return tuple(map(slice, (0,) + stops[:-1], stops))
 
 
 def _as_slice_sizes(sizes) -> SliceSizes:
@@ -136,8 +135,8 @@ class LevelPartition:
 class Design:
     """An n x p design matrix with slice-block metadata.
 
-    ``values`` rows are grouped by slice: rows offsets[j]..offsets[j+1]-1
-    belong to slice j. No structural invariant is enforced here; the
+    ``values`` rows are grouped by slice: rows ``sizes.rows[j]`` belong to
+    slice j. No structural invariant is enforced here; the
     validator module checks stratification, and generators for stacked
     independent designs intentionally produce matrices that fail the
     whole-grid check.
@@ -164,10 +163,6 @@ class Design:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def slice_offsets(self) -> tuple[int, ...]:
-        return self.sizes.offsets()
 
 
 def levels_from_values(values: np.ndarray, n: int) -> np.ndarray:

@@ -156,9 +156,8 @@ def reduce_correlations(
     if partition is not None and partition.sizes != design.sizes:
         raise ValueError("partition slice sizes do not match the design")
 
-    off = design.slice_offsets
     values = design.values.copy()
-    blocks = [values[off[j] : off[j + 1]] for j in range(design.sizes.t)]
+    blocks = [values[rows] for rows in design.sizes.rows]
     # rms_correlation checks the design, then each slice, before any is swept.
     whole_trace = [rms_correlation(values)]
     # A slice too small to correlate has trace entries of 0.0, so every entry

@@ -47,8 +47,7 @@ def method_blocks(grid: str, sizes: SliceSizes) -> list[tuple[slice, np.ndarray]
         mids = map(partition_levels(sizes).group_midpoints, range(sizes.t))
     else:
         raise ValueError(f"unknown grid: {grid!r}")
-    off = sizes.offsets()
-    return [(slice(off[j], off[j + 1]), m) for j, m in enumerate(mids)]
+    return list(zip(sizes.rows, mids))
 
 
 def _midpoint_design(grid: str, sizes: SliceSizes, p: int, rng: RngStream) -> Design:

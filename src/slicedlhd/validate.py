@@ -107,12 +107,11 @@ def validate_sliced(design: Design) -> ValidationReport:
     values = design.values
     n = design.n
     p = design.p
-    off = design.slice_offsets
 
     column_ok = tuple(_columns_fill_bins(values, n).tolist())
     slice_ok = tuple(
         tuple(_columns_fill_bins(values[rows], nj).tolist())
-        for rows, nj in zip(map(slice, off, off[1:]), design.sizes.sizes)
+        for rows, nj in zip(design.sizes.rows, design.sizes.sizes)
     )
     # Out-of-range entries and NaN, read as 1.0 to find a level, fail all the same.
     in_range = (values > 0.0) & (values <= 1.0)

@@ -18,11 +18,11 @@ def _block_rms(block):
 
 def frozen_reduce_correlations(design, iterations=10):
     p = design.p
-    off = design.slice_offsets
+    slice_rows = design.sizes.rows
     t = design.sizes.t
 
     values = design.values.copy()
-    blocks = [values[off[j] : off[j + 1], :] for j in range(t)]
+    blocks = [values[slice_rows[j], :] for j in range(t)]
     own = [block.T.copy() for block in blocks]
     for rows in own:
         rows.sort(axis=1)

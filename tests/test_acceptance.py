@@ -168,9 +168,9 @@ def test_sweep_walkthrough_goldens():
     from test_decorrelate import rank_restore
 
     values = design.values.copy()
-    off = design.slice_offsets
+    rows = design.sizes.rows
     for j, grp in enumerate(part.groups):
-        block = values[off[j]:off[j + 1]]
+        block = values[rows[j]]
         base = block.copy()
         for k in range(1, 3):
             for l in range(k):
@@ -216,11 +216,11 @@ def test_sweep_structure_preservation_fuzz():
         out, _ = reduce_correlations(design, iterations=10)
         assert validate_sliced(out).all_pass, (sizes.sizes, p, case)
         levels = levels_from_values(out.values, out.n)
-        off = sizes.offsets()
+        rows = sizes.rows
         for j in range(sizes.t):
             want = list(part.groups[j])
             for l in range(p):
-                assert sorted(levels[off[j]:off[j + 1], l].tolist()) == want
+                assert sorted(levels[rows[j], l].tolist()) == want
 
 
 def test_sweep_reduces_mean_correlation():

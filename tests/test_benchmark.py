@@ -471,15 +471,12 @@ def _reference_estimates(method, cfg, F):
         return F.mean(axis=1)
     code, grid, _ = benchmark._METHODS[method]
     sizes = np.asarray(cfg.sizes.sizes)
-    off = cfg.sizes.offsets()
-    t = cfg.sizes.t
+    rows, t = cfg.sizes.rows, cfg.sizes.t
     failure = RngStream(cfg.seed).generators(code, range(R), benchmark._ROLE_FAILURE)
     fail = np.fromiter((gen.integers(t) for gen in failure), dtype=np.int64, count=R)
     totals = F.sum(axis=1)
     if grid != "full":
-        block_sums = np.stack(
-            [F[:, off[j] : off[j + 1]].sum(axis=1) for j in range(t)], axis=1
-        )
+        block_sums = np.stack([F[:, block].sum(axis=1) for block in rows], axis=1)
         dropped = block_sums[np.arange(R), fail]
     else:
         dropped = np.empty(R)
@@ -487,7 +484,7 @@ def _reference_estimates(method, cfg, F):
         for r, gen in enumerate(assignment):
             perm = gen.permutation(n)
             j = fail[r]
-            dropped[r] = F[r, perm[off[j] : off[j + 1]]].sum()
+            dropped[r] = F[r, perm[rows[j]]].sum()
     kept = n - sizes[fail]
     return (totals - dropped) / kept
 
@@ -885,26 +882,28 @@ def test_constant_integrand_has_zero_rmse():
 
 @pytest.mark.parametrize("scenario", _SCENARIOS)
 def test_rmse_of_errors_whose_squares_overflow(scenario):
-    # Errors of 1e200 square past the float range, yet their RMSE is 1e200:
-    # it is returned with no RuntimeWarning, not refused as inf.
+    # Errors of 1e200 square past the float range, and values of 1e308 sum
+    # past it too, yet every mean and RMSE is representable: each is
+    # returned with no RuntimeWarning, not refused as inf (or inf - inf).
     cfg = ExperimentConfig(
         integrand="custom", sizes=SliceSizes((3, 4)), dim=2, methods=_ALL_METHODS,
         replicates=5, scenario=scenario, seed=3,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        report = run_experiment(
-            cfg, custom_integrand=lambda x: np.full(x.shape[:-1], 1e200), custom_true_mean=0
-        )
-    for method, value in report.rmse.items():
-        assert value == pytest.approx(1e200, rel=1e-15), method
-    # An estimate past the float range is itself inf (or inf - inf): the
-    # report refuses it, after the warning of the overflowing sum.
+    for value in (1e200, 1e308):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run_experiment(
+                cfg, custom_integrand=lambda x: np.full(x.shape[:-1], value), custom_true_mean=0
+            )
+        for method, rmse in report.rmse.items():
+            assert rmse == pytest.approx(value, rel=1e-15), (value, method)
+    # An error of 2e308 is past the float range itself: the report refuses
+    # its RMSE, after the warning of the overflowing subtraction.
     with pytest.warns(RuntimeWarning), pytest.raises(
-        ValueError, match="^rmse of RLH must be a finite number, got (inf|nan)$"
+        ValueError, match="^rmse of RLH must be a finite number, got inf$"
     ):
         run_experiment(
-            cfg, custom_integrand=lambda x: np.full(x.shape[:-1], 1e308), custom_true_mean=0
+            cfg, custom_integrand=lambda x: np.full(x.shape[:-1], 1e308), custom_true_mean=-1e308
         )
 
 

@@ -102,7 +102,18 @@ def test_slice_sizes_basics():
     s = SliceSizes((2, 5, 10))
     assert s.t == 3
     assert s.n == 17
-    assert s.offsets() == (0, 2, 7, 17)
+    assert s.rows == (slice(0, 2), slice(2, 7), slice(7, 17))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=8))
+def test_slice_rows_tile_the_runs_in_order(sizes):
+    # Slice j's rows follow slice j-1's, hold n_j runs, and together cover
+    # range(n) once.
+    s = SliceSizes(tuple(sizes))
+    assert len(s.rows) == s.t
+    assert [i for rows in s.rows for i in range(s.n)[rows]] == list(range(s.n))
+    assert [len(range(s.n)[rows]) for rows in s.rows] == sizes
 
 
 def test_slice_sizes_rejects_bad_input():
@@ -169,7 +180,9 @@ def test_design_shape_checks():
         Design(np.zeros(5), sizes)  # not 2-D
     d = Design(np.arange(10, dtype=float).reshape(5, 2) / 10.0, sizes)
     assert d.n == 5 and d.p == 2
-    assert d.slice_offsets == (0, 2, 5)
+    assert [d.values[rows].tolist() for rows in d.sizes.rows] == [
+        [[0.0, 0.1], [0.2, 0.3]], [[0.4, 0.5], [0.6, 0.7], [0.8, 0.9]]
+    ]
 
 
 def test_design_rejects_sizes_that_are_not_slice_sizes():

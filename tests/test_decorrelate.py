@@ -103,10 +103,10 @@ def test_rank_restore_is_stable_on_ties():
 def test_forward_pass_plus_restore_matches_golden():
     design, part = _sweep_design()
     values = design.values.copy()
-    off = design.slice_offsets
+    rows = design.sizes.rows
     p = design.p
     for j, grp in enumerate(part.groups):
-        block = values[off[j]:off[j + 1]]
+        block = values[rows[j]]
         base = block.copy()
         for k in range(1, p):
             for l in range(k):
@@ -155,11 +155,11 @@ def test_sweep_preserves_structure_fuzz():
         out, _ = reduce_correlations(d, iterations=3)
         assert validate_sliced(out).all_pass
         levels = levels_from_values(out.values, out.n)
-        off = sizes.offsets()
+        rows = sizes.rows
         for j in range(sizes.t):
             want = list(part.groups[j])
             for l in range(p):
-                got = sorted(levels[off[j]:off[j + 1], l].tolist())
+                got = sorted(levels[rows[j], l].tolist())
                 assert got == want
 
 
@@ -195,15 +195,15 @@ def test_reduce_correlations_keeps_each_slice_level_multiset(family, sizes, p, s
     sizes = SliceSizes(tuple(sizes))
     design = _sweep_input(family, sizes, p, seed)
     out, _ = reduce_correlations(design, iterations=iterations)
-    off = sizes.offsets()
+    rows = sizes.rows
     for j in range(sizes.t):
-        got = np.sort(out.values[off[j]:off[j + 1]], axis=0)
-        assert np.array_equal(got, np.sort(design.values[off[j]:off[j + 1]], axis=0)), j
+        got = np.sort(out.values[rows[j]], axis=0)
+        assert np.array_equal(got, np.sort(design.values[rows[j]], axis=0)), j
     if family == "sliced":
         levels = levels_from_values(out.values, out.n)
         assert np.array_equal(out.values, level_midpoints(levels, out.n))
         for j, group in enumerate(partition_levels(sizes).groups):
-            got = np.sort(levels[off[j]:off[j + 1]], axis=0)
+            got = np.sort(levels[rows[j]], axis=0)
             assert np.array_equal(got, np.broadcast_to(np.asarray(group)[:, None], got.shape)), j
 
 
@@ -263,8 +263,8 @@ def _literal_sweep(design, part, iterations):
     # reduce_correlations as the literal (k, l) loops of the module
     # docstring, every write made and every iteration run, with its trace.
     values = design.values.copy()
-    off, p, n = design.slice_offsets, design.p, design.n
-    blocks = [values[off[j]:off[j + 1]] for j in range(design.sizes.t)]
+    p, n = design.p, design.n
+    blocks = [values[rows] for rows in design.sizes.rows]
 
     def block_rms(block):
         return rms_correlation(block) if block.shape[0] > 1 else 0.0
@@ -622,14 +622,14 @@ def test_trace_repeats_its_tail_after_the_fixed_point():
     assert trace.iterations == iterations
     assert len(trace.whole) == iterations + 1
     assert all(len(row) == iterations + 1 for row in trace.per_slice)
-    off = design.slice_offsets
+    rows = design.sizes.rows
     state = design
     for k in range(iterations + 1):
         if k:
             state, _ = reduce_correlations(state, iterations=1)
         assert trace.whole[k] == rms_correlation(state.values), k
         for j, row in enumerate(trace.per_slice):
-            block = state.values[off[j]:off[j + 1]]
+            block = state.values[rows[j]]
             assert row[k] == (rms_correlation(block) if block.shape[0] > 1 else 0.0)
     fixed_at = next(
         k for k in range(1, iterations + 1) if trace.whole[k] == trace.whole[k - 1]
@@ -646,19 +646,19 @@ def test_trace_entries_hold_when_slices_stop_at_different_iterations():
     design = generate_sliced_lhd(sizes, 3, RngStream(3))
     iterations = 8
     _, trace = reduce_correlations(design, iterations=iterations)
-    off = design.slice_offsets
+    rows = design.sizes.rows
     states = [design.values]
     for _ in range(iterations):
         states.append(reduce_correlations(Design(states[-1], sizes), iterations=1)[0].values)
     for k, values in enumerate(states):
         assert trace.whole[k] == rms_correlation(values), k
         for j, row in enumerate(trace.per_slice):
-            assert row[k] == rms_correlation(values[off[j]:off[j + 1]]), (k, j)
+            assert row[k] == rms_correlation(values[rows[j]]), (k, j)
     # The first iteration that leaves each slice unchanged: distinct, and
     # each within the run, so the per-slice stop is what the trace shows.
     stops = [
         next(k for k in range(1, iterations + 1)
-             if np.array_equal(states[k][off[j]:off[j + 1]], states[k - 1][off[j]:off[j + 1]]))
+             if np.array_equal(states[k][rows[j]], states[k - 1][rows[j]]))
         for j in range(sizes.t)
     ]
     assert len(set(stops)) == sizes.t

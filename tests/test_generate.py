@@ -123,26 +123,25 @@ def test_independent_lhds_stratify_per_slice_only():
 
 def test_independent_lhds_decorrelate_flag_reduces_block_correlation():
     sizes = SliceSizes((9, 8))
-    off = sizes.offsets()
     plain_sum = swept_sum = 0.0
     count = 0
     for seed in range(100):
         plain = generate_independent_lhds(sizes, 3, RngStream(seed))
         swept, _ = reduce_correlations(plain)
-        for j in range(sizes.t):
-            plain_sum += rms_correlation(plain.values[off[j]:off[j + 1]])
-            swept_sum += rms_correlation(swept.values[off[j]:off[j + 1]])
+        for rows in sizes.rows:
+            plain_sum += rms_correlation(plain.values[rows])
+            swept_sum += rms_correlation(swept.values[rows])
             count += 1
     assert swept_sum / count < plain_sum / count
 
 
 def test_independent_lhds_keep_block_grids_under_decorrelation():
     sizes = SliceSizes((5, 6))
-    off = sizes.offsets()
+    rows = sizes.rows
     d, _ = reduce_correlations(generate_independent_lhds(sizes, 3, RngStream(2)))
     for j, nj in enumerate(sizes.sizes):
         mids = level_midpoints(np.arange(1, nj + 1), nj)
-        block = d.values[off[j]:off[j + 1]]
+        block = d.values[rows[j]]
         for l in range(3):
             assert np.array_equal(np.sort(block[:, l]), mids)
 

@@ -242,14 +242,14 @@ def test_validate_sliced_agrees_with_brute_force_counter(family, sizes, p, seed,
     # the edges m/n. The examples are the 7/25 edge, the (50, 7, 38)
     # midpoint on a slice edge and the next float above 1/3.
     sizes = SliceSizes(tuple(sizes))
-    n, off = sizes.n, sizes.offsets()
+    n = sizes.n
     values = _constructed(family, sizes, p, RngStream(seed))
     for kind, u, w in mutations:
         i, l = u % n, u // n % p
         x = values[i, l]
         if kind == "swap":
-            j = int(np.searchsorted(off, i, side="right")) - 1
-            others = [k for k in range(n) if not off[j] <= k < off[j + 1]] or [i]
+            own = next(range(n)[rows] for rows in sizes.rows if i in range(n)[rows])
+            others = [k for k in range(n) if k not in own] or [i]
             k = others[w % len(others)]
             values[[i, k], l] = values[[k, i], l]
         elif kind == "shift" and 0.0 < x <= 1.0 and n > 1:
@@ -268,7 +268,7 @@ def test_validate_sliced_agrees_with_brute_force_counter(family, sizes, p, seed,
         report = validate_sliced(Design(values, sizes))
     assert report.column_ok == tuple(_brute_force_fills(values[:, l], n, n) for l in range(p))
     assert report.slice_ok == tuple(
-        tuple(_brute_force_fills(values[off[j]:off[j + 1], l], nj, n) for l in range(p))
-        for j, nj in enumerate(sizes.sizes)
+        tuple(_brute_force_fills(values[rows, l], nj, n) for l in range(p))
+        for rows, nj in zip(sizes.rows, sizes.sizes)
     )
     assert report.midpoints_exact == _brute_force_exact(values, n)
