@@ -26,7 +26,7 @@ from .decorrelate import (
     residualize,
     rms_correlation,
 )
-from .validate import ValidationReport, is_lhd_column, validate_sliced
+from .validate import ValidationReport, validate_sliced
 from .benchmark import (
     ExperimentConfig,
     RmseReport,
@@ -59,7 +59,6 @@ __all__ = [
     "generate_independent_lhds",
     "generate_randomized_lhd",
     "generate_sliced_lhd",
-    "is_lhd_column",
     "level_midpoints",
     "levels_from_values",
     "partition_levels",

@@ -6,7 +6,7 @@ whole-grid stratification (each column puts one point in each of the n bins
 the coarser n_j resolution), both by one rule: against the float bin edges.
 A third flag records whether every entry sits exactly on the full midpoint
 grid, which separates midpoint designs from jittered or stacked-independent
-ones.
+ones; it is read off the whole-grid bins.
 """
 
 from __future__ import annotations
@@ -15,33 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Design, _as_integer, level_midpoints, levels_from_values
+from .core import Design
 
-__all__ = ["ValidationReport", "is_lhd_column", "validate_sliced"]
+__all__ = ["ValidationReport", "validate_sliced"]
 
 MIDPOINT_TOL = 1e-12
 
 
-def is_lhd_column(column, bins: int) -> bool:
-    """True iff each bin ((m-1)/bins, m/bins], m=1..bins, holds one entry.
-
-    Entries are binned against the float edges m/bins (see
-    _columns_fill_bins). Out-of-range and non-finite entries fail the
-    check rather than being clamped into a bin.
-    """
-    bins = _as_integer("bins", bins)
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    col = np.asarray(column, dtype=np.float64)
-    if col.ndim != 1:
-        raise ValueError("column must be a 1-D vector")
-    if col.size != bins:
-        raise ValueError(f"column has {col.size} entries but bins={bins}")
-    return bool(_columns_fill_bins(col[:, None], bins)[0])
-
-
-def _columns_fill_bins(values: np.ndarray, bins: int) -> np.ndarray:
-    """Per column of ``values``: does each of the ``bins`` bins hold one entry?
+def _bins(values: np.ndarray, bins: int) -> np.ndarray:
+    """The bin m of each entry of ``values``, against the float edges m/bins.
 
     x is in bin m iff e(m-1) < x <= e(m), e(m) the float m/bins. e(m) is m/bins
     correctly rounded, so an edge float closes its own bin (7/25 * 25 rounds
@@ -49,9 +31,13 @@ def _columns_fill_bins(values: np.ndarray, bins: int) -> np.ndarray:
     by its own exact value. So is a midpoint (2a-1)/(2n): on an edge it is
     that edge's float, and off it it differs from every edge by at least
     1/(2n*bins), far more than an ulp while 2n*bins < 2**53. Entries outside
-    (0, 1], NaN included, get bin 0 or bins+1, which no column may hold.
+    (0, 1], NaN included, get bin 0 or bins+1.
     """
-    idx = np.digitize(values, np.arange(bins + 1) / bins, right=True)
+    return np.digitize(values, np.arange(bins + 1) / bins, right=True)
+
+
+def _columns_fill_bins(idx: np.ndarray, bins: int) -> np.ndarray:
+    """Per column of bin numbers ``idx``: does each of bins 1..bins hold one entry?"""
     want = np.arange(1, bins + 1)[:, None]
     return np.all(np.sort(idx, axis=0) == want, axis=0)
 
@@ -108,15 +94,18 @@ def validate_sliced(design: Design) -> ValidationReport:
     n = design.n
     p = design.p
 
-    column_ok = tuple(_columns_fill_bins(values, n).tolist())
+    grid = _bins(values, n)
+    column_ok = tuple(_columns_fill_bins(grid, n).tolist())
     slice_ok = tuple(
-        tuple(_columns_fill_bins(values[rows], nj).tolist())
+        tuple(_columns_fill_bins(_bins(values[rows], nj), nj).tolist())
         for rows, nj in zip(design.sizes.rows, design.sizes.sizes)
     )
-    # Out-of-range entries and NaN, read as 1.0 to find a level, fail all the same.
-    in_range = (values > 0.0) & (values <= 1.0)
-    mids = level_midpoints(levels_from_values(np.where(in_range, values, 1.0), n), n)
-    midpoints_exact = bool(np.all(np.abs(values - mids) <= MIDPOINT_TOL))
+    # A midpoint lies 1/(2n) from every edge, so an exact entry is within
+    # MIDPOINT_TOL of its own bin's midpoint. Bins 0 and n+1 hold the entries
+    # outside (0, 1], which are never exact, not even at -1/(2n).
+    mids = (2.0 * grid - 1.0) / (2.0 * n)
+    on_grid = (grid >= 1) & (grid <= n)
+    midpoints_exact = bool(np.all(on_grid & (np.abs(values - mids) <= MIDPOINT_TOL)))
     return ValidationReport(
         column_ok=column_ok,
         slice_ok=slice_ok,

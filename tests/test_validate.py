@@ -3,7 +3,6 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +13,6 @@ from slicedlhd import (
     generate_independent_lhds,
     generate_randomized_lhd,
     generate_sliced_lhd,
-    is_lhd_column,
     level_midpoints,
     levels_from_values,
     partition_levels,
@@ -24,71 +22,51 @@ from slicedlhd import (
 from _goldens import COLUMN_NUMER_2_5_10
 
 
-def test_is_lhd_column_on_midpoint_grid():
+def _columns_ok(columns, bins):
+    # Whole-grid verdicts on the one-slice design whose columns are these.
+    return validate_sliced(Design(np.column_stack(columns), SliceSizes((bins,)))).column_ok
+
+
+def test_column_ok_on_midpoint_grid():
     for n in (1, 2, 5, 17):
         mids = level_midpoints(np.arange(1, n + 1), n)
-        assert is_lhd_column(mids, n)
-        assert is_lhd_column(mids[::-1].copy(), n)
+        assert _columns_ok([mids, mids[::-1]], n) == (True, True), n
 
 
-def test_is_lhd_column_walkthrough_column():
+def test_column_ok_walkthrough_column():
     col = np.asarray(COLUMN_NUMER_2_5_10, dtype=np.float64) / 34.0
-    assert is_lhd_column(col, 17)
+    assert _columns_ok([col], 17) == (True,)
 
 
-def test_is_lhd_column_detects_collisions():
-    assert not is_lhd_column(np.array([0.1, 0.15, 0.9]), 3)
-    assert is_lhd_column(np.array([0.1, 0.5, 0.9]), 3)
+def test_column_ok_detects_collisions():
+    assert _columns_ok([[0.1, 0.15, 0.9], [0.1, 0.5, 0.9]], 3) == (False, True)
 
 
-def test_is_lhd_column_range_guards():
-    assert not is_lhd_column(np.array([0.0, 0.5, 0.9]), 3)
-    assert not is_lhd_column(np.array([-0.2, 0.5, 0.9]), 3)
-    assert not is_lhd_column(np.array([0.1, 0.5, 1.0001]), 3)
+def test_column_ok_range_guards():
     # 1.0 is the closed right edge of the last bin.
-    assert is_lhd_column(np.array([0.2, 0.5, 1.0]), 3)
+    columns = [[0.0, 0.5, 0.9], [-0.2, 0.5, 0.9], [0.1, 0.5, 1.0001], [0.2, 0.5, 1.0]]
+    assert _columns_ok(columns, 3) == (False, False, False, True)
 
 
-def test_is_lhd_column_bin_edges_close_right():
+def test_column_ok_bin_edges_close_right():
     # m/bins sits in bin m, not bin m+1. In floats 7/25 * 25 is
     # 7.000000000000001, whose ceil is bin 8, so every edge column is checked.
-    assert is_lhd_column(np.array([1 / 3, 2 / 3, 1.0]), 3)
+    assert _columns_ok([[1 / 3, 2 / 3, 1.0]], 3) == (True,)
     for bins in range(1, 201):
         edges = np.arange(1, bins + 1) / bins
-        assert is_lhd_column(edges, bins), bins
-        assert is_lhd_column(edges[::-1].copy(), bins), bins
+        assert _columns_ok([edges, edges[::-1]], bins) == (True, True), bins
 
 
-def test_is_lhd_column_fails_next_float_above_an_edge():
+def test_column_ok_fails_next_float_above_an_edge():
     # The next float above m/bins lies in bin m+1 as an exact rational, so
     # bin m is empty. Binned by the rounded product x * bins it would land
-    # in bin m: the next float above 1/3, times 3, rounds to 1.0.
+    # in bin m: the next float above 1/3, times 3, rounds to 1.0. Column m
+    # of each design moves edge m+1 up.
     for bins in range(1, 201):
-        edges = np.arange(1, bins + 1) / bins
-        for m in range(bins):
-            col = edges.copy()
-            col[m] = np.nextafter(col[m], 2.0)
-            assert not is_lhd_column(col, bins), (bins, m + 1)
-
-
-def test_is_lhd_column_input_checks():
-    with pytest.raises(ValueError):
-        is_lhd_column(np.zeros((2, 2)), 2)
-    with pytest.raises(ValueError):
-        is_lhd_column(np.array([0.5, 0.7]), 3)
-
-
-@pytest.mark.parametrize("bins", [True, 1.0, "1", None])
-def test_is_lhd_column_rejects_non_integer_bins(bins):
-    with pytest.raises(ValueError, match="^bins must be an integer"):
-        is_lhd_column(np.array([0.5]), bins)
-
-
-@pytest.mark.parametrize("bins", [0, -1])
-def test_is_lhd_column_rejects_bins_below_one(bins):
-    # An empty column once passed as filling its 0 bins.
-    with pytest.raises(ValueError, match=f"^bins must be >= 1, got {bins}$"):
-        is_lhd_column(np.array([]), bins)
+        columns = np.tile(np.arange(1, bins + 1) / bins, (bins, 1))
+        diag = np.arange(bins)
+        columns[diag, diag] = np.nextafter(columns[diag, diag], 2.0)
+        assert _columns_ok(columns, bins) == (False,) * bins, bins
 
 
 def test_validate_sliced_passes_construction():
@@ -106,7 +84,7 @@ def test_whole_grid_alone_is_not_enough():
     # slices of sizes (1, 3, 3) no matter how rows are grouped.
     H = np.array([0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9])
     sizes = SliceSizes((1, 3, 3))
-    assert is_lhd_column(H, 7)
+    assert _columns_ok([H], 7) == (True,)
     rows = set(range(7))
     arrangements = 0
     for first in itertools.combinations(rows, 1):
@@ -155,10 +133,9 @@ def test_validate_sliced_out_of_range_fails_loudly():
     assert report.column_ok == (False,)
 
 
-def test_is_lhd_column_rejects_non_finite_entries():
-    assert not is_lhd_column(np.array([np.nan, 0.75]), 2)
-    assert not is_lhd_column(np.array([0.25, np.inf]), 2)
-    assert not is_lhd_column(np.array([-np.inf, 0.75]), 2)
+def test_column_ok_rejects_non_finite_entries():
+    columns = [[np.nan, 0.75], [0.25, np.inf], [-np.inf, 0.75]]
+    assert _columns_ok(columns, 2) == (False, False, False)
 
 
 def test_validate_sliced_fails_nan_without_warning():
@@ -214,7 +191,10 @@ def _constructed(family, sizes, p, rng):
     return generate_randomized_lhd(sizes.n, p, rng).values
 
 
-_MUTATIONS = ("swap", "shift", "edge", "beside edge", "edge column", "zero", "above one", "nan")
+_MUTATIONS = (
+    "swap", "shift", "edge", "beside edge", "edge column", "zero", "above one", "nan",
+    "outer midpoint",
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,13 +214,16 @@ _MUTATIONS = ("swap", "shift", "edge", "beside edge", "edge column", "zero", "ab
 @example(
     family="sliced", sizes=[3], p=1, seed=0, mutations=[("beside edge", 0, 3), ("edge", 1, 1)]
 )
+# -1/6: bin 0 of 3, whose midpoint by the formula (2m-1)/(2n) is -1/6 itself.
+@example(family="sliced", sizes=[1, 2], p=1, seed=0, mutations=[("outer midpoint", 0, 0)])
 def test_validate_sliced_agrees_with_brute_force_counter(family, sizes, p, seed, mutations):
     # Construction outputs and mutated copies, at entry (i, l) picked by u:
     # swapped with an entry of another slice, shifted one level, set to a
     # bin edge of the whole grid or of a slice or to the next float below
-    # or above it, 0, above 1 or NaN; or column l set to a permutation of
-    # the edges m/n. The examples are the 7/25 edge, the (50, 7, 38)
-    # midpoint on a slice edge and the next float above 1/3.
+    # or above it, 0, above 1, NaN, or the midpoint -1/(2n) or (2n+1)/(2n)
+    # of a bin outside (0, 1]; or column l set to a permutation of the edges
+    # m/n. The examples are the 7/25 edge, the (50, 7, 38) midpoint on a
+    # slice edge, the next float above 1/3 and the outer midpoint -1/6.
     sizes = SliceSizes(tuple(sizes))
     n = sizes.n
     values = _constructed(family, sizes, p, RngStream(seed))
@@ -263,6 +246,8 @@ def test_validate_sliced_agrees_with_brute_force_counter(family, sizes, p, seed,
             values[:, l] = np.random.default_rng(w).permutation(np.arange(1, n + 1)) / n
         elif kind in ("zero", "above one", "nan"):
             values[i, l] = {"zero": 0.0, "above one": np.nextafter(1.0, 2.0), "nan": np.nan}[kind]
+        elif kind == "outer midpoint":
+            values[i, l] = (2 * n + 1 if w % 2 else -1) / (2 * n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = validate_sliced(Design(values, sizes))
