@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, takewhile
+from itertools import accumulate, chain, takewhile
 
 import numpy as np
 
@@ -110,25 +110,36 @@ def _as_slice_sizes(sizes) -> SliceSizes:
 
 @dataclass(frozen=True)
 class LevelPartition:
-    """Groups G_1,...,G_t of levels {1,...,n}, each exposed sorted ascending."""
+    """Groups G_1,...,G_t of levels {1,...,n}, each exposed sorted ascending.
+
+    A level must be a Python or numpy integer; bool, float and str are
+    refused, never truncated or parsed.
+    """
 
     groups: tuple[tuple[int, ...], ...]
     sizes: SliceSizes
 
     def __post_init__(self):
-        groups = tuple(tuple(sorted(int(g) for g in grp)) for grp in self.groups)
+        sizes = _as_slice_sizes(self.sizes)
+        groups = tuple(map(tuple, self.groups))
+        if not set(map(type, chain.from_iterable(groups))) <= {int}:
+            groups = tuple(tuple(_as_integer("level", g) for g in grp) for grp in groups)
+        groups = tuple([tuple(sorted(grp)) for grp in groups])
         object.__setattr__(self, "groups", groups)
-        if len(groups) != self.sizes.t:
+        if len(groups) != sizes.t:
             raise ValueError("group count does not match slice count")
-        if tuple(len(g) for g in groups) != self.sizes.sizes:
+        if tuple(map(len, groups)) != sizes.sizes:
             raise ValueError("group cardinalities do not match slice sizes")
-        covered = sorted(g for grp in groups for g in grp)
-        if covered != list(range(1, self.sizes.n + 1)):
+        # The n levels cover 1..n iff they lie in 1..n (a sorted group's ends
+        # bound it) and n of them differ, counted in O(n) by a bincount.
+        n = sizes.n
+        if not (all([1 <= grp[0] and grp[-1] <= n for grp in groups]) and n == np.count_nonzero(
+                np.bincount(np.fromiter(chain.from_iterable(groups), np.int64, n)))):
             raise ValueError("groups must partition {1,...,n} exactly")
 
     def group_midpoints(self, j: int) -> np.ndarray:
         """Sorted midpoints of group j on the full n-level grid."""
-        return level_midpoints(self.groups[j], self.sizes.n)
+        return level_midpoints(np.array(self.groups[j]), self.sizes.n)
 
 
 @dataclass

@@ -13,13 +13,21 @@ the first one above edge(s-1): a bisect, not a scan. The eligibility
 guarantee (there is always such a level) is a proven property of the
 construction; the code still checks it and aborts loudly if it ever fails,
 because a failure can only mean an implementation bug.
+
+The walk visits the n stratum closings, not the n levels: the closings are
+sorted by (edge, slice) up front, by numpy from _ARRAY_MIN strata up and by
+Python's sort below that, where numpy's fixed cost outweighs the sort, and
+the levels up to each edge join the working set as the walk reaches it. So
+the walk holds O(n) integers in arrays and bounded chunks of Python lists.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
+
+import numpy as np
 
 from .core import SliceSizes, LevelPartition, _as_slice_sizes
 
@@ -30,6 +38,12 @@ __all__ = [
     "assignment_steps",
     "partition_levels",
 ]
+
+# Below this many strata the closings are sorted by Python, which is then
+# faster than numpy's set-up; above it numpy sorts them, and the walk reads
+# them in Python lists of _CHUNK closings at a time.
+_ARRAY_MIN = 100
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -59,46 +73,51 @@ class LevelStep:
     working_set: tuple[int, ...]
 
 
-def _edges(n: int, nk: int, k: int):
-    """(edge(s), k, edge(s-1)) for each stratum s = 1..n_k of slice k."""
-    lo = 0
-    for s in range(1, nk + 1):
-        hi = (2 * n * s + nk) // (2 * nk)
-        yield hi, k, lo
-        lo = hi
-
-
 def _closings(sizes: SliceSizes):
-    """(i, k, edge(s-1)) for every stratum s of every slice k that level i
-    closes, in (i, k) order; holds one pending stratum per slice."""
-    return heapq.merge(*(_edges(sizes.n, nk, k) for k, nk in enumerate(sizes.sizes)))
+    """(edge(s), k, edge(s-1)) for every stratum s of every slice k, in
+    (edge(s), k) order."""
+    n, nk = sizes.n, sizes.sizes
+    if n < _ARRAY_MIN:
+        return iter(sorted([((2 * n * s + m) // (2 * m), k, (2 * n * (s - 1) + m) // (2 * m))
+                            for k, m in enumerate(nk) for s in range(1, m + 1)]))
+    each = np.repeat(nk, nk)
+    below = 2 * n * (np.arange(n) - np.repeat((0,) + tuple(accumulate(nk))[:-1], nk))
+    lo = (below + each) // (2 * each)
+    below += 2 * n + each
+    hi = below // (2 * each)
+    del below, each
+    # A stable sort of the edges keeps the slices in order at a shared edge.
+    order = np.argsort(hi, kind="stable")
+    hi, lo, k = hi[order], lo[order], np.repeat(np.arange(len(nk)), nk)[order]
+    del order
+    return chain.from_iterable(
+        zip(hi[at:at + _CHUNK].tolist(), k[at:at + _CHUNK].tolist(), lo[at:at + _CHUNK].tolist())
+        for at in range(0, n, _CHUNK)
+    )
 
 
 def _walk(sizes: SliceSizes):
-    """Yield (i, assignments, working set) after each level i = 1..n.
+    """Yield (i, k, level, working set) for each stratum closing in (i, k)
+    order: level i closes a stratum of slice k and hands ``level`` to it.
 
-    ``assignments`` lists the (slice_index, level) pairs made at level i.
-    The working set is the walk's own list, valid until the next level.
+    The working set is the walk's own sorted list of the levels up to i not
+    yet assigned, valid until the next closing.
     """
-    closings = _closings(_as_slice_sizes(sizes))
-    closing = next(closings, None)
-    working: list[int] = []  # stays sorted: appended in increasing order
-    for i in range(1, sizes.n + 1):
-        working.append(i)
-        assigned: list[tuple[int, int]] = []
-        while closing is not None and closing[0] == i:
-            _, k, lo = closing
-            pos = bisect_right(working, lo)
-            if pos == len(working):
-                # Impossible by the eligibility guarantee; reaching this line
-                # means the walk itself is wrong, so fail hard and loud.
-                raise AssertionError(
-                    f"no eligible level for slice {k} at i={i} "
-                    f"(sizes={sizes.sizes}, working set={working})"
-                )
-            assigned.append((k, working.pop(pos)))
-            closing = next(closings, None)
-        yield i, assigned, working
+    working: list[int] = []  # stays sorted: extended in increasing order
+    top = 0  # levels 1..top have joined the working set
+    for i, k, lo in _closings(_as_slice_sizes(sizes)):
+        if i > top:
+            working += range(top + 1, i + 1)
+            top = i
+        pos = bisect_right(working, lo)
+        if pos == len(working):
+            # Impossible by the eligibility guarantee; reaching this line
+            # means the walk itself is wrong, so fail hard and loud.
+            raise AssertionError(
+                f"no eligible level for slice {k} at i={i} "
+                f"(sizes={sizes.sizes}, working set={working})"
+            )
+        yield i, k, working.pop(pos), working
 
 
 def delta_sequence(sizes: SliceSizes) -> DeltaSequence:
@@ -107,12 +126,22 @@ def delta_sequence(sizes: SliceSizes) -> DeltaSequence:
     Each summand is 0 or 1, the deltas sum to n, and every prefix sum is
     at most i (assignments can never outpace the levels seen so far).
     """
-    return DeltaSequence(tuple(len(assigned) for _, assigned, _ in _walk(sizes)))
+    deltas = [0] * _as_slice_sizes(sizes).n
+    for i, _, _, _ in _walk(sizes):
+        deltas[i - 1] += 1
+    return DeltaSequence(tuple(deltas))
 
 
 def assignment_steps(sizes: SliceSizes) -> list[LevelStep]:
     """Run the greedy walk, returning the full per-level trace."""
-    return [LevelStep(i, tuple(assigned), tuple(working)) for i, assigned, working in _walk(sizes)]
+    steps: list[LevelStep] = []
+    for i, k, level, working in _walk(sizes):
+        while len(steps) < i:  # a level without a closing only joins the working set
+            u = len(steps) + 1
+            steps.append(LevelStep(u, (), (steps[-1].working_set if steps else ()) + (u,)))
+        last = steps[-1]
+        steps[-1] = LevelStep(i, last.assignments + ((k, level),), tuple(working))
+    return steps
 
 
 def partition_levels(sizes: SliceSizes) -> LevelPartition:
@@ -123,7 +152,6 @@ def partition_levels(sizes: SliceSizes) -> LevelPartition:
     re-checks the cheap structural invariants.
     """
     groups: list[list[int]] = [[] for _ in range(_as_slice_sizes(sizes).t)]
-    for _, assigned, _ in _walk(sizes):
-        for k, u in assigned:
-            groups[k].append(u)
-    return LevelPartition(tuple(tuple(g) for g in groups), sizes)
+    for _, k, level, _ in _walk(sizes):
+        groups[k].append(level)
+    return LevelPartition(groups, sizes)

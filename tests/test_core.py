@@ -166,6 +166,34 @@ def test_level_partition_validates_cover():
         LevelPartition(((1, 2, 3, 4, 5),), sizes)
 
 
+@pytest.mark.parametrize(
+    "groups, bad",
+    [(((1.0, 2.9), (3,)), "1.0"), (((True, 2), (3,)), "True"), ((("2", 1), (3,)), "'2'"),
+     (((1, np.float64(2.0)), (3,)), "np.float64(2.0)"), (((1, 2), (np.bool_(True),)), "np.True_")],
+)
+def test_level_partition_rejects_non_integer_levels(groups, bad):
+    # Read as int, (1.0, 2.9) would be the group (1, 2) and True the level 1.
+    with pytest.raises(ValueError, match=rf"^level must be an integer, got {re.escape(bad)}$"):
+        LevelPartition(groups, SliceSizes((2, 1)))
+
+
+def test_level_partition_takes_numpy_integer_levels_as_ints():
+    part = LevelPartition(((np.int64(2), np.uint8(1)), (np.int32(3),)), SliceSizes((2, 1)))
+    assert part.groups == ((1, 2), (3,))
+    assert {type(u) for grp in part.groups for u in grp} == {int}
+
+
+@pytest.mark.parametrize("groups", [((0, 1), (2,)), ((1, 2), (-3,)), ((1, 2), (2**70,))])
+def test_level_partition_rejects_levels_off_one_to_n(groups):
+    with pytest.raises(ValueError, match=r"^groups must partition \{1,...,n\} exactly$"):
+        LevelPartition(groups, SliceSizes((2, 1)))
+
+
+def test_level_partition_rejects_sizes_that_are_not_slice_sizes():
+    with pytest.raises(ValueError, match=r"^sizes must be a SliceSizes, got \(2, 1\)$"):
+        LevelPartition(((1, 2), (3,)), (2, 1))
+
+
 def test_level_partition_sorts_groups():
     part = LevelPartition(((4, 1), (5, 2, 3)), SliceSizes((2, 3)))
     assert part.groups == ((1, 4), (2, 3, 5))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slicedlhd.partition as partition
@@ -161,11 +161,15 @@ _WALK_SIZES = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(_WALK_SIZES)
+# Many slices at n = 10^5, on numpy's sort; only its groups are compared, as
+# its per-level trace would hold n working-set tuples.
+@example([1000] * 100)
 def test_walk_matches_frozen_oracle(sizes_list):
     sizes = SliceSizes(tuple(sizes_list))
     expected = frozen_walk(sizes)
-    assert assignment_steps(sizes) == [LevelStep(*step) for step in expected]
-    assert delta_sequence(sizes).deltas == tuple(len(a) for _, a, _ in expected)
+    if sizes.n <= 10_000:
+        assert assignment_steps(sizes) == [LevelStep(*step) for step in expected]
+        assert delta_sequence(sizes).deltas == tuple(len(a) for _, a, _ in expected)
     groups = [[] for _ in sizes.sizes]
     for _, assigned, _ in expected:
         for k, u in assigned:
@@ -181,3 +185,27 @@ def test_walk_raises_when_a_stratum_has_no_working_level(monkeypatch):
         match=r"^no eligible level for slice 0 at i=1 \(sizes=\(2, 3\), working set=\[1\]\)$",
     ):
         partition_levels(SliceSizes((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "sizes", [(1,), (3,), (2, 5, 10), (1,) * 99, (1,) * 100, (50, 49), (50, 50), (97, 3, 1),
+              (17, 13, 11, 7) * 6, (1, 1500), (211, 2, 499, 997)],
+)
+def test_closings_sorted_by_python_and_by_numpy_agree(sizes, monkeypatch):
+    # Below _ARRAY_MIN strata Python sorts the closings, from it up numpy.
+    sizes = SliceSizes(sizes)
+    monkeypatch.setattr(partition, "_ARRAY_MIN", sizes.n + 1)
+    by_python = list(partition._closings(sizes))
+    monkeypatch.setattr(partition, "_ARRAY_MIN", sizes.n)
+    by_numpy = list(partition._closings(sizes))
+    assert by_numpy == by_python
+    assert len(by_numpy) == sizes.n
+    assert all(type(v) is int for closing in by_numpy for v in closing)
+
+
+def test_closings_are_read_in_chunks(monkeypatch):
+    # A walk over several chunks gives the partition of one chunk.
+    sizes = SliceSizes((61, 29, 10))
+    whole = partition_levels(sizes)
+    monkeypatch.setattr(partition, "_CHUNK", 7)
+    assert partition_levels(sizes) == whole
