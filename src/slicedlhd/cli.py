@@ -23,7 +23,7 @@ import numpy as np
 
 from .benchmark import ExperimentConfig, render_table, run_experiment, write_trace_csv
 from .core import Design, RngStream, SliceSizes, levels_from_values
-from .decorrelate import reduce_correlations
+from .decorrelate import _swept, reduce_correlations
 from .generate import generate_sliced_lhd
 from .validate import validate_sliced
 
@@ -67,12 +67,13 @@ def _design_text(design: Design, seed: int, decorrelated: bool, fmt: str) -> str
     ]
     if fmt == "levels":
         # Store the odd numerators 2a-1 of the midpoints (2a-1)/(2n); exact.
-        # tolist() yields Python ints and floats: their str and repr are the
-        # bytes of str(int(v)) and repr(float(v)) per element.
-        levels = levels_from_values(design.values, design.n)
-        lines += [" ".join(map(str, row)) for row in (2 * levels - 1).tolist()]
+        cells, spec = 2 * levels_from_values(design.values, design.n) - 1, "%d"
     else:
-        lines += [" ".join(map(repr, row)) for row in design.values.tolist()]
+        cells, spec = design.values, "%r"
+    # One format of every cell: tolist() yields Python ints and floats, whose
+    # %d and %r are the bytes of str(int(v)) and repr(float(v)).
+    row = " ".join([spec] * design.p)
+    lines.append("\n".join([row] * design.n) % tuple(cells.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -110,9 +111,12 @@ def _cmd_generate(args) -> int:
             print(f"error: {message}", file=sys.stderr)
             return 2
     design = generate_sliced_lhd(sizes, args.dim, RngStream(args.seed))
-    trace = None
-    if args.decorrelate:
+    # The trace costs a correlation per slice and iteration: only measured
+    # when it is written.
+    if args.trace_out:
         design, trace = reduce_correlations(design, iterations=args.iterations)
+    elif args.decorrelate:
+        design = _swept(design, args.iterations)
     rc = _write_text(args.output, _design_text(design, args.seed, args.decorrelate, args.format))
     if rc != 0:
         return rc

@@ -25,13 +25,18 @@ Only the columns a pass wrote are restored (one stable argsort and one
 scatter): the other one (p forward, 1 backward) holds its own values, and a
 stable rank restore maps it to itself.
 
-One loop (_sweep_block) and one pass (_residual_pass) serve both callers. A
-pass reads only its own block's rows, so a block is one contiguous (column,
-row) array per replicate: reduce_correlations sweeps each slice as a block of
-one, the benchmark's batch sweep a chunk of replicates at a time, so the chunk
-bounds its memory. Each replicate is swept to its own fixed point, and one
-check after each pass finds it. Write S_k = B(F(S_{k-1})), F the forward pass
-and its restore, B the backward one. If a pass's new output equals its own
+One loop (_sweep_block) and one pass (_residual_pass) serve every caller,
+through two drivers. reduce_correlations steps each slice's loop in turn and
+measures the trace between iterations. _sweep_batch runs each block's loop to
+its end and measures nothing: the benchmark's batch sweep calls it, and so
+does _swept, reduce_correlations' design without the trace, which the command
+line writes unless a trace file is asked for. A pass reads only its own
+block's rows, so a block is one contiguous (column, row) array per replicate:
+reduce_correlations and _swept sweep each slice as a block of one, the
+benchmark a chunk of replicates at a time, so the chunk bounds its memory.
+Each replicate is swept to its own fixed point, and one check after each
+pass finds it. Write S_k = B(F(S_{k-1})), F the forward pass and its
+restore, B the backward one. If a pass's new output equals its own
 previous one, the next output of the other pass does too, and so on: the
 replicate is at its fixed point. After a backward pass that point is the new
 S_k; after a forward pass it is S_{k-1}, since F(S_{k-1}) = F(S_{k-2}) gives
@@ -44,10 +49,11 @@ can differ. Every sum runs along a block row, as for one replicate swept
 alone, so neither the chunk nor the stop moves a bit.
 
 The slope kernel is the only fork: one 1-D BLAS dot per response row in
-reduce_correlations (_blas_slopes, residualize's own call), a row-wise einsum
-in the batch sweep (_einsum_slopes). Their last bits can differ, and they
-decide the rank of residuals that tie exactly, so the two callers can then
-return different designs; each kernel keeps its own pinned outputs.
+reduce_correlations and _swept (_blas_slopes, residualize's own call), a
+row-wise einsum in the benchmark's batch sweep (_einsum_slopes). Their last
+bits can differ, and they decide the rank of residuals that tie exactly, so
+the library and the benchmark can then return different designs; each
+kernel keeps its own pinned outputs.
 """
 
 from __future__ import annotations
@@ -89,6 +95,11 @@ def residualize(response, covariate) -> np.ndarray:
 
 def rms_correlation(matrix) -> float:
     """Root mean square of all pairwise column correlations."""
+    return _rms(_checked(matrix))
+
+
+def _checked(matrix) -> np.ndarray:
+    """``matrix`` as a float64 array, once it has a correlation to take."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] < 2:
         raise ValueError("need a matrix with at least two columns")
@@ -98,7 +109,7 @@ def rms_correlation(matrix) -> float:
         raise ValueError("matrix values must be finite")
     if (m == m[0]).all(axis=0).any():
         raise ValueError("zero-variance column has undefined correlation")
-    return _rms(m)
+    return m
 
 
 _upper = functools.cache(functools.partial(np.triu_indices, k=1))
@@ -185,25 +196,6 @@ def reduce_correlations(
     return Design(values, design.sizes), trace
 
 
-def _sweep_batch(
-    stacked: np.ndarray,
-    blocks: list[tuple[slice, np.ndarray]],
-    iterations: int = 10,
-) -> np.ndarray:
-    """Vectorized sweep over a batch of designs, in place.
-
-    ``stacked`` has shape (R, n, p); ``blocks`` pairs each slice's row range
-    with its sorted midpoint vector. Each block is swept on its own
-    (_sweep_block): a few copies of it bound the temporaries.
-    """
-    if stacked.shape[2] >= 2:
-        for rows, mids in blocks:
-            if mids.size >= 2:
-                # Exhausted without holding a yielded state, which would raise the peak.
-                deque(_sweep_block(stacked[:, rows, :], mids, iterations, _einsum_slopes), 0)
-    return stacked
-
-
 def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes):
     """Sweep the block ``dest`` (m, n_j, p), a view, in contiguous (m, p, n_j)
     states, restoring onto ``targets`` (each row's sorted values, or one
@@ -211,9 +203,10 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes)
     iteration that moved one; a replicate at its fixed point is written back
     to ``dest`` and drops out, and the rest are written back at the end."""
     # last[i] is pass i's last output, pass 0 the forward and 1 the backward
-    # pass; NaN, equal to no value, and the input stand in for them at the
-    # start. A spent state is dropped at once, never held under another name.
-    last = [np.nan, dest.transpose(0, 2, 1).copy()]
+    # pass; None (the first forward pass has nothing to repeat) and the input
+    # stand in for them at the start. A spent state is dropped at once, never
+    # held under another name.
+    last = [None, dest.transpose(0, 2, 1).copy()]
     m, p, n_j = last[1].shape
     restored = np.empty((p, n_j))  # each row's sorted values
     restored[...] = targets
@@ -226,6 +219,9 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes)
             # Pass i reads the other pass's output and takes the place of its
             # own previous one, which is popped, compared and dropped.
             last.insert(i, _residual_pass(last[i - 1], *step, offsets, slopes))
+            if last[i + 1] is None:
+                del last[i + 1]
+                continue
             moved = (last.pop(i + 1) != last[i]).any(axis=(1, 2))
             if np.count_nonzero(moved) < live.size:
                 # A repeat is the fixed point, and last[1] holds it.
@@ -279,3 +275,38 @@ def _blas_slopes(centred, covariate: int, responses: slice) -> np.ndarray:
     cd = centred[0, covariate]
     den = float(cd @ cd)
     return np.array([[float(cd @ row) / den if den else 0.0 for row in centred[0, responses]]])
+
+
+def _swept(design: Design, iterations: int) -> Design:
+    """reduce_correlations(design, iterations=iterations)[0], bit for bit,
+    without its trace: the same checks in the same order, and the same
+    _sweep_block calls on the same slope kernel."""
+    values = _checked(design.values).copy()
+    blocks = []
+    for rows in design.sizes.rows:
+        if rows.stop - rows.start > 1:
+            _checked(values[rows])
+        blocks.append((rows, np.sort(values[rows].T, axis=1)))
+    _sweep_batch(values[None], blocks, iterations, _blas_slopes)
+    return Design(values, design.sizes)
+
+
+def _sweep_batch(
+    stacked: np.ndarray,
+    blocks: list[tuple[slice, np.ndarray]],
+    iterations: int = 10,
+    slopes=_einsum_slopes,
+) -> np.ndarray:
+    """Vectorized sweep over a batch of designs, in place.
+
+    ``stacked`` has shape (R, n, p); ``blocks`` pairs each slice's row range
+    with its sorted targets: one midpoint vector (n_j,) for every column, or
+    (p, n_j) sorted columns. Each block is swept on its own (_sweep_block):
+    a few copies of it bound the temporaries.
+    """
+    if stacked.shape[2] >= 2:
+        for rows, targets in blocks:
+            if targets.shape[-1] >= 2:
+                # Exhausted without holding a yielded state, which would raise the peak.
+                deque(_sweep_block(stacked[:, rows, :], targets, iterations, slopes), 0)
+    return stacked

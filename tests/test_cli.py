@@ -17,7 +17,7 @@ from slicedlhd import (
     ExperimentConfig, RngStream, SliceSizes, generate_sliced_lhd, levels_from_values,
     reduce_correlations,
 )
-from slicedlhd import cli
+from slicedlhd import cli, decorrelate
 from slicedlhd.cli import _parse_design_file, main
 
 from _goldens import COLUMN_NUMER_2_5_10
@@ -101,20 +101,23 @@ def test_values_format_round_trip(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["levels", "values"])
 def test_design_text_rows_equal_per_element_formatting(fmt):
-    # Rows are formatted from tolist(): str of a Python int and repr of a
+    # Cells are formatted from tolist(): %d of a Python int and %r of a
     # Python float must give the bytes of str(int(v)) and repr(float(v)).
-    # The values design is jittered off the midpoints, so its reprs run long.
-    design = generate_sliced_lhd(SliceSizes((3, 7, 12)), 4, RngStream(5))
-    if fmt == "values":
-        jitter = np.random.default_rng(2).uniform(-0.4, 0.4, design.values.shape)
-        design = type(design)(design.values + jitter / design.n, design.sizes)
-        want = [" ".join(repr(float(v)) for v in row) for row in design.values]
-    else:
-        levels = levels_from_values(design.values, design.n)
-        want = [" ".join(str(int(v)) for v in row) for row in 2 * levels - 1]
-    text = cli._design_text(design, 5, False, fmt)
-    assert text.splitlines()[8:] == want
-    assert text.endswith("\n") and text.count("\n") == 8 + design.n
+    # The values designs are jittered off the midpoints, so their reprs run
+    # long; the one-run and one-column designs format one cell a row or one
+    # row in all.
+    for sizes, p in [((3, 7, 12), 4), ((1,), 1), ((2,), 1), ((1,), 3)]:
+        design = generate_sliced_lhd(SliceSizes(sizes), p, RngStream(5))
+        if fmt == "values":
+            jitter = np.random.default_rng(2).uniform(-0.4, 0.4, design.values.shape)
+            design = type(design)(design.values + jitter / design.n, design.sizes)
+            want = [" ".join(repr(float(v)) for v in row) for row in design.values]
+        else:
+            levels = levels_from_values(design.values, design.n)
+            want = [" ".join(str(int(v)) for v in row) for row in 2 * levels - 1]
+        text = cli._design_text(design, 5, False, fmt)
+        assert text.splitlines()[8:] == want
+        assert text.endswith("\n") and text.count("\n") == 8 + design.n
 
 
 def test_generate_decorrelate_with_trace(tmp_path):
@@ -128,6 +131,34 @@ def test_generate_decorrelate_with_trace(tmp_path):
     assert lines[0] == "iteration,whole,slice1,slice2"
     assert len(lines) == 12
     assert run_cli("validate", str(out), "--sizes", "6,7") == 0
+
+
+@pytest.mark.parametrize("fmt", ["levels", "values"])
+@pytest.mark.parametrize("sizes, p", [("6,7", 2), ("5,1,4", 2), ("1,9,1,12", 8), ("2,1", 8)])
+def test_generate_decorrelate_writes_the_same_design_with_and_without_trace(tmp_path, fmt, sizes, p):
+    # Without --trace-out the sweep measures no trace; the design file is
+    # byte for byte the one written beside a trace. (5,1,4) at p = 2 holds
+    # the exact residual tie that the two slope kernels order differently.
+    argv = ["generate", "--sizes", sizes, "--dim", str(p), "--seed", "3",
+            "--format", fmt, "--decorrelate"]
+    traced, plain = tmp_path / "traced.txt", tmp_path / "plain.txt"
+    assert run_cli(*argv, "-o", str(traced), "--trace-out", str(tmp_path / "t.csv")) == 0
+    assert run_cli(*argv, "-o", str(plain)) == 0
+    assert plain.read_bytes() == traced.read_bytes()
+
+
+def test_generate_decorrelate_measures_no_trace_unless_asked(tmp_path, monkeypatch):
+    # _rms is the trace's one measurement; the spy also sees the traced
+    # run call it, so a renamed or bypassed _rms cannot pass unseen.
+    calls = []
+    rms = decorrelate._rms
+    monkeypatch.setattr(decorrelate, "_rms", lambda m: calls.append(m) or rms(m))
+    argv = ["generate", "--sizes", "2,5,10", "--dim", "3", "--decorrelate",
+            "-o", str(tmp_path / "design.txt")]
+    assert run_cli(*argv) == 0
+    assert calls == []
+    assert run_cli(*argv, "--trace-out", str(tmp_path / "t.csv")) == 0
+    assert calls
 
 
 def test_unwritable_trace_exits_3(tmp_path, capsys):

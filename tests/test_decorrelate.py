@@ -18,7 +18,7 @@ from slicedlhd import (
     rms_correlation,
     validate_sliced,
 )
-from slicedlhd.decorrelate import _blas_slopes, _einsum_slopes, _rms, _sweep_batch
+from slicedlhd.decorrelate import _blas_slopes, _einsum_slopes, _rms, _sweep_batch, _swept
 from slicedlhd.generate import method_blocks
 
 from _frozen_sweep import frozen_reduce_correlations, frozen_sweep_batch
@@ -312,6 +312,49 @@ def test_reduce_correlations_equals_literal_loops(sizes, p, seed, first, iterati
     assert np.array_equal(out.values, values)
     assert trace.whole == whole
     assert trace.per_slice == per_slice
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6).filter(lambda s: sum(s) >= 2),
+    p=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.integers(0, 200),
+    iterations=st.integers(1, 10),
+)
+@example(sizes=[5, 1, 4], p=2, seed=3, first=97, iterations=10)
+@example(sizes=[1, 6, 1], p=4, seed=0, first=0, iterations=10)
+def test_swept_equals_reduce_correlations(sizes, p, seed, first, iterations):
+    # The command line's trace-free sweep returns reduce_correlations'
+    # design bit for bit. On the first example the batch sweep's einsum
+    # slopes order an exact residual tie the other way, so the test fails
+    # if _swept ever sweeps with them.
+    design = generate_sliced_lhd(SliceSizes(tuple(sizes)), p, RngStream(seed).split(first))
+    want = reduce_correlations(design, iterations=iterations)[0].values
+    assert np.array_equal(_swept(design, iterations).values, want)
+    if (sizes, p, seed, first) == ([5, 1, 4], 2, 3, 97):
+        einsum = design.values.copy()
+        rows = design.sizes.rows
+        _sweep_batch(einsum[None], [(r, np.sort(einsum[r].T, axis=1)) for r in rows], iterations)
+        assert not np.array_equal(einsum, want)
+
+
+@pytest.mark.parametrize(
+    "values, sizes, message",
+    [
+        ([[0.1, 0.2], [np.nan, 0.5], [0.3, 0.9]], (3,), "^matrix values must be finite$"),
+        ([[0.1, 0.2], [0.1, 0.5], [0.1, 0.3]], (3,), _CONSTANT_MESSAGE),
+        ([[0.1, 0.2], [0.1, 0.5], [0.1, 0.3], [0.7, 0.9]], (3, 1), _CONSTANT_MESSAGE),
+        ([[0.1, 0.2]], (1,), "^need at least two rows to correlate$"),
+        ([[0.1], [0.5]], (2,), "^need a matrix with at least two columns$"),
+    ],
+    ids=["nan", "constant-column", "constant-slice-column", "one-row", "one-column"],
+)
+def test_swept_raises_rms_correlations_messages(values, sizes, message):
+    design = Design(np.array(values), SliceSizes(sizes))
+    for sweep in (reduce_correlations, lambda d: _swept(d, 10)):
+        with pytest.raises(ValueError, match=message):
+            sweep(design)
 
 
 def test_sweep_input_checks():
