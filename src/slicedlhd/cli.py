@@ -31,6 +31,10 @@ __all__ = ["main"]
 
 _ENV_SEED = "SLICEDLHD_SEED"
 
+# Cells the design writer formats at a time, as Python objects: this bounds
+# its temporaries whatever the design's size.
+_CHUNK = 1 << 16
+
 
 def _parse_sizes(text: str) -> SliceSizes:
     try:
@@ -70,10 +74,13 @@ def _design_text(design: Design, seed: int, decorrelated: bool, fmt: str) -> str
         cells, spec = 2 * levels_from_values(design.values, design.n) - 1, "%d"
     else:
         cells, spec = design.values, "%r"
-    # One format of every cell: tolist() yields Python ints and floats, whose
-    # %d and %r are the bytes of str(int(v)) and repr(float(v)).
+    # One format of each chunk of rows: tolist() yields Python ints and
+    # floats, whose %d and %r are the bytes of str(int(v)) and repr(float(v)).
     row = " ".join([spec] * design.p)
-    lines.append("\n".join([row] * design.n) % tuple(cells.ravel().tolist()))
+    step = max(1, _CHUNK // design.p)
+    for start in range(0, design.n, step):
+        chunk = cells[start:start + step]
+        lines.append("\n".join([row] * len(chunk)) % tuple(chunk.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

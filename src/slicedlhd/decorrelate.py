@@ -25,28 +25,31 @@ Only the columns a pass wrote are restored (one stable argsort and one
 scatter): the other one (p forward, 1 backward) holds its own values, and a
 stable rank restore maps it to itself.
 
-One loop (_sweep_block) and one pass (_residual_pass) serve every caller,
-through two drivers. reduce_correlations steps each slice's loop in turn and
-measures the trace between iterations. _sweep_batch runs each block's loop to
-its end and measures nothing: the benchmark's batch sweep calls it, and so
-does _swept, reduce_correlations' design without the trace, which the command
-line writes unless a trace file is asked for. A pass reads only its own
-block's rows, so a block is one contiguous (column, row) array per replicate:
-reduce_correlations and _swept sweep each slice as a block of one, the
-benchmark a chunk of replicates at a time, so the chunk bounds its memory.
-Each replicate is swept to its own fixed point, and one check after each
-pass finds it. Write S_k = B(F(S_{k-1})), F the forward pass and its
-restore, B the backward one. If a pass's new output equals its own
-previous one, the next output of the other pass does too, and so on: the
-replicate is at its fixed point. After a backward pass that point is the new
-S_k; after a forward pass it is S_{k-1}, since F(S_{k-1}) = F(S_{k-2}) gives
-S_k = S_{k-1}, so B is not run. A stopped replicate drops out while the
-others go on: reduce_correlations repeats a stopped slice's last trace entry,
-which would measure the same state, and pads the whole trace once no slice
-is left. Outputs and traces are bit-identical to running all iterations in
-full, unless a slice column holds both 0.0 and -0.0: then the sign of a zero
-can differ. Every sum runs along a block row, as for one replicate swept
-alone, so neither the chunk nor the stop moves a bit.
+One loop (_sweep_block) and one pass (_residual_pass) serve every caller.
+reduce_correlations calls the loop one iteration a call on each slice still
+moving, and measures the trace between calls. _sweep_batch calls it once a
+block for all the iterations and measures nothing: the benchmark's batch
+sweep runs it, and so does _swept, reduce_correlations' design without the
+trace, which the command line writes unless a trace file is asked for. Both
+library drivers start from _slice_blocks: rms_correlation's checks and each
+slice's sorted columns. A pass reads only its own block's rows, so a block is
+one contiguous (column, row) array per replicate: reduce_correlations and
+_swept sweep each slice as a block of one, the benchmark a chunk of
+replicates at a time, so the chunk bounds its memory. Each replicate is swept
+to its own fixed point, and one check after each pass finds it. Write
+S_k = B(F(S_{k-1})), F the forward pass and its restore, B the backward one.
+If a pass's new output equals its own previous one, the next output of the
+other pass does too, and so on: the replicate is at its fixed point. After a
+backward pass that point is the new S_k; after a forward pass it is S_{k-1},
+since F(S_{k-1}) = F(S_{k-2}) gives S_k = S_{k-1}, so B is not run. A
+one-iteration call, with no earlier forward output, finds that stop after B:
+the same state. A stopped replicate drops out while the others go on:
+reduce_correlations repeats a stopped slice's last trace entry, which would
+measure the same state, and pads the whole trace once no slice is left.
+Outputs and traces are bit-identical to running all iterations in full,
+unless a slice column holds both 0.0 and -0.0: then the sign of a zero can
+differ. Every sum runs along a block row, as for one replicate swept alone,
+so neither the chunk nor the stop moves a bit.
 
 The slope kernel is the only fork: one 1-D BLAS dot per response row in
 reduce_correlations and _swept (_blas_slopes, residualize's own call), a
@@ -59,7 +62,6 @@ kernel keeps its own pinned outputs.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,41 +169,31 @@ def reduce_correlations(
     if partition is not None and partition.sizes != design.sizes:
         raise ValueError("partition slice sizes do not match the design")
 
-    values = design.values.copy()
-    blocks = [values[rows] for rows in design.sizes.rows]
-    # rms_correlation checks the design, then each slice, before any is swept.
-    whole_trace = [rms_correlation(values)]
+    values, blocks = _slice_blocks(design)
+    views = [values[rows] for rows, _ in blocks]
     # A slice too small to correlate has trace entries of 0.0, so every entry
     # stays within [0, 1]; each larger one is swept as a block of one,
-    # restored onto its own sorted columns.
-    slice_traces = [[rms_correlation(block) if len(block) > 1 else 0.0] for block in blocks]
-    sweeps = {
-        j: _sweep_block(block[None], np.sort(block.T, axis=1), iterations, _blas_slopes)
-        for j, block in enumerate(blocks)
-        if len(block) > 1
-    }
+    # restored onto its own sorted columns, one iteration a call.
+    whole_trace = [_rms(values)]
+    slice_traces = [[_rms(view) if len(view) > 1 else 0.0] for view in views]
+    live = [j for j, view in enumerate(views) if len(view) > 1]
     for _ in range(iterations):
         # A slice at its fixed point drops out and repeats its last trace
         # entry. Restores keep each column's multiset: no _rms check needed.
-        for j, sweep in list(sweeps.items()):
-            state = next(sweep, None)
-            if state is None:
-                del sweeps[j]
-            else:
-                blocks[j][...] = state[0].T
-        whole_trace.append(_rms(values) if sweeps else whole_trace[-1])
+        live = [j for j in live if _sweep_block(views[j][None], blocks[j][1], 1, _blas_slopes)]
+        whole_trace.append(_rms(values) if live else whole_trace[-1])
         for j, row in enumerate(slice_traces):
-            row.append(_rms(blocks[j]) if j in sweeps else row[-1])
+            row.append(_rms(views[j]) if j in live else row[-1])
     trace = SweepTrace(tuple(whole_trace), tuple(map(tuple, slice_traces)))
     return Design(values, design.sizes), trace
 
 
-def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes):
-    """Sweep the block ``dest`` (m, n_j, p), a view, in contiguous (m, p, n_j)
-    states, restoring onto ``targets`` (each row's sorted values, or one
-    (n_j,) row for all). Yields the live replicates' state after each
-    iteration that moved one; a replicate at its fixed point is written back
-    to ``dest`` and drops out, and the rest are written back at the end."""
+def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes) -> bool:
+    """Sweep the block ``dest`` (m, n_j, p), a view, in place, in contiguous
+    (m, p, n_j) states, restoring onto ``targets`` (each row's sorted values,
+    or one (n_j,) row for all). A replicate at its fixed point is written
+    back to ``dest`` and drops out, and the rest are written back at the end.
+    Returns False once every replicate has reached its fixed point."""
     # last[i] is pass i's last output, pass 0 the forward and 1 the backward
     # pass; None (the first forward pass has nothing to repeat) and the input
     # stand in for them at the start. A spent state is dropped at once, never
@@ -228,9 +220,9 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes)
                 dest[live[~moved]] = last[1][~moved].transpose(0, 2, 1)
                 last, live = [state[moved] for state in last], live[moved]
                 if live.size == 0:
-                    return
-        yield last[1]
+                    return False
     dest[live] = last[1].transpose(0, 2, 1)
+    return True
 
 
 def _residual_pass(state, covariate: int, responses: slice, targets, offsets, slopes):
@@ -277,16 +269,23 @@ def _blas_slopes(centred, covariate: int, responses: slice) -> np.ndarray:
     return np.array([[float(cd @ row) / den if den else 0.0 for row in centred[0, responses]]])
 
 
-def _swept(design: Design, iterations: int) -> Design:
-    """reduce_correlations(design, iterations=iterations)[0], bit for bit,
-    without its trace: the same checks in the same order, and the same
-    _sweep_block calls on the same slope kernel."""
+def _slice_blocks(design: Design) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
+    """A copy of the design's values, and each slice's rows paired with its
+    sorted columns, once rms_correlation's checks pass on the design and
+    then on each slice of two or more rows."""
     values = _checked(design.values).copy()
     blocks = []
     for rows in design.sizes.rows:
         if rows.stop - rows.start > 1:
             _checked(values[rows])
         blocks.append((rows, np.sort(values[rows].T, axis=1)))
+    return values, blocks
+
+
+def _swept(design: Design, iterations: int) -> Design:
+    """reduce_correlations(design, iterations=iterations)[0], bit for bit,
+    without its trace: the same checks, and the same slope kernel."""
+    values, blocks = _slice_blocks(design)
     _sweep_batch(values[None], blocks, iterations, _blas_slopes)
     return Design(values, design.sizes)
 
@@ -307,6 +306,5 @@ def _sweep_batch(
     if stacked.shape[2] >= 2:
         for rows, targets in blocks:
             if targets.shape[-1] >= 2:
-                # Exhausted without holding a yielded state, which would raise the peak.
-                deque(_sweep_block(stacked[:, rows, :], targets, iterations, slopes), 0)
+                _sweep_block(stacked[:, rows, :], targets, iterations, slopes)
     return stacked

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from slicedlhd import (
     Design,
+    ExperimentConfig,
     RngStream,
     SliceSizes,
     generate_independent_lhds,
@@ -18,7 +21,15 @@ from slicedlhd import (
     rms_correlation,
     validate_sliced,
 )
-from slicedlhd.decorrelate import _blas_slopes, _einsum_slopes, _rms, _sweep_batch, _swept
+from slicedlhd import benchmark, decorrelate
+from slicedlhd.decorrelate import (
+    _blas_slopes,
+    _einsum_slopes,
+    _rms,
+    _sweep_batch,
+    _sweep_block,
+    _swept,
+)
 from slicedlhd.generate import method_blocks
 
 from _frozen_sweep import frozen_reduce_correlations, frozen_sweep_batch
@@ -705,6 +716,74 @@ def test_trace_entries_hold_when_slices_stop_at_different_iterations():
         for j in range(sizes.t)
     ]
     assert len(set(stops)) == sizes.t
+
+
+def test_sweep_block_returns_whether_a_replicate_still_moves():
+    # A stack of the walkthrough's fixed point stops at once, in place; its
+    # start still moves after one iteration.
+    sizes = SliceSizes(SIZES_6_7)
+    for rows, mids in method_blocks("sliced", sizes):
+        dest = np.stack([SWEEP_FINAL[rows]] * 3)
+        assert _sweep_block(dest, mids, 1, _einsum_slopes) is False
+        assert np.array_equal(dest, np.broadcast_to(SWEEP_FINAL[rows], dest.shape))
+        dest = SWEEP_START[None, rows].copy()
+        assert _sweep_block(dest, mids, 1, _blas_slopes) is True
+        assert not np.array_equal(dest[0], SWEEP_START[rows])
+    # A batch whose replicates stop at different iterations: one call of k
+    # iterations writes back each replicate as k one-iteration calls leave
+    # it alone, and returns True while any of them has not yet stopped.
+    # states[k] is a replicate after k one-iteration calls, up to the call
+    # that returned False.
+    sizes = SliceSizes((12,))
+    (_, mids), = method_blocks("full", sizes)
+    stacked = np.stack([_draw("full", sizes, 5, RngStream(4).split(r)) for r in range(8)])
+    alone = []
+    for design in stacked:
+        states = [design[None]]
+        moving = True
+        while moving:
+            states.append(states[-1].copy())
+            moving = _sweep_block(states[-1], mids, 1, _einsum_slopes)
+        alone.append(states)
+    stops = [len(states) - 1 for states in alone]
+    assert len(set(stops)) > 2
+    for k in range(1, max(stops) + 1):
+        batch = stacked.copy()
+        assert _sweep_block(batch, mids, k, _einsum_slopes) is (k < max(stops)), k
+        want = np.stack([states[min(k, len(states) - 1)][0] for states in alone])
+        assert np.array_equal(batch, want), k
+    # Swept to convergence, the batch is at its fixed point.
+    assert _sweep_block(batch, mids, 1, _einsum_slopes) is False
+    assert np.array_equal(batch, want)
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name, R, want", [
+    ("table1-f2", 320, {"CLH": 997, "ICLH": 2750, "CSLH": 2732}),
+    ("table1-f1", 40, {"CLH": 256, "ICLH": 875, "CSLH": 853}),
+])
+def test_batch_sweep_stops_at_the_first_repeated_pass(monkeypatch, name, R, want):
+    # A replicate leaves the batch at the first forward or backward pass
+    # that repeats its own previous output. The counts are replicate-passes
+    # (a pass over m replicates counts m) over the benchmark's draws.
+    # Stopping only after a whole iteration that leaves a replicate as it
+    # was gives the same designs, but 1,202 / 3,298 / 3,272 passes on f2 and
+    # 274 / 936 / 920 on f1.
+    passes = []
+    residual_pass = decorrelate._residual_pass
+    monkeypatch.setattr(decorrelate, "_residual_pass",
+                        lambda state, *rest: passes.append(len(state)) or residual_pass(state, *rest))
+    cfg = ExperimentConfig.from_path(_CONFIGS / f"{name}.cfg")
+    got = {}
+    for method in want:
+        blocks = method_blocks(benchmark._METHODS[method][1], cfg.sizes)
+        V, _, _ = benchmark._draws(method, cfg, blocks, range(R))
+        passes.clear()
+        _sweep_batch(V, blocks)
+        got[method] = sum(passes)
+    assert got == want
 
 
 @settings(max_examples=100, deadline=None)
