@@ -9,6 +9,9 @@ Three subcommands:
 Exit codes: 0 success (and, for validate, all checks passed); 1 validation
 failure; 2 bad arguments, bad config, or unparseable input; 3 output path
 not writable.
+
+generate formats a design, and validate converts a design file's text, a
+bounded piece at a time, so neither holds a Python object per cell.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ __all__ = ["main"]
 
 _ENV_SEED = "SLICEDLHD_SEED"
 
-# Cells the design writer formats at a time, as Python objects: this bounds
-# its temporaries whatever the design's size.
+# Cells the design writer formats at a time, and about the characters the
+# reader converts at a time, as Python objects: this bounds their
+# temporaries whatever the design's size.
 _CHUNK = 1 << 16
 
 
@@ -142,31 +146,51 @@ def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}")
     fmt = None
-    data: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+    blocks: list[np.ndarray] = []
+    ragged = False
+    lineno = 0
+    # The text is converted a piece of about _CHUNK characters at a time, each
+    # cut just after a "\n": read_text has made "\r\n" and "\r" one, so the
+    # pieces' lines are the file's lines.
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+        data: list[tuple[int, str]] = []
+        for line in text[start:stop].splitlines():
+            lineno += 1
+            stripped = line.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                body = stripped.lstrip("#").strip()
+                if body.startswith("format:"):
+                    fmt = body.split(":", 1)[1].strip()
+                continue
+            data.append((lineno, stripped))
+        start = stop
+        if not data:
             continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if body.startswith("format:"):
-                fmt = body.split(":", 1)[1].strip()
+        try:
+            # One conversion of every token, as float() reads each; it fails
+            # on a non-numeric token or on rows of unequal widths. The pass
+            # below names a non-numeric line; unequal widths wait for the end.
+            block = np.array([line.split() for _, line in data], dtype=np.float64)
+        except ValueError:
+            for n, line in data:
+                try:
+                    [float(tok) for tok in line.split()]
+                except ValueError:
+                    raise ValueError(f"line {n}: not numeric: {line!r}")
+            ragged = True
             continue
-        data.append((lineno, stripped))
-    if not data:
-        raise ValueError("no data rows")
-    try:
-        # One conversion of every token, as float() reads each; it fails on a
-        # non-numeric token or on rows of unequal widths, and the pass below
-        # names which.
-        arr = np.array([line.split() for _, line in data], dtype=np.float64)
-    except ValueError:
-        for lineno, line in data:
-            try:
-                [float(tok) for tok in line.split()]
-            except ValueError:
-                raise ValueError(f"line {lineno}: not numeric: {line!r}")
+        ragged = ragged or bool(blocks) and block.shape[1] != blocks[0].shape[1]
+        blocks.append(block)
+    if ragged:
         raise ValueError("rows have inconsistent widths")
+    if not blocks:
+        raise ValueError("no data rows")
+    arr = np.concatenate(blocks)
+    del text, blocks  # freed before the levels division copies arr
     if fmt is None:
         # No header: integer-looking content is levels-format numerators.
         fmt = "levels" if np.all(arr == np.rint(arr)) and np.all(arr >= 1) else "values"

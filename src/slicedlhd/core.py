@@ -2,8 +2,9 @@
 
 Everything downstream (partitioning, generation, decorrelation, benchmarking)
 builds on the small vocabulary defined here: slice size vectors, level
-partitions, design matrices, and a reproducible RNG stream that can be split
-per (slice, column) or per (method, replicate) without aliasing.
+partitions, design matrices, the grid's one bin rule (``_bin_index``), and a
+reproducible RNG stream that can be split per (slice, column) or per (method,
+replicate) without aliasing.
 
 A stream's generator is numpy's own SeedSequence + Philox. For the streams
 of a product of path components, such as one per (slice, column) of a design
@@ -176,17 +177,44 @@ class Design:
         return self.values.shape[1]
 
 
+_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
+
+
+def _bin_index(values: np.ndarray, k) -> np.ndarray:
+    """The bin m in 0..k+1 of each entry against the float edges e(m) = m/k.
+
+    x is in bin m iff e(m-1) < x <= e(m); entries at or below 0 are in bin
+    0, and entries above 1 and NaN in bin k+1. e(m) is m/k correctly
+    rounded, so an edge float closes its own bin (7/25 * 25 rounds to
+    7.000000000000001, yet 7/25 is in bin 7) and any other float is binned
+    by its own exact value. Entries are first clipped to [0, next float
+    above 1], so no product overflows and the two outer bins come out of the
+    rule itself. While k < 2**50 the product x*k is within far less than 1
+    of the exact one, so m0 = ceil(x*k) is the bin or a neighbour of it;
+    comparing x with m0/k and (m0-1)/k, which are the edge floats e(m0) and
+    e(m0-1) themselves, moves it there. A midpoint (2a-1)/(2n) is binned
+    exactly too: on an edge it is that edge's float, and off it it differs
+    from every edge by at least 1/(2n*k), far more than an ulp while
+    2n*k < 2**53.
+    """
+    x = np.fmax(np.fmin(values, _ABOVE_ONE), 0.0)  # fmin takes NaN to the top
+    m = np.ceil(x * k)
+    m += x > m / k
+    m -= x <= (m - 1.0) / k
+    return m.astype(np.intp)
+
+
 def levels_from_values(values: np.ndarray, n: int) -> np.ndarray:
-    """Nearest level a in {1,...,n} for each value v in (0, 1], via
-    a = round(v*n + 1/2) held to 1..n; any other value, NaN and infinity
-    included, raises ValueError."""
+    """The level a in {1,...,n} of each value v in (0, 1]: its validator bin
+    ((a-1)/n, a/n], so the midpoint (2a-1)/(2n) is level a. Any other value,
+    NaN and infinity included, raises ValueError."""
     n = _as_integer("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     arr = np.asarray(values, dtype=np.float64)
     if not ((arr > 0.0) & (arr <= 1.0)).all():
         raise ValueError(f"values must lie in (0, 1], got {values!r}")
-    return np.clip(np.rint(arr * n + 0.5), 1, n).astype(np.int64)
+    return _bin_index(arr, n)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,10 @@ guarantee (there is always such a level) is a proven property of the
 construction; the code still checks it and aborts loudly if it ever fails,
 because a failure can only mean an implementation bug.
 
-The walk visits the n stratum closings, not the n levels: the closings are
-sorted by (edge, slice) up front, by numpy from _ARRAY_MIN strata up and by
-Python's sort below that, where numpy's fixed cost outweighs the sort, and
-the levels up to each edge join the working set as the walk reaches it. So
-the walk holds O(n) integers in arrays and bounded chunks of Python lists.
+The walk visits the n stratum closings, not the n levels: numpy sorts the
+closings by (edge, slice) up front, at every n, and the levels up to each
+edge join the working set as the walk reaches it. So the walk holds O(n)
+integers in arrays and bounded chunks of Python lists.
 """
 
 from __future__ import annotations
@@ -39,10 +38,7 @@ __all__ = [
     "partition_levels",
 ]
 
-# Below this many strata the closings are sorted by Python, which is then
-# faster than numpy's set-up; above it numpy sorts them, and the walk reads
-# them in Python lists of _CHUNK closings at a time.
-_ARRAY_MIN = 100
+# The walk reads the sorted closings in Python lists of _CHUNK closings at a time.
 _CHUNK = 1 << 14
 
 
@@ -77,9 +73,6 @@ def _closings(sizes: SliceSizes):
     """(edge(s), k, edge(s-1)) for every stratum s of every slice k, in
     (edge(s), k) order."""
     n, nk = sizes.n, sizes.sizes
-    if n < _ARRAY_MIN:
-        return iter(sorted([((2 * n * s + m) // (2 * m), k, (2 * n * (s - 1) + m) // (2 * m))
-                            for k, m in enumerate(nk) for s in range(1, m + 1)]))
     each = np.repeat(nk, nk)
     below = 2 * n * (np.arange(n) - np.repeat((0,) + tuple(accumulate(nk))[:-1], nk))
     lo = (below + each) // (2 * each)

@@ -3,7 +3,8 @@
 Two guarantees are checked, mirroring what the sliced construction promises:
 whole-grid stratification (each column puts one point in each of the n bins
 ((m-1)/n, m/n]) and per-slice stratification (slice j's rows do the same at
-the coarser n_j resolution), both by one rule: against the float bin edges.
+the coarser n_j resolution), both by one rule: core's ``_bin_index`` against
+the float bin edges, which gives ``levels_from_values`` its levels too.
 A third flag records whether every entry sits exactly on the full midpoint
 grid, which separates midpoint designs from jittered or stacked-independent
 ones; it is read off the whole-grid bins.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Design
+from .core import Design, _bin_index
 
 __all__ = ["ValidationReport", "validate_sliced"]
 
@@ -30,31 +31,6 @@ MIDPOINT_TOL = 1e-12
 # Entries a step of the pass bins, each at n and at its slice's n_j: this
 # bounds the pass's temporaries whatever the design's size.
 _CHUNK = 1 << 16
-_ABOVE_ONE = float(np.nextafter(1.0, 2.0))
-
-
-def _bin_index(values: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The bin m in 0..k+1 of each entry against the float edges e(m) = m/k.
-
-    x is in bin m iff e(m-1) < x <= e(m); entries at or below 0 are in bin
-    0, and entries above 1 and NaN in bin k+1. e(m) is m/k correctly
-    rounded, so an edge float closes its own bin (7/25 * 25 rounds to
-    7.000000000000001, yet 7/25 is in bin 7) and any other float is binned
-    by its own exact value. Entries are first clipped to [0, next float
-    above 1], so no product overflows and the two outer bins come out of the
-    rule itself. While k < 2**50 the product x*k is within far less than 1
-    of the exact one, so m0 = ceil(x*k) is the bin or a neighbour of it;
-    comparing x with m0/k and (m0-1)/k, which are the edge floats e(m0) and
-    e(m0-1) themselves, moves it there. A midpoint (2a-1)/(2n) is binned
-    exactly too: on an edge it is that edge's float, and off it it differs
-    from every edge by at least 1/(2n*k), far more than an ulp while
-    2n*k < 2**53.
-    """
-    x = np.fmax(np.fmin(values, _ABOVE_ONE), 0.0)  # fmin takes NaN to the top
-    m = np.ceil(x * k)
-    m += x > m / k
-    m -= x <= (m - 1.0) / k
-    return m.astype(np.intp)
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,47 @@ def test_design_file_errors_name_the_fault(tmp_path, text, message):
         _parse_design_file(str(path), SliceSizes((1, 2)))
 
 
+def _read(path, sizes):
+    # The parsed values, or the message of the error that refused the file.
+    try:
+        return _parse_design_file(str(path), SliceSizes(sizes)).values
+    except ValueError as exc:
+        return str(exc)
+
+
+_LEVELS_1_2 = [[1 / 6, 0.5], [0.5, 1 / 6], [5 / 6, 5 / 6]]
+
+
+@pytest.mark.parametrize(
+    "data, sizes, want",
+    [
+        (b"1 3\n3 1 5\n5 5\n\f\n1 1\n3 x\n1 3\n", (1, 2), "line 7: not numeric: '3 x'"),
+        (b"1 3\n3 1\n5 5\n1 3 5\n3 1 1\n", (2, 3), "rows have inconsistent widths"),
+        (b"# format: levels\r\n1 3\r\n\r\n3 1\r\n", (1, 1), [[0.25, 0.75], [0.75, 0.25]]),
+        (b"# format: values\r0.25 0.75\r0.75 0.25\r", (1, 1), [[0.25, 0.75], [0.75, 0.25]]),
+        (b"1 3\f3 1\n\f5 5\f", (1, 2), _LEVELS_1_2),
+        (b"0.25 0.75\n0.75 0.25\n# format: values\n", (1, 1), [[0.25, 0.75], [0.75, 0.25]]),
+        (b"# format: levels\n1 3\n3 1\n5 5\n\n\n  \n\n", (1, 2), _LEVELS_1_2),
+    ],
+    ids=["non-numeric-after-ragged", "width-change-at-edge", "crlf", "cr", "formfeed",
+         "format-after-data", "blank-tail"],
+)
+def test_design_file_read_in_pieces_reads_as_a_whole(tmp_path, monkeypatch, data, sizes, want):
+    # Cut into pieces of a few characters, a file gives the design or the
+    # message it gives in one piece: line numbers count across pieces, a
+    # non-numeric line anywhere wins over unequal widths, and a format
+    # header anywhere counts.
+    path = tmp_path / "design.txt"
+    path.write_bytes(data)
+    for chunk in (cli._CHUNK, 1, 2, 3, 5, 8, 13):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        got = _read(path, sizes)
+        if isinstance(want, str):
+            assert got == want, chunk
+        else:
+            np.testing.assert_array_equal(got, want, err_msg=f"chunk={chunk}")
+
+
 @pytest.mark.parametrize(
     "header, bad",
     [("# format: levels\n", "inf"), ("# format: levels\n", "nan"),

@@ -1,5 +1,6 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from slicedlhd import (
     levels_from_values,
     partition_levels,
 )
+from slicedlhd import core
 from slicedlhd.generate import method_blocks
 
 
@@ -90,6 +92,82 @@ def test_levels_from_values_reject_values_outside_the_unit_interval(value):
 def test_levels_from_values_stay_in_one_to_n(value, level):
     # round(v*n + 1/2) gives 4 at v = 1.0 and 0 at the smallest float.
     assert levels_from_values([value], 3).tolist() == [level]
+
+
+def _digitized(x, bins):
+    # The oracle of the bin rule: a binary search of the float edges m/bins.
+    return np.digitize(x, np.arange(bins + 1) / bins, right=True)
+
+
+def _assert_bins_match_oracle(x, bins):
+    x = np.asarray(x, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = core._bin_index(x, np.float64(bins))
+    np.testing.assert_array_equal(got, _digitized(x, bins), err_msg=f"bins={bins}")
+
+
+def test_bin_index_matches_digitize_on_every_edge_and_its_neighbours():
+    for bins in range(1, 200):
+        edges = np.arange(bins + 1) / bins
+        _assert_bins_match_oracle(
+            np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]), bins
+        )
+
+
+def test_bin_index_matches_digitize_on_sampled_edges_at_large_bin_counts():
+    rng = np.random.default_rng(20240817)
+    for bins in (10**6 - 1, 10**6, 3 * 10**6 + 7):
+        m = np.concatenate([np.arange(40), bins - np.arange(40), rng.integers(0, bins + 1, 4000)])
+        edges = m / bins
+        _assert_bins_match_oracle(
+            np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]), bins
+        )
+
+
+def test_bin_index_matches_digitize_outside_the_unit_interval():
+    specials = [-0.0, 0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), 1e308, -1e308,
+                np.inf, -np.inf, np.nan]
+    for bins in (1, 2, 3, 7, 25, 10**6, 3 * 10**6 + 7):
+        _assert_bins_match_oracle(specials, bins)
+
+
+def _assert_levels_are_bins(x, n):
+    # In (0, 1] a value's level is its bin, by the rule the validator bins by.
+    x = np.asarray(x, dtype=np.float64)
+    x = x[(x > 0.0) & (x <= 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = levels_from_values(x, n)
+    np.testing.assert_array_equal(got, core._bin_index(x, np.float64(n)), err_msg=f"n={n}")
+    np.testing.assert_array_equal(got, _digitized(x, n), err_msg=f"n={n}")
+
+
+def test_levels_from_values_are_the_bins_on_every_edge_and_its_neighbours():
+    for n in range(1, 200):
+        edges = np.arange(n + 1) / n
+        _assert_levels_are_bins(
+            np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]), n
+        )
+
+
+def test_levels_from_values_are_the_bins_on_sampled_edges_at_large_n():
+    rng = np.random.default_rng(20240817)
+    for n in (10**6 - 1, 10**6, 3 * 10**6 + 7):
+        m = np.concatenate([np.arange(40), n - np.arange(40), rng.integers(0, n + 1, 4000)])
+        edges = m / n
+        _assert_levels_are_bins(
+            np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]), n
+        )
+
+
+@pytest.mark.parametrize(
+    "n, value", [(2, 0.49999999999999994), (4, 0.24999999999999997), (5, 0.19999999999999998)]
+)
+def test_levels_from_values_keep_a_value_below_an_edge_in_its_bin(n, value):
+    # The float below the edge 1/n lies in bin 1; round(v*n + 1/2) gave level 2.
+    assert value == np.nextafter(1 / n, 0.0)
+    assert levels_from_values([value], n).tolist() == [1]
 
 
 def test_level_helpers_accept_empty_input():

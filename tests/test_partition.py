@@ -187,20 +187,34 @@ def test_walk_raises_when_a_stratum_has_no_working_level(monkeypatch):
         partition_levels(SliceSizes((2, 3)))
 
 
+def _sorted_closings(sizes):
+    # The oracle: Python's sort of every (edge(s), k, edge(s-1)) triple.
+    n = sizes.n
+    return sorted([((2 * n * s + m) // (2 * m), k, (2 * n * (s - 1) + m) // (2 * m))
+                   for k, m in enumerate(sizes.sizes) for s in range(1, m + 1)])
+
+
 @pytest.mark.parametrize(
     "sizes", [(1,), (3,), (2, 5, 10), (1,) * 99, (1,) * 100, (50, 49), (50, 50), (97, 3, 1),
               (17, 13, 11, 7) * 6, (1, 1500), (211, 2, 499, 997)],
 )
-def test_closings_sorted_by_python_and_by_numpy_agree(sizes, monkeypatch):
-    # Below _ARRAY_MIN strata Python sorts the closings, from it up numpy.
+def test_closings_sorted_by_python_and_by_numpy_agree(sizes):
+    # numpy's stable argsort of the edges gives Python's sort of the triples.
     sizes = SliceSizes(sizes)
-    monkeypatch.setattr(partition, "_ARRAY_MIN", sizes.n + 1)
-    by_python = list(partition._closings(sizes))
-    monkeypatch.setattr(partition, "_ARRAY_MIN", sizes.n)
     by_numpy = list(partition._closings(sizes))
-    assert by_numpy == by_python
+    assert by_numpy == _sorted_closings(sizes)
     assert len(by_numpy) == sizes.n
     assert all(type(v) is int for closing in by_numpy for v in closing)
+
+
+def test_closings_match_the_python_sort_at_every_small_n():
+    # One slice, one run a slice, a run and the rest, halves, and three
+    # unequal slices, at every n up to 120.
+    for n in range(1, 121):
+        for shape in [(n,), (1,) * n, (1, n - 1), (n // 2, n - n // 2),
+                      (n // 6, n // 3, n - n // 6 - n // 3)]:
+            sizes = SliceSizes(tuple(m for m in shape if m))
+            assert list(partition._closings(sizes)) == _sorted_closings(sizes), shape
 
 
 def test_closings_are_read_in_chunks(monkeypatch):

@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import slicedlhd.validate as validate
 from slicedlhd import (
     Design,
     RngStream,
@@ -68,44 +67,6 @@ def test_column_ok_fails_next_float_above_an_edge():
         diag = np.arange(bins)
         columns[diag, diag] = np.nextafter(columns[diag, diag], 2.0)
         assert _columns_ok(columns, bins) == (False,) * bins, bins
-
-
-def _digitized(x, bins):
-    # The oracle of the bin rule: a binary search of the float edges m/bins.
-    return np.digitize(x, np.arange(bins + 1) / bins, right=True)
-
-
-def _assert_bins_match_oracle(x, bins):
-    x = np.asarray(x, dtype=np.float64)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = validate._bin_index(x, np.float64(bins))
-    np.testing.assert_array_equal(got, _digitized(x, bins), err_msg=f"bins={bins}")
-
-
-def test_bin_index_matches_digitize_on_every_edge_and_its_neighbours():
-    for bins in range(1, 200):
-        edges = np.arange(bins + 1) / bins
-        _assert_bins_match_oracle(
-            np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]), bins
-        )
-
-
-def test_bin_index_matches_digitize_on_sampled_edges_at_large_bin_counts():
-    rng = np.random.default_rng(20240817)
-    for bins in (10**6 - 1, 10**6, 3 * 10**6 + 7):
-        m = np.concatenate([np.arange(40), bins - np.arange(40), rng.integers(0, bins + 1, 4000)])
-        edges = m / bins
-        _assert_bins_match_oracle(
-            np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]), bins
-        )
-
-
-def test_bin_index_matches_digitize_outside_the_unit_interval():
-    specials = [-0.0, 0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), 1e308, -1e308,
-                np.inf, -np.inf, np.nan]
-    for bins in (1, 2, 3, 7, 25, 10**6, 3 * 10**6 + 7):
-        _assert_bins_match_oracle(specials, bins)
 
 
 def test_validate_sliced_passes_construction():
