@@ -21,13 +21,16 @@ loops make last, so reduce_correlations returns their result bit for bit.
 
 Rank restoration preserves each slice column's multiset of values exactly,
 so the sweep never damages the stratification guarantees of the input design.
-Only the columns a pass wrote are restored (one stable argsort and one
-scatter): the other one (p forward, 1 backward) holds its own values, and a
-stable rank restore maps it to itself.
+Only the columns a pass wrote are restored (one sort and one scatter): the
+other one (p forward, 1 backward) holds its own values, and a stable rank
+restore maps it to itself. The sort is stable by result, not always by
+algorithm: long rows in large calls take numpy's default sort, and only the
+rows with an equal pair are sorted again, stably (_tie_checked_order).
 
 One loop (_sweep_block) and one pass (_residual_pass) serve every caller.
 reduce_correlations calls the loop one iteration a call on each slice still
-moving, and measures the trace between calls. _sweep_batch calls it once a
+moving, going on from the state the last call returned, and measures the
+trace between calls. _sweep_batch calls it once a
 block for all the iterations and measures nothing: the benchmark's batch
 sweep runs it, and so does _swept, reduce_correlations' design without the
 trace, which the command line writes unless a trace file is asked for. Both
@@ -114,6 +117,24 @@ def _checked(matrix) -> np.ndarray:
     return m
 
 
+# The rank restore sorts by _tie_checked_order when a response row holds at
+# least _LONG_ROW values and the call at least _LONG_CALL, and by numpy's
+# stable argsort otherwise. Each sort timed call by call on the sweeps' own
+# rows, each call fresh, the rule's share of the all-stable sort time was, in
+# two runs: table1-f1-failures at 40 replicates, 0.73-0.75 at (12, 1024),
+# 0.75-0.78 at (10, 1024), 0.75-0.76 at (14 or 16, 1024) and 0.75-0.77 at
+# (12, 2048); table1-f2 at 320 replicates, 0.87-0.89 for rows of 10-18 and
+# 0.93-0.95 at 8, as its 9-row blocks often tie. One-replicate calls of the
+# command line's sizes (420 values at most) take the stable sort: the tie
+# check cost them 1.55-1.59 times as much.
+_LONG_ROW = 12
+_LONG_CALL = 1024
+# _tie_checked_order gathers the sorted keys _TIE_PIECE values (64 KB) at a
+# time: a 40-replicate call of the benchmark's 48-run block (7,680 values)
+# is one piece, a 273-replicate chunk of `bench` seven, so the gather holds
+# no array the size of the block.
+_TIE_PIECE = 8192
+
 _upper = functools.cache(functools.partial(np.triu_indices, k=1))
 
 
@@ -176,11 +197,13 @@ def reduce_correlations(
     # restored onto its own sorted columns, one iteration a call.
     whole_trace = [_rms(values)]
     slice_traces = [[_rms(view) if len(view) > 1 else 0.0] for view in views]
-    live = [j for j, view in enumerate(views) if len(view) > 1]
+    # Each live slice keeps its sweep state between calls (None: not built).
+    live = dict.fromkeys(j for j, view in enumerate(views) if len(view) > 1)
     for _ in range(iterations):
         # A slice at its fixed point drops out and repeats its last trace
         # entry. Restores keep each column's multiset: no _rms check needed.
-        live = [j for j in live if _sweep_block(views[j][None], blocks[j][1], 1, _blas_slopes)]
+        live = {j: moving for j, state in live.items()
+                if (moving := _sweep_block(views[j][None], blocks[j][1], 1, _blas_slopes, state))}
         whole_trace.append(_rms(values) if live else whole_trace[-1])
         for j, row in enumerate(slice_traces):
             row.append(_rms(views[j]) if j in live else row[-1])
@@ -188,24 +211,36 @@ def reduce_correlations(
     return Design(values, design.sizes), trace
 
 
-def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes) -> bool:
+def _block_state(dest: np.ndarray, targets: np.ndarray):
+    """The sweep state _sweep_block starts from: the block ``dest`` as a
+    contiguous (m, p, n_j) copy, the two passes, each row's flat start, and
+    the replicates still moving."""
+    start = dest.transpose(0, 2, 1).copy()
+    m, p, n_j = start.shape
+    restored = targets  # each row's sorted values, kept, not copied
+    if targets.ndim == 1:  # one midpoint row for every column
+        restored = np.empty((p, n_j))
+        restored[...] = targets
+    # Flat start of each (replicate, column) row, for the rank-restore scatter.
+    offsets = np.arange(0, start.size, n_j).reshape(m, p, 1)
+    passes = ((p - 1, slice(0, p - 1), restored[:-1]), (0, slice(1, p), restored[1:]))
+    return start, passes, offsets, np.arange(m)
+
+
+def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes, state=None):
     """Sweep the block ``dest`` (m, n_j, p), a view, in place, in contiguous
     (m, p, n_j) states, restoring onto ``targets`` (each row's sorted values,
     or one (n_j,) row for all). A replicate at its fixed point is written
     back to ``dest`` and drops out, and the rest are written back at the end.
-    Returns False once every replicate has reached its fixed point."""
+    Returns the state to go on from (pass it back as ``state`` with the same
+    ``dest``), or None once every replicate has reached its fixed point."""
     # last[i] is pass i's last output, pass 0 the forward and 1 the backward
-    # pass; None (the first forward pass has nothing to repeat) and the input
-    # stand in for them at the start. A spent state is dropped at once, never
-    # held under another name.
-    last = [None, dest.transpose(0, 2, 1).copy()]
-    m, p, n_j = last[1].shape
-    restored = np.empty((p, n_j))  # each row's sorted values
-    restored[...] = targets
-    # Flat start of each (replicate, column) row, for the rank-restore scatter.
-    offsets = np.arange(0, last[1].size, n_j).reshape(m, p, 1)
-    passes = ((p - 1, slice(0, p - 1), restored[:-1]), (0, slice(1, p), restored[1:]))
-    live = np.arange(m)
+    # pass; None (the first forward pass has nothing to repeat) and the
+    # state's block stand in for them at the start. A spent state is dropped
+    # at once, never held under another name.
+    block, passes, offsets, live = state or _block_state(dest, targets)
+    last = [None, block]
+    del state, block
     for _ in range(iterations):
         for i, step in enumerate(passes):
             # Pass i reads the other pass's output and takes the place of its
@@ -218,11 +253,13 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes)
             if np.count_nonzero(moved) < live.size:
                 # A repeat is the fixed point, and last[1] holds it.
                 dest[live[~moved]] = last[1][~moved].transpose(0, 2, 1)
-                last, live = [state[moved] for state in last], live[moved]
+                last, live = [out[moved] for out in last], live[moved]
                 if live.size == 0:
-                    return False
+                    return None
     dest[live] = last[1].transpose(0, 2, 1)
-    return True
+    # The backward output, which dest now holds, is where the next call
+    # starts; the forward one is dropped, as a fresh state has none.
+    return last[1], passes, offsets, live
 
 
 def _residual_pass(state, covariate: int, responses: slice, targets, offsets, slopes):
@@ -242,13 +279,44 @@ def _residual_pass(state, covariate: int, responses: slice, targets, offsets, sl
     np.multiply(slope[:, :, None], out[:, covariate, None], out=rows)
     np.subtract(state[:, responses], rows, out=rows)
     out[:, covariate] = state[:, covariate]
-    # Rank restore, ties by position: one stable argsort, one flat scatter
-    # (``offsets`` is each row's flat start), which repeats ``targets`` for
-    # every replicate.
-    order = rows.argsort(axis=-1, kind="stable")
-    order += offsets[: len(out), responses]
+    # Rank restore, ties by position: each row's stable sort order, as flat
+    # indices (``offsets`` is each row's flat start), and one flat scatter,
+    # which repeats ``targets`` for every replicate.
+    starts = offsets[: len(out), responses]
+    if rows.shape[2] >= _LONG_ROW and rows.size >= _LONG_CALL:
+        order = _tie_checked_order(out, rows, starts)
+    else:
+        order = rows.argsort(axis=-1, kind="stable")
+        order += starts
     out.put(order, targets)
     return out
+
+
+def _tie_checked_order(out, rows, starts):
+    """``rows.argsort(axis=-1, kind="stable") + starts``, exactly, for
+    ``rows`` a view into ``out``: numpy's default sort orders every row, and
+    only the rows that hold an equal pair are sorted again, stably.
+
+    A row without an equal pair has one sorted order, which any sort
+    returns. Equal neighbours in a row's sorted keys find every tie (+0.0
+    and -0.0 too, as they compare equal; no NaN passes rms_correlation's
+    checks). The keys are gathered _TIE_PIECE values at a time, whole
+    replicates a piece, so they add a bounded array; the first check runs
+    over a whole piece at once, and a match across two rows only costs the
+    per-row check."""
+    order = rows.argsort(axis=-1)
+    order += starts
+    step = max(1, _TIE_PIECE // (rows.shape[1] * rows.shape[2]))
+    for at in range(0, len(order), step):
+        piece = order[at:at + step]
+        keys = out.take(piece)
+        flat = keys.reshape(-1)
+        if (flat[1:] == flat[:-1]).any():
+            tied = (keys[..., 1:] == keys[..., :-1]).any(axis=-1)
+            again = rows[at:at + step][tied].argsort(axis=-1, kind="stable")
+            again += starts[at:at + step][tied]
+            piece[tied] = again
+    return order
 
 
 def _einsum_slopes(centred, covariate: int, responses: slice) -> np.ndarray:
@@ -278,7 +346,10 @@ def _slice_blocks(design: Design) -> tuple[np.ndarray, list[tuple[slice, np.ndar
     for rows in design.sizes.rows:
         if rows.stop - rows.start > 1:
             _checked(values[rows])
-        blocks.append((rows, np.sort(values[rows].T, axis=1)))
+        # In C order, as the rank-restore scatter reads them without a copy.
+        columns = values[rows].T.copy()
+        columns.sort(axis=1)
+        blocks.append((rows, columns))
     return values, blocks
 
 

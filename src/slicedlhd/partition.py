@@ -17,7 +17,9 @@ because a failure can only mean an implementation bug.
 The walk visits the n stratum closings, not the n levels: numpy sorts the
 closings by (edge, slice) up front, at every n, and the levels up to each
 edge join the working set as the walk reaches it. So the walk holds O(n)
-integers in arrays and bounded chunks of Python lists.
+integers in arrays and bounded chunks of Python lists. delta_sequence needs
+no walk: it counts the edges at each level. The eligibility check runs in
+the walk, so in partition_levels and assignment_steps.
 """
 
 from __future__ import annotations
@@ -69,16 +71,23 @@ class LevelStep:
     working_set: tuple[int, ...]
 
 
-def _closings(sizes: SliceSizes):
-    """(edge(s), k, edge(s-1)) for every stratum s of every slice k, in
-    (edge(s), k) order."""
+def _edges(sizes: SliceSizes) -> tuple[np.ndarray, np.ndarray]:
+    """edge(s-1) and edge(s) for every stratum s of every slice k, slice by
+    slice."""
     n, nk = sizes.n, sizes.sizes
     each = np.repeat(nk, nk)
     below = 2 * n * (np.arange(n) - np.repeat((0,) + tuple(accumulate(nk))[:-1], nk))
     lo = (below + each) // (2 * each)
     below += 2 * n + each
     hi = below // (2 * each)
-    del below, each
+    return lo, hi
+
+
+def _closings(sizes: SliceSizes):
+    """(edge(s), k, edge(s-1)) for every stratum s of every slice k, in
+    (edge(s), k) order."""
+    n, nk = sizes.n, sizes.sizes
+    lo, hi = _edges(sizes)
     # A stable sort of the edges keeps the slices in order at a shared edge.
     order = np.argsort(hi, kind="stable")
     hi, lo, k = hi[order], lo[order], np.repeat(np.arange(len(nk)), nk)[order]
@@ -118,11 +127,10 @@ def delta_sequence(sizes: SliceSizes) -> DeltaSequence:
 
     Each summand is 0 or 1, the deltas sum to n, and every prefix sum is
     at most i (assignments can never outpace the levels seen so far).
+    delta_i counts the strata that level i closes: the edges equal to i.
     """
-    deltas = [0] * _as_slice_sizes(sizes).n
-    for i, _, _, _ in _walk(sizes):
-        deltas[i - 1] += 1
-    return DeltaSequence(tuple(deltas))
+    _, hi = _edges(_as_slice_sizes(sizes))
+    return DeltaSequence(np.bincount(hi, minlength=sizes.n + 1)[1:].tolist())
 
 
 def assignment_steps(sizes: SliceSizes) -> list[LevelStep]:

@@ -724,16 +724,16 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
     sizes = SliceSizes(SIZES_6_7)
     for rows, mids in method_blocks("sliced", sizes):
         dest = np.stack([SWEEP_FINAL[rows]] * 3)
-        assert _sweep_block(dest, mids, 1, _einsum_slopes) is False
+        assert _sweep_block(dest, mids, 1, _einsum_slopes) is None
         assert np.array_equal(dest, np.broadcast_to(SWEEP_FINAL[rows], dest.shape))
         dest = SWEEP_START[None, rows].copy()
-        assert _sweep_block(dest, mids, 1, _blas_slopes) is True
+        assert _sweep_block(dest, mids, 1, _blas_slopes) is not None
         assert not np.array_equal(dest[0], SWEEP_START[rows])
     # A batch whose replicates stop at different iterations: one call of k
     # iterations writes back each replicate as k one-iteration calls leave
-    # it alone, and returns True while any of them has not yet stopped.
-    # states[k] is a replicate after k one-iteration calls, up to the call
-    # that returned False.
+    # it alone, and returns a state while any of them has not yet stopped.
+    # states[k] is a replicate after k one-iteration calls, each from a
+    # fresh state, up to the call that returned None.
     sizes = SliceSizes((12,))
     (_, mids), = method_blocks("full", sizes)
     stacked = np.stack([_draw("full", sizes, 5, RngStream(4).split(r)) for r in range(8)])
@@ -747,13 +747,24 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
         alone.append(states)
     stops = [len(states) - 1 for states in alone]
     assert len(set(stops)) > 2
+    # Calls that go on from the state the last call returned, as
+    # reduce_correlations makes them, write the same states and stop at the
+    # same call.
+    for design, states in zip(stacked, alone):
+        dest = design[None].copy()
+        state = None
+        for k in range(1, len(states)):
+            state = _sweep_block(dest, mids, 1, _einsum_slopes, state)
+            assert (state is None) is (k == len(states) - 1), k
+            assert np.array_equal(dest, states[k]), k
     for k in range(1, max(stops) + 1):
         batch = stacked.copy()
-        assert _sweep_block(batch, mids, k, _einsum_slopes) is (k < max(stops)), k
+        moving = _sweep_block(batch, mids, k, _einsum_slopes)
+        assert (moving is not None) is (k < max(stops)), k
         want = np.stack([states[min(k, len(states) - 1)][0] for states in alone])
         assert np.array_equal(batch, want), k
     # Swept to convergence, the batch is at its fixed point.
-    assert _sweep_block(batch, mids, 1, _einsum_slopes) is False
+    assert _sweep_block(batch, mids, 1, _einsum_slopes) is None
     assert np.array_equal(batch, want)
 
 
@@ -784,6 +795,159 @@ def test_batch_sweep_stops_at_the_first_repeated_pass(monkeypatch, name, R, want
         _sweep_batch(V, blocks)
         got[method] = sum(passes)
     assert got == want
+
+
+def _stable_order(out, rows, starts):
+    # The oracle: numpy's stable argsort of every row, as flat indices.
+    order = rows.argsort(axis=-1, kind="stable")
+    order += starts
+    return order
+
+
+def _restore_case(rows):
+    # (out, rows, starts) for rows (m, r, n_j) as the response rows 1..r of
+    # an (m, r + 1, n_j) pass output, as a backward pass reads them.
+    m, r, n_j = rows.shape
+    out = np.random.default_rng(0).random((m, r + 1, n_j))
+    out[:, 1:] = rows
+    starts = np.arange(0, out.size, n_j).reshape(m, r + 1, 1)[:, 1:]
+    return out, out[:, 1:], starts
+
+
+def _assert_tie_checked_order_is_stable(rows, reorders=True):
+    out, view, starts = _restore_case(np.asarray(rows, dtype=np.float64))
+    want = _stable_order(out, view, starts)
+    if reorders:
+        # numpy's default sort alone would break the stable order here, so
+        # the case needs the tie fallback.
+        assert not np.array_equal(view.argsort(axis=-1) + starts, want)
+    assert np.array_equal(decorrelate._tie_checked_order(out, view, starts), want)
+
+
+@pytest.mark.parametrize("n_j", [7, 17, 48, 1000])
+@pytest.mark.parametrize("piece", [None, 1, 200])
+def test_tie_checked_order_is_stable_on_injected_ties(monkeypatch, n_j, piece):
+    # Small integers stored as floats: nearly every row holds equal pairs.
+    # The keys are checked a piece of whole replicates at a time, and a
+    # piece smaller than one replicate is one replicate.
+    if piece is not None:
+        monkeypatch.setattr(decorrelate, "_TIE_PIECE", piece)
+    rng = np.random.default_rng(n_j)
+    _assert_tie_checked_order_is_stable(rng.integers(0, 5, (50, 4, n_j)))
+
+
+def test_tie_checked_order_is_stable_on_signed_zeros():
+    # +0.0 and -0.0 compare equal, so a row holding both is a tied row: the
+    # stable order keeps them by position.
+    rng = np.random.default_rng(1)
+    rows = rng.random((40, 3, 64)) - 0.5
+    zeros = rng.integers(0, 64, (40, 3, 6))
+    np.put_along_axis(rows, zeros[..., :3], 0.0, axis=-1)
+    np.put_along_axis(rows, zeros[..., 3:], -0.0, axis=-1)
+    _assert_tie_checked_order_is_stable(rows)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 0.5])
+def test_tie_checked_order_is_stable_on_all_equal_rows(value):
+    # numpy's default sort may keep an all-equal row in place; the rows are
+    # tied either way.
+    _assert_tie_checked_order_is_stable(np.full((30, 2, 48), value), reorders=False)
+
+
+def test_tie_checked_order_sorts_again_only_the_tied_row(monkeypatch):
+    # One tied row in the middle of a large call, in the second of its
+    # three pieces of keys: it alone is sorted again, and the rows around it keep numpy's
+    # default order (the one order of a row without an equal pair).
+    rng = np.random.default_rng(2)
+    rows = rng.random((100, 4, 48))
+    rows[57, 2] = rng.integers(0, 3, 48)
+    step = decorrelate._TIE_PIECE // (4 * 48)  # replicates a piece
+    assert 57 // step == 1 and 100 > 2 * step
+    stable_sorts = []
+    argsort = np.ndarray.argsort
+
+    class Rows(np.ndarray):
+        def argsort(self, *args, **kwargs):
+            if kwargs.get("kind") == "stable":
+                stable_sorts.append(self.shape)
+            return argsort(np.asarray(self), *args, **kwargs)
+
+    out, view, starts = _restore_case(rows)
+    want = _stable_order(out, view, starts)
+    assert not np.array_equal(view.argsort(axis=-1) + starts, want)
+    got = decorrelate._tie_checked_order(out, view.view(Rows), starts)
+    assert np.array_equal(got, want)
+    assert stable_sorts == [(1, 48)]
+    # A call without a tie sorts nothing again.
+    rows[57, 2] = rng.random(48)
+    _assert_tie_checked_order_is_stable(rows, reorders=False)
+
+
+def _pass_case(m, p, n_j, seed):
+    # A pass input whose covariate row (0) is constant, so its slopes are 0
+    # and every residual row is its response row: small integers as
+    # floats, full of ties.
+    rng = np.random.default_rng(seed)
+    state = rng.integers(0, 4, (m, p, n_j)).astype(np.float64)
+    state[:, 0] = 0.5
+    targets = np.broadcast_to(np.arange(n_j) / n_j, (p - 1, n_j))
+    offsets = np.arange(0, state.size, n_j).reshape(m, p, 1)
+    return state, (0, slice(1, p), targets, offsets, _einsum_slopes)
+
+
+def _calls_of_the_tie_check(monkeypatch):
+    calls = []
+    checked = decorrelate._tie_checked_order
+
+    def spy(out, rows, starts):
+        calls.append(rows.shape)
+        return checked(out, rows, starts)
+
+    monkeypatch.setattr(decorrelate, "_tie_checked_order", spy)
+    return calls
+
+
+def _rule_cases():
+    row, call = decorrelate._LONG_ROW, decorrelate._LONG_CALL
+    # (m, p, n_j): rows of L - 1, L and L + 1 values in a call of at least S,
+    # then calls of S - 1 and S values; whether each takes the tie check.
+    yield from (((-(-call // n_j), 2, n_j), n_j >= row) for n_j in (row - 1, row, row + 1))
+    yield (1, 2, call - 1), False
+    yield (1, 2, call), True
+
+
+@pytest.mark.parametrize("shape, checked", list(_rule_cases()))
+def test_residual_pass_takes_the_tie_check_by_its_rule_and_restores_stably(
+    monkeypatch, shape, checked
+):
+    # Either way the pass restores as the stable argsort does.
+    state, step = _pass_case(*shape, seed=sum(shape))
+    calls = _calls_of_the_tie_check(monkeypatch)
+    got = decorrelate._residual_pass(state, *step)
+    assert calls == ([(shape[0], shape[1] - 1, shape[2])] if checked else [])
+    monkeypatch.setattr(decorrelate, "_tie_checked_order", _stable_order)
+    monkeypatch.setattr(decorrelate, "_LONG_ROW", 0)
+    monkeypatch.setattr(decorrelate, "_LONG_CALL", 0)
+    assert np.array_equal(got, decorrelate._residual_pass(state, *step))
+
+
+def test_clh_block_takes_the_tie_check_and_cli_blocks_do_not(monkeypatch):
+    # The benchmark's CLH block of 48 runs at 40 replicates (mc-f1-fail's
+    # request) is sorted by the tie check. No block of one replicate at the
+    # command line's largest sizes (6 slices of 60 runs, 8 columns: 420
+    # response values a pass) reaches it.
+    calls = _calls_of_the_tie_check(monkeypatch)
+    cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
+    blocks = method_blocks(benchmark._METHODS["CLH"][1], cfg.sizes)
+    V, _, _ = benchmark._draws("CLH", cfg, blocks, range(40))
+    _sweep_batch(V, blocks)
+    assert calls and calls[0] == (40, 4, 48)
+    assert all(shape[2] == 48 for shape in calls)
+    calls.clear()
+    design = generate_sliced_lhd(SliceSizes((60,) * 6), 8, RngStream(5))
+    reduce_correlations(design)
+    _swept(design, 10)
+    assert calls == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -867,6 +1031,9 @@ def test_batch_sweep_equals_frozen_sweep(grid, sizes, p, R, fixed, seed, iterati
 )
 @example(family="sliced", sizes=[5, 1, 4], p=2, seed=3, first=97, iterations=10, fixed=False)
 @example(family="sliced", sizes=[6, 7], p=4, seed=0, first=0, iterations=10, fixed=True)
+# Slices of 257 runs at p = 5: 1,028 response values a pass, on the tie check.
+@example(family="sliced", sizes=[257, 33], p=5, seed=0, first=0, iterations=10, fixed=False)
+@example(family="jittered", sizes=[257], p=5, seed=1, first=0, iterations=10, fixed=True)
 def test_reduce_correlations_equals_frozen_sweep(family, sizes, p, seed, first, iterations, fixed):
     # The same three changes in the library sweep: the design and the
     # trace, padding included, as the oracle returns them. A ``fixed``

@@ -223,3 +223,21 @@ def test_closings_are_read_in_chunks(monkeypatch):
     whole = partition_levels(sizes)
     monkeypatch.setattr(partition, "_CHUNK", 7)
     assert partition_levels(sizes) == whole
+
+
+@pytest.mark.parametrize("sizes", [(9,), (2, 5, 10), (17, 13, 11, 7), (1,) * 40, (1, 1500),
+                                   (211, 2, 499, 997), (1000,) * 100])
+def test_delta_sequence_counts_the_walks_closings_and_meets_its_closed_form(sizes):
+    # delta_sequence counts the closing edges; the walk hands out one level
+    # a closing, and the docstring's sum of ceilings is the closed form.
+    sizes = SliceSizes(sizes)
+    n = sizes.n
+    walked = [0] * n
+    for i, _, _, _ in partition._walk(sizes):
+        walked[i - 1] += 1
+    i = np.arange(1, n + 1)
+    closed = sum(ceil_div(m * (2 * i + 1), 2 * n) - ceil_div(m * (2 * i - 1), 2 * n)
+                 for m in sizes.sizes)
+    deltas = delta_sequence(sizes).deltas
+    assert deltas == tuple(walked) == tuple(closed.tolist())
+    assert all(type(d) is int for d in deltas)
