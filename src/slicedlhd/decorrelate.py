@@ -54,12 +54,11 @@ unless a slice column holds both 0.0 and -0.0: then the sign of a zero can
 differ. Every sum runs along a block row, as for one replicate swept alone,
 so neither the chunk nor the stop moves a bit.
 
-The slope kernel is the only fork: one 1-D BLAS dot per response row in
-reduce_correlations and _swept (_blas_slopes, residualize's own call), a
-row-wise einsum in the benchmark's batch sweep (_einsum_slopes). Their last
-bits can differ, and they decide the rank of residuals that tie exactly, so
-the library and the benchmark can then return different designs; each
-kernel keeps its own pinned outputs.
+The dot kernel is the only fork: a pass takes every row's dot with the
+covariate row in one call, a stacked matmul of residualize's 1-D BLAS dot in
+reduce_correlations and _swept (_blas_dots), a row-wise einsum in the batch
+sweep (_einsum_dots). Their last bits can differ and decide the rank of exact
+ties, so the two can return different designs; each keeps its pinned outputs.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ def reduce_correlations(
         # A slice at its fixed point drops out and repeats its last trace
         # entry. Restores keep each column's multiset: no _rms check needed.
         live = {j: moving for j, state in live.items()
-                if (moving := _sweep_block(views[j][None], blocks[j][1], 1, _blas_slopes, state))}
+                if (moving := _sweep_block(views[j][None], blocks[j][1], 1, _blas_dots, state))}
         whole_trace.append(_rms(values) if live else whole_trace[-1])
         for j, row in enumerate(slice_traces):
             row.append(_rms(views[j]) if j in live else row[-1])
@@ -227,7 +226,7 @@ def _block_state(dest: np.ndarray, targets: np.ndarray):
     return start, passes, offsets, np.arange(m)
 
 
-def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes, state=None):
+def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots, state=None):
     """Sweep the block ``dest`` (m, n_j, p), a view, in place, in contiguous
     (m, p, n_j) states, restoring onto ``targets`` (each row's sorted values,
     or one (n_j,) row for all). A replicate at its fixed point is written
@@ -245,7 +244,7 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes,
         for i, step in enumerate(passes):
             # Pass i reads the other pass's output and takes the place of its
             # own previous one, which is popped, compared and dropped.
-            last.insert(i, _residual_pass(last[i - 1], *step, offsets, slopes))
+            last.insert(i, _residual_pass(last[i - 1], *step, offsets, dots))
             if last[i + 1] is None:
                 del last[i + 1]
                 continue
@@ -262,17 +261,17 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, slopes,
     return last[1], passes, offsets, live
 
 
-def _residual_pass(state, covariate: int, responses: slice, targets, offsets, slopes):
+def _residual_pass(state, covariate: int, responses: slice, targets, offsets, dots):
     """``state`` (m, p, n_j) with its ``responses`` rows residualized on the
     ``covariate`` row, all read as the pass starts, and rank-restored onto
     ``targets``, their sorted values: a new array; ``state`` is left as it is.
 
     Each sum runs along one contiguous row, and add.reduce / n_j is
-    np.mean's own arithmetic. ``slopes(centred, covariate, responses)``
-    gives the (m, r) slopes; its dot kernel sets the order of exactly tied
-    residuals, so neither may change."""
+    np.mean's own arithmetic. ``dots(centred, covariate)`` gives the (m, p)
+    row dots; its kernel sets the order of exactly tied residuals, so
+    neither may change."""
     out = state - np.add.reduce(state, axis=2, keepdims=True) / state.shape[2]
-    slope = slopes(out, covariate, responses)
+    slope = _slopes(dots(out, covariate), covariate, responses)
     # The responses' centred rows are spent: they take slope * cd, then the
     # residuals, while the covariate row takes its values back.
     rows = out[:, responses]
@@ -319,22 +318,23 @@ def _tie_checked_order(out, rows, starts):
     return order
 
 
-def _einsum_slopes(centred, covariate: int, responses: slice) -> np.ndarray:
-    """Slopes by one row-wise einsum; 0 on a constant covariate."""
-    # [i, k] = sum_j centred[i, k, j] * cd[i, j]; at k = covariate that is
-    # the covariate's own sum of squares, the slopes' denominator.
-    num = np.einsum("ikj,ij->ik", centred, centred[:, covariate, :])
-    den = num[:, covariate, None]
-    num = num[:, responses]
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+def _slopes(dots: np.ndarray, covariate: int, responses: slice) -> np.ndarray:
+    """The (m, r) slopes from a kernel's (m, p) dots, whose covariate entry is
+    the denominator; 0 on a constant covariate, of a sign that moves only a
+    residual's zero, which the rank restore overwrites (+0.0 == -0.0)."""
+    den = dots[:, covariate, None]
+    return dots[:, responses] / np.where(den > 0, den, np.inf)
 
 
-def _blas_slopes(centred, covariate: int, responses: slice) -> np.ndarray:
-    """Slopes of an m = 1 block by residualize's own 1-D BLAS dots; 0 on a
-    constant covariate."""
-    cd = centred[0, covariate]
-    den = float(cd @ cd)
-    return np.array([[float(cd @ row) / den if den else 0.0 for row in centred[0, responses]]])
+def _einsum_dots(centred, covariate: int) -> np.ndarray:
+    """The (m, p) row dots by one row-wise einsum, which calls no BLAS."""
+    return np.einsum("ikj,ij->ik", centred, centred[:, covariate, :])
+
+
+def _blas_dots(centred, covariate: int) -> np.ndarray:
+    """The (m, p) row dots by one stacked (1, n_j) @ (n_j, 1) matmul: each is
+    residualize's 1-D BLAS dot (``centred @ cd[..., None]``, a gemv, is not)."""
+    return (centred[:, :, None, :] @ centred[:, None, covariate, :, None])[..., 0, 0]
 
 
 def _slice_blocks(design: Design) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
@@ -355,9 +355,9 @@ def _slice_blocks(design: Design) -> tuple[np.ndarray, list[tuple[slice, np.ndar
 
 def _swept(design: Design, iterations: int) -> Design:
     """reduce_correlations(design, iterations=iterations)[0], bit for bit,
-    without its trace: the same checks, and the same slope kernel."""
+    without its trace: the same checks, and the same dot kernel."""
     values, blocks = _slice_blocks(design)
-    _sweep_batch(values[None], blocks, iterations, _blas_slopes)
+    _sweep_batch(values[None], blocks, iterations, _blas_dots)
     return Design(values, design.sizes)
 
 
@@ -365,7 +365,7 @@ def _sweep_batch(
     stacked: np.ndarray,
     blocks: list[tuple[slice, np.ndarray]],
     iterations: int = 10,
-    slopes=_einsum_slopes,
+    dots=_einsum_dots,
 ) -> np.ndarray:
     """Vectorized sweep over a batch of designs, in place.
 
@@ -377,5 +377,5 @@ def _sweep_batch(
     if stacked.shape[2] >= 2:
         for rows, targets in blocks:
             if targets.shape[-1] >= 2:
-                _sweep_block(stacked[:, rows, :], targets, iterations, slopes)
+                _sweep_block(stacked[:, rows, :], targets, iterations, dots)
     return stacked

@@ -23,9 +23,10 @@ from slicedlhd import (
 )
 from slicedlhd import benchmark, decorrelate
 from slicedlhd.decorrelate import (
-    _blas_slopes,
-    _einsum_slopes,
+    _blas_dots,
+    _einsum_dots,
     _rms,
+    _slopes,
     _sweep_batch,
     _sweep_block,
     _swept,
@@ -436,36 +437,65 @@ def test_slope_kernels_split_the_known_tie():
     # designs, and each kernel keeps its pinned outputs.
     design = generate_sliced_lhd(SliceSizes((5, 1, 4)), 2, RngStream(3).split(97))
     centred = _centred(design.values[:5])
-    assert _blas_slopes(centred, 1, slice(0, 1)).tolist() == [[-0.5]]
-    assert _einsum_slopes(centred, 1, slice(0, 1)).tolist() == [[-0.5 + 2.0**-54]]
+    assert _slopes(_blas_dots(centred, 1), 1, slice(0, 1)).tolist() == [[-0.5]]
+    assert _slopes(_einsum_dots(centred, 1), 1, slice(0, 1)).tolist() == [[-0.5 + 2.0**-54]]
 
 
 @settings(max_examples=100, deadline=None)
 @given(
+    m=st.integers(1, 4),
     n_j=st.integers(2, 60),
     p=st.integers(2, 8),
     covariate=st.sampled_from(["first", "last"]),
     constant=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_slope_kernels_agree_to_rounding(n_j, p, covariate, constant, seed):
+def test_slope_kernels_agree_to_rounding(m, n_j, p, covariate, constant, seed):
     # Apart from their last bits the two kernels give the same slopes, and
-    # both give 0 on a constant covariate.
-    block = np.random.default_rng(seed).random((n_j, p))
+    # both give 0 on a constant covariate, replicate by replicate.
+    blocks = np.random.default_rng(seed).random((m, n_j, p))
     cov, responses = (0, slice(1, p)) if covariate == "first" else (p - 1, slice(0, p - 1))
     if constant:
-        block[:, cov] = 0.25
-    centred = _centred(block)
-    blas = _blas_slopes(centred, cov, responses)
-    einsum = _einsum_slopes(centred, cov, responses)
-    assert blas.shape == einsum.shape == (1, p - 1)
-    cd = centred[0, cov]
-    den = float(cd @ cd)
-    if den == 0.0:
-        assert not blas.any() and not einsum.any()
-        return
-    bound = 1e-12 * np.linalg.norm(cd) * np.linalg.norm(centred[0, responses], axis=1) / den
-    assert np.all(np.abs(blas[0] - einsum[0]) <= bound)
+        blocks[:, :, cov] = 0.25
+    centred = np.concatenate([_centred(block) for block in blocks])
+    blas = _slopes(_blas_dots(centred, cov), cov, responses)
+    einsum = _slopes(_einsum_dots(centred, cov), cov, responses)
+    assert blas.shape == einsum.shape == (m, p - 1)
+    for i in range(m):
+        cd = centred[i, cov]
+        den = float(cd @ cd)
+        if den == 0.0:
+            assert not blas[i].any() and not einsum[i].any()
+            continue
+        bound = 1e-12 * np.linalg.norm(cd) * np.linalg.norm(centred[i, responses], axis=1) / den
+        assert np.all(np.abs(blas[i] - einsum[i]) <= bound)
+
+
+def _dot_cases():
+    # (m, p, n_j): short rows, rows either side of the lengths where a dot
+    # kernel's unrolled loops and blocks end, and long rows, each at m = 1,
+    # 2 and 40; then one block the size of an n = 10^6 design's slices.
+    sizes = [*range(2, 34), 127, 128, 129, 4095, 4096, 4097, 65537]
+    yield from ((m, 3, n_j) for m in (1, 2, 40) for n_j in sizes)
+    yield 1, 3, 250_000
+
+
+@pytest.mark.parametrize("covariate", [0, 2], ids=["first", "last"])
+def test_blas_dots_are_residualizes_dots_bit_for_bit(covariate):
+    # The library kernel's one stacked matmul must give, for every row, the
+    # bits of the 1-D dot ``cd @ row`` that residualize takes. A 2-D form
+    # such as ``centred @ cd[..., None]`` runs a gemv and sums in another
+    # order.
+    rng = np.random.default_rng(covariate)
+    for m, p, n_j in _dot_cases():
+        centred = rng.random((m, p, n_j)) - 0.5
+        got = _blas_dots(centred, covariate)
+        want = [[float(centred[i, covariate] @ row) for row in centred[i]] for i in range(m)]
+        assert got.shape == (m, p)
+        assert got.tolist() == want, (
+            f"(m, p, n_j) = {(m, p, n_j)}: _blas_dots differs from residualize's 1-D dots "
+            "(a gemv form such as centred @ cd[..., None] does)"
+        )
 
 
 def test_batch_sweep_matches_reference_exactly():
@@ -724,10 +754,10 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
     sizes = SliceSizes(SIZES_6_7)
     for rows, mids in method_blocks("sliced", sizes):
         dest = np.stack([SWEEP_FINAL[rows]] * 3)
-        assert _sweep_block(dest, mids, 1, _einsum_slopes) is None
+        assert _sweep_block(dest, mids, 1, _einsum_dots) is None
         assert np.array_equal(dest, np.broadcast_to(SWEEP_FINAL[rows], dest.shape))
         dest = SWEEP_START[None, rows].copy()
-        assert _sweep_block(dest, mids, 1, _blas_slopes) is not None
+        assert _sweep_block(dest, mids, 1, _blas_dots) is not None
         assert not np.array_equal(dest[0], SWEEP_START[rows])
     # A batch whose replicates stop at different iterations: one call of k
     # iterations writes back each replicate as k one-iteration calls leave
@@ -743,7 +773,7 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
         moving = True
         while moving:
             states.append(states[-1].copy())
-            moving = _sweep_block(states[-1], mids, 1, _einsum_slopes)
+            moving = _sweep_block(states[-1], mids, 1, _einsum_dots)
         alone.append(states)
     stops = [len(states) - 1 for states in alone]
     assert len(set(stops)) > 2
@@ -754,17 +784,17 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
         dest = design[None].copy()
         state = None
         for k in range(1, len(states)):
-            state = _sweep_block(dest, mids, 1, _einsum_slopes, state)
+            state = _sweep_block(dest, mids, 1, _einsum_dots, state)
             assert (state is None) is (k == len(states) - 1), k
             assert np.array_equal(dest, states[k]), k
     for k in range(1, max(stops) + 1):
         batch = stacked.copy()
-        moving = _sweep_block(batch, mids, k, _einsum_slopes)
+        moving = _sweep_block(batch, mids, k, _einsum_dots)
         assert (moving is not None) is (k < max(stops)), k
         want = np.stack([states[min(k, len(states) - 1)][0] for states in alone])
         assert np.array_equal(batch, want), k
     # Swept to convergence, the batch is at its fixed point.
-    assert _sweep_block(batch, mids, 1, _einsum_slopes) is None
+    assert _sweep_block(batch, mids, 1, _einsum_dots) is None
     assert np.array_equal(batch, want)
 
 
@@ -883,7 +913,7 @@ def test_tie_checked_order_sorts_again_only_the_tied_row(monkeypatch):
     _assert_tie_checked_order_is_stable(rows, reorders=False)
 
 
-def _pass_case(m, p, n_j, seed):
+def _pass_case(m, p, n_j, seed, dots):
     # A pass input whose covariate row (0) is constant, so its slopes are 0
     # and every residual row is its response row: small integers as
     # floats, full of ties.
@@ -892,7 +922,7 @@ def _pass_case(m, p, n_j, seed):
     state[:, 0] = 0.5
     targets = np.broadcast_to(np.arange(n_j) / n_j, (p - 1, n_j))
     offsets = np.arange(0, state.size, n_j).reshape(m, p, 1)
-    return state, (0, slice(1, p), targets, offsets, _einsum_slopes)
+    return state, (0, slice(1, p), targets, offsets, dots)
 
 
 def _calls_of_the_tie_check(monkeypatch):
@@ -916,15 +946,22 @@ def _rule_cases():
     yield (1, 2, call), True
 
 
+@pytest.mark.parametrize("dots", [_einsum_dots, _blas_dots], ids=["einsum", "blas"])
 @pytest.mark.parametrize("shape, checked", list(_rule_cases()))
 def test_residual_pass_takes_the_tie_check_by_its_rule_and_restores_stably(
-    monkeypatch, shape, checked
+    monkeypatch, shape, checked, dots
 ):
-    # Either way the pass restores as the stable argsort does.
-    state, step = _pass_case(*shape, seed=sum(shape))
+    # Either way, and under either kernel, the pass restores as the stable
+    # argsort does. Its slopes are 0, so each response row is restored by
+    # the stable order of its own input row.
+    state, step = _pass_case(*shape, seed=sum(shape), dots=dots)
     calls = _calls_of_the_tie_check(monkeypatch)
     got = decorrelate._residual_pass(state, *step)
     assert calls == ([(shape[0], shape[1] - 1, shape[2])] if checked else [])
+    want = state.copy()
+    order = state[:, 1:].argsort(axis=-1, kind="stable")
+    np.put_along_axis(want[:, 1:], order, step[2], axis=-1)
+    assert np.array_equal(got, want)
     monkeypatch.setattr(decorrelate, "_tie_checked_order", _stable_order)
     monkeypatch.setattr(decorrelate, "_LONG_ROW", 0)
     monkeypatch.setattr(decorrelate, "_LONG_CALL", 0)
