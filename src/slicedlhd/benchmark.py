@@ -299,10 +299,15 @@ def render_table(reports: list[RmseReport]) -> str:
 
 def write_trace_csv(trace: SweepTrace, path) -> None:
     """Emit a rho_rms sweep trace as CSV: iteration, whole design, each slice."""
+    Path(path).write_text(_trace_csv(trace))
+
+
+def _trace_csv(trace: SweepTrace) -> str:
+    """write_trace_csv's text, which the command line writes too."""
     lines = ["iteration,whole," + ",".join(f"slice{j + 1}" for j in range(len(trace.per_slice)))]
     for it, row in enumerate(zip(trace.whole, *trace.per_slice)):
         lines.append(",".join([str(it), *map(repr, row)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmark import ExperimentConfig, render_table, run_experiment, write_trace_csv
+from .benchmark import ExperimentConfig, _trace_csv, render_table, run_experiment
 from .core import Design, RngStream, SliceSizes, levels_from_values
 from .decorrelate import _swept, reduce_correlations
 from .generate import generate_sliced_lhd
@@ -102,6 +102,7 @@ def _write_text(path: str | None, text: str) -> int:
 
 def _cmd_generate(args) -> int:
     sizes: SliceSizes = args.sizes
+    seed_name = "--seed" if args.seed is not None else _ENV_SEED
     if args.seed is None:
         try:
             args.seed = _default_seed()
@@ -112,7 +113,7 @@ def _cmd_generate(args) -> int:
     checks = (
         (args.dim < 1, "--dim must be >= 1"),
         (args.iterations < 1, "--iterations must be >= 1"),
-        (args.seed < 0, "--seed must be >= 0"),
+        (args.seed < 0, f"{seed_name} must be >= 0"),
         (args.trace_out and not args.decorrelate, "--trace-out requires --decorrelate"),
         (args.decorrelate and args.dim < 2, "--decorrelate needs at least two dimensions"),
         (args.decorrelate and sizes.n < 2, "--decorrelate needs at least two runs"),
@@ -129,15 +130,9 @@ def _cmd_generate(args) -> int:
     elif args.decorrelate:
         design = _swept(design, args.iterations)
     rc = _write_text(args.output, _design_text(design, args.seed, args.decorrelate, args.format))
-    if rc != 0:
-        return rc
-    if args.trace_out:
-        try:
-            write_trace_csv(trace, args.trace_out)
-        except OSError as exc:
-            print(f"error: cannot write {args.trace_out}: {exc}", file=sys.stderr)
-            return 3
-    return 0
+    if rc == 0 and args.trace_out:
+        rc = _write_text(args.trace_out, _trace_csv(trace))
+    return rc
 
 
 def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
@@ -260,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="levels: exact odd numerators; values: floats")
     gen.add_argument("-o", "--output", default=None, help="output file (default stdout)")
     gen.add_argument("--trace-out", default=None,
-                     help="write the rho_rms sweep trace as CSV (needs --decorrelate)")
+                     help="rho_rms sweep trace CSV file, - for stdout (needs --decorrelate)")
     gen.set_defaults(func=_cmd_generate)
 
     val = sub.add_parser("validate", help="check stratification of a design file")

@@ -162,6 +162,8 @@ class Design:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise ValueError("design values must be a 2-D matrix")
+        if values.shape[1] < 1:
+            raise ValueError("design values must have at least one column")
         if values.shape[0] != self.sizes.n:
             raise ValueError(
                 f"design has {values.shape[0]} rows, sizes imply {self.sizes.n}"

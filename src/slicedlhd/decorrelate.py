@@ -29,8 +29,8 @@ rows with an equal pair are sorted again, stably (_tie_checked_order).
 
 One loop (_sweep_block) and one pass (_residual_pass) serve every caller.
 reduce_correlations calls the loop one iteration a call on each slice still
-moving, going on from the state the last call returned, and measures the
-trace between calls. _sweep_batch calls it once a
+moving, each call from a fresh copy of the slice, and measures the trace
+between calls. _sweep_batch calls it once a
 block for all the iterations and measures nothing: the benchmark's batch
 sweep runs it, and so does _swept, reduce_correlations' design without the
 trace, which the command line writes unless a trace file is asked for. Both
@@ -196,13 +196,11 @@ def reduce_correlations(
     # restored onto its own sorted columns, one iteration a call.
     whole_trace = [_rms(values)]
     slice_traces = [[_rms(view) if len(view) > 1 else 0.0] for view in views]
-    # Each live slice keeps its sweep state between calls (None: not built).
-    live = dict.fromkeys(j for j, view in enumerate(views) if len(view) > 1)
+    live = [j for j, view in enumerate(views) if len(view) > 1]
     for _ in range(iterations):
         # A slice at its fixed point drops out and repeats its last trace
         # entry. Restores keep each column's multiset: no _rms check needed.
-        live = {j: moving for j, state in live.items()
-                if (moving := _sweep_block(views[j][None], blocks[j][1], 1, _blas_dots, state))}
+        live = [j for j in live if _sweep_block(views[j][None], blocks[j][1], 1, _blas_dots)]
         whole_trace.append(_rms(values) if live else whole_trace[-1])
         for j, row in enumerate(slice_traces):
             row.append(_rms(views[j]) if j in live else row[-1])
@@ -210,36 +208,27 @@ def reduce_correlations(
     return Design(values, design.sizes), trace
 
 
-def _block_state(dest: np.ndarray, targets: np.ndarray):
-    """The sweep state _sweep_block starts from: the block ``dest`` as a
-    contiguous (m, p, n_j) copy, the two passes, each row's flat start, and
-    the replicates still moving."""
-    start = dest.transpose(0, 2, 1).copy()
-    m, p, n_j = start.shape
+def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -> bool:
+    """Sweep the block ``dest`` (m, n_j, p), a view, in place, in contiguous
+    (m, p, n_j) states, restoring onto ``targets`` (each row's sorted values,
+    or one (n_j,) row for all). A replicate at its fixed point is written
+    back to ``dest`` and drops out, and the rest are written back at the end.
+    Returns whether any replicate still moves: False once every one has
+    reached its fixed point."""
+    # last[i] is pass i's last output, pass 0 the forward and 1 the backward
+    # pass; None (the first forward pass has nothing to repeat) and the input
+    # stand in for them at the start. A spent state is dropped at once, never
+    # held under another name.
+    last = [None, dest.transpose(0, 2, 1).copy()]
+    m, p, n_j = last[1].shape
     restored = targets  # each row's sorted values, kept, not copied
     if targets.ndim == 1:  # one midpoint row for every column
         restored = np.empty((p, n_j))
         restored[...] = targets
     # Flat start of each (replicate, column) row, for the rank-restore scatter.
-    offsets = np.arange(0, start.size, n_j).reshape(m, p, 1)
+    offsets = np.arange(0, last[1].size, n_j).reshape(m, p, 1)
     passes = ((p - 1, slice(0, p - 1), restored[:-1]), (0, slice(1, p), restored[1:]))
-    return start, passes, offsets, np.arange(m)
-
-
-def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots, state=None):
-    """Sweep the block ``dest`` (m, n_j, p), a view, in place, in contiguous
-    (m, p, n_j) states, restoring onto ``targets`` (each row's sorted values,
-    or one (n_j,) row for all). A replicate at its fixed point is written
-    back to ``dest`` and drops out, and the rest are written back at the end.
-    Returns the state to go on from (pass it back as ``state`` with the same
-    ``dest``), or None once every replicate has reached its fixed point."""
-    # last[i] is pass i's last output, pass 0 the forward and 1 the backward
-    # pass; None (the first forward pass has nothing to repeat) and the
-    # state's block stand in for them at the start. A spent state is dropped
-    # at once, never held under another name.
-    block, passes, offsets, live = state or _block_state(dest, targets)
-    last = [None, block]
-    del state, block
+    live = np.arange(m)
     for _ in range(iterations):
         for i, step in enumerate(passes):
             # Pass i reads the other pass's output and takes the place of its
@@ -254,11 +243,9 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots, s
                 dest[live[~moved]] = last[1][~moved].transpose(0, 2, 1)
                 last, live = [out[moved] for out in last], live[moved]
                 if live.size == 0:
-                    return None
+                    return False
     dest[live] = last[1].transpose(0, 2, 1)
-    # The backward output, which dest now holds, is where the next call
-    # starts; the forward one is dropped, as a fresh state has none.
-    return last[1], passes, offsets, live
+    return True
 
 
 def _residual_pass(state, covariate: int, responses: slice, targets, offsets, dots):

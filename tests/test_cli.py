@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from slicedlhd import (
     ExperimentConfig, RngStream, SliceSizes, generate_sliced_lhd, levels_from_values,
-    reduce_correlations,
+    reduce_correlations, write_trace_csv,
 )
 from slicedlhd import cli, decorrelate
 from slicedlhd.cli import _parse_design_file, main
@@ -170,6 +170,22 @@ def test_unwritable_trace_exits_3(tmp_path, capsys):
     assert captured.out.startswith("# slicedlhd design\n")
     assert captured.err.startswith(f"error: cannot write {target}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_trace_out_dash_prints_the_csv(tmp_path, capsys, monkeypatch):
+    # "-" is stdout for the trace as for -o: the design goes to its file,
+    # stdout holds exactly the CSV that write_trace_csv writes, and no file
+    # named "-" is made.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--sizes", "6,7", "--dim", "3", "--seed", "4",
+                   "--decorrelate", "-o", "design.txt", "--trace-out", "-") == 0
+    assert Path("design.txt").read_text().startswith("# slicedlhd design\n")
+    assert not Path("-").exists()
+    design = generate_sliced_lhd(SliceSizes((6, 7)), 3, RngStream(4))
+    write_trace_csv(reduce_correlations(design, iterations=10)[1], "want.csv")
+    captured = capsys.readouterr()
+    assert captured.out == Path("want.csv").read_text()
+    assert captured.err == ""
 
 
 def test_trace_requires_decorrelate(tmp_path):
@@ -583,9 +599,10 @@ def test_negative_seeds_exit_2(tmp_path, capsys, monkeypatch):
     assert "seed must be >= 0" in capsys.readouterr().err
     assert run_cli("generate", "--sizes", "3,4", "--dim", "2", "--seed", "-1") == 2
     assert "--seed must be >= 0" in capsys.readouterr().err
+    # A negative seed from the environment names the variable, not a flag.
     monkeypatch.setenv("SLICEDLHD_SEED", "-5")
     assert run_cli("generate", "--sizes", "3,4", "--dim", "2") == 2
-    assert "--seed must be >= 0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: SLICEDLHD_SEED must be >= 0\n"
 
 
 def test_bundled_configs_parse(tmp_path):

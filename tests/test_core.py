@@ -291,6 +291,13 @@ def test_design_shape_checks():
     ]
 
 
+def test_design_rejects_a_matrix_with_no_columns():
+    # A design has a column to stratify: without one the validator's bins
+    # had no shape to take, and it raised where it reports.
+    with pytest.raises(ValueError, match="^design values must have at least one column$"):
+        Design(np.empty((3, 0)), SliceSizes((3,)))
+
+
 def test_design_rejects_sizes_that_are_not_slice_sizes():
     with pytest.raises(ValueError, match=r"^sizes must be a SliceSizes, got \(2,\)"):
         Design(np.zeros((2, 1)), sizes=(2,))

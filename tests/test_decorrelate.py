@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -754,16 +755,16 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
     sizes = SliceSizes(SIZES_6_7)
     for rows, mids in method_blocks("sliced", sizes):
         dest = np.stack([SWEEP_FINAL[rows]] * 3)
-        assert _sweep_block(dest, mids, 1, _einsum_dots) is None
+        assert _sweep_block(dest, mids, 1, _einsum_dots) is False
         assert np.array_equal(dest, np.broadcast_to(SWEEP_FINAL[rows], dest.shape))
         dest = SWEEP_START[None, rows].copy()
-        assert _sweep_block(dest, mids, 1, _blas_dots) is not None
+        assert _sweep_block(dest, mids, 1, _blas_dots) is True
         assert not np.array_equal(dest[0], SWEEP_START[rows])
     # A batch whose replicates stop at different iterations: one call of k
     # iterations writes back each replicate as k one-iteration calls leave
-    # it alone, and returns a state while any of them has not yet stopped.
-    # states[k] is a replicate after k one-iteration calls, each from a
-    # fresh state, up to the call that returned None.
+    # it alone, and returns True while any of them has not yet stopped.
+    # states[k] is a replicate after k one-iteration calls, up to the call
+    # that returned False.
     sizes = SliceSizes((12,))
     (_, mids), = method_blocks("full", sizes)
     stacked = np.stack([_draw("full", sizes, 5, RngStream(4).split(r)) for r in range(8)])
@@ -777,25 +778,32 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
         alone.append(states)
     stops = [len(states) - 1 for states in alone]
     assert len(set(stops)) > 2
-    # Calls that go on from the state the last call returned, as
-    # reduce_correlations makes them, write the same states and stop at the
-    # same call.
-    for design, states in zip(stacked, alone):
-        dest = design[None].copy()
-        state = None
-        for k in range(1, len(states)):
-            state = _sweep_block(dest, mids, 1, _einsum_dots, state)
-            assert (state is None) is (k == len(states) - 1), k
-            assert np.array_equal(dest, states[k]), k
     for k in range(1, max(stops) + 1):
         batch = stacked.copy()
-        moving = _sweep_block(batch, mids, k, _einsum_dots)
-        assert (moving is not None) is (k < max(stops)), k
+        assert _sweep_block(batch, mids, k, _einsum_dots) is (k < max(stops)), k
         want = np.stack([states[min(k, len(states) - 1)][0] for states in alone])
         assert np.array_equal(batch, want), k
     # Swept to convergence, the batch is at its fixed point.
-    assert _sweep_block(batch, mids, 1, _einsum_dots) is None
+    assert _sweep_block(batch, mids, 1, _einsum_dots) is False
     assert np.array_equal(batch, want)
+
+
+def test_reduce_correlations_holds_no_sweep_state_between_iterations():
+    # The sweep copies the design once and each slice's sorted columns once;
+    # a slice's sweep states live only through its own call, and each trace
+    # entry's _rms copies the design. So 4 iterations on 4 slices of 20,000
+    # runs peak near 3.1 times the design's bytes. Keeping every live
+    # slice's state from one iteration to the next adds one more copy of the
+    # design, and peaks near 4.6 times.
+    design = generate_sliced_lhd(SliceSizes((20000,) * 4), 3, RngStream(3))
+    tracemalloc.start()
+    try:
+        reduce_correlations(design, iterations=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = design.values.nbytes
+    assert peak < 4 * nbytes, peak / nbytes
 
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
