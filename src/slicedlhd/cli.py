@@ -17,6 +17,7 @@ bounded piece at a time, so neither holds a Python object per cell.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -49,16 +50,6 @@ def _parse_sizes(text: str) -> SliceSizes:
         return SliceSizes(parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(_ENV_SEED)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{_ENV_SEED} must be an integer: {raw!r}")
 
 
 def _design_text(design: Design, seed: int, decorrelated: bool, fmt: str) -> str:
@@ -102,19 +93,21 @@ def _write_text(path: str | None, text: str) -> int:
 
 def _cmd_generate(args) -> int:
     sizes: SliceSizes = args.sizes
-    seed_name = "--seed" if args.seed is not None else _ENV_SEED
-    if args.seed is None:
-        try:
-            args.seed = _default_seed()
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    # The seed: --seed, else the environment's, else 0; None if not an integer.
+    seed_name, seed, raw = "--seed", args.seed, None
+    if seed is None:
+        seed_name, raw = _ENV_SEED, os.environ.get(_ENV_SEED, "0")
+        with contextlib.suppress(ValueError):
+            seed = int(raw)
     # Every argument check of generate, in the order they are reported.
     checks = (
         (args.dim < 1, "--dim must be >= 1"),
         (args.iterations < 1, "--iterations must be >= 1"),
-        (args.seed < 0, f"{seed_name} must be >= 0"),
+        (seed is None, f"{_ENV_SEED} must be an integer: {raw!r}"),
+        (seed is not None and seed < 0, f"{seed_name} must be >= 0"),
         (args.trace_out and not args.decorrelate, "--trace-out requires --decorrelate"),
+        (args.trace_out == "-" and args.output in (None, "-"),
+         "--trace-out - needs -o FILE: the design goes to stdout"),
         (args.decorrelate and args.dim < 2, "--decorrelate needs at least two dimensions"),
         (args.decorrelate and sizes.n < 2, "--decorrelate needs at least two runs"),
     )
@@ -122,14 +115,14 @@ def _cmd_generate(args) -> int:
         if failed:
             print(f"error: {message}", file=sys.stderr)
             return 2
-    design = generate_sliced_lhd(sizes, args.dim, RngStream(args.seed))
+    design = generate_sliced_lhd(sizes, args.dim, RngStream(seed))
     # The trace costs a correlation per slice and iteration: only measured
     # when it is written.
     if args.trace_out:
         design, trace = reduce_correlations(design, iterations=args.iterations)
     elif args.decorrelate:
         design = _swept(design, args.iterations)
-    rc = _write_text(args.output, _design_text(design, args.seed, args.decorrelate, args.format))
+    rc = _write_text(args.output, _design_text(design, seed, args.decorrelate, args.format))
     if rc == 0 and args.trace_out:
         rc = _write_text(args.trace_out, _trace_csv(trace))
     return rc

@@ -202,8 +202,9 @@ def reduce_correlations(
         # entry. Restores keep each column's multiset: no _rms check needed.
         live = [j for j in live if _sweep_block(views[j][None], blocks[j][1], 1, _blas_dots)]
         whole_trace.append(_rms(values) if live else whole_trace[-1])
+        moving = set(live)
         for j, row in enumerate(slice_traces):
-            row.append(_rms(views[j]) if j in live else row[-1])
+            row.append(_rms(views[j]) if j in moving else row[-1])
     trace = SweepTrace(tuple(whole_trace), tuple(map(tuple, slice_traces)))
     return Design(values, design.sizes), trace
 
@@ -221,13 +222,11 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -
     # held under another name.
     last = [None, dest.transpose(0, 2, 1).copy()]
     m, p, n_j = last[1].shape
-    restored = targets  # each row's sorted values, kept, not copied
-    if targets.ndim == 1:  # one midpoint row for every column
-        restored = np.empty((p, n_j))
-        restored[...] = targets
     # Flat start of each (replicate, column) row, for the rank-restore scatter.
     offsets = np.arange(0, last[1].size, n_j).reshape(m, p, 1)
-    passes = ((p - 1, slice(0, p - 1), restored[:-1]), (0, slice(1, p), restored[1:]))
+    # One midpoint row serves every column as it is (see _residual_pass).
+    forward, backward = (targets, targets) if targets.ndim == 1 else (targets[:-1], targets[1:])
+    passes = ((p - 1, slice(0, p - 1), forward), (0, slice(1, p), backward))
     live = np.arange(m)
     for _ in range(iterations):
         for i, step in enumerate(passes):
@@ -267,7 +266,7 @@ def _residual_pass(state, covariate: int, responses: slice, targets, offsets, do
     out[:, covariate] = state[:, covariate]
     # Rank restore, ties by position: each row's stable sort order, as flat
     # indices (``offsets`` is each row's flat start), and one flat scatter,
-    # which repeats ``targets`` for every replicate.
+    # which repeats ``targets`` for every replicate (a 1-D one every row).
     starts = offsets[: len(out), responses]
     if rows.shape[2] >= _LONG_ROW and rows.size >= _LONG_CALL:
         order = _tie_checked_order(out, rows, starts)

@@ -235,6 +235,35 @@ def test_generate_argument_errors_exit_2_with_one_line(capsys, extra, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "env_seed, dim, message",
+    [
+        ("x", "0", "--dim must be >= 1"),
+        ("-1", "0", "--dim must be >= 1"),
+        ("x", "2", "SLICEDLHD_SEED must be an integer: 'x'"),
+    ],
+)
+def test_env_seed_is_checked_at_the_seeds_place(capsys, monkeypatch, env_seed, dim, message):
+    # A bad environment seed is reported at --seed's place in the checks,
+    # so the first fault is the same wherever the seed came from.
+    monkeypatch.setenv("SLICEDLHD_SEED", env_seed)
+    assert run_cli("generate", "--sizes", "3,4", "--dim", dim) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("output", [[], ["-o", "-"]])
+def test_trace_and_design_cannot_share_stdout(capsys, output):
+    # The design and the trace CSV on one stream could not be read back:
+    # exit 2 before either is written.
+    assert run_cli("generate", "--sizes", "3,4", "--dim", "2", "--decorrelate",
+                   *output, "--trace-out", "-") == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --trace-out - needs -o FILE: the design goes to stdout\n"
+    assert captured.out == ""
+
+
 def test_unparseable_design_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\nthree four\n")
