@@ -21,6 +21,8 @@ import contextlib
 import functools
 import os
 import sys
+import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +93,13 @@ def _write_text(path: str | None, text: str) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: the same path, a link or a hard link."""
+    with contextlib.suppress(OSError):  # samefile needs both files to exist
+        return os.path.realpath(a) == os.path.realpath(b) or os.path.samefile(a, b)
+    return False
+
+
 def _cmd_generate(args) -> int:
     sizes: SliceSizes = args.sizes
     # The seed: --seed, else the environment's, else 0; None if not an integer.
@@ -108,6 +117,9 @@ def _cmd_generate(args) -> int:
         (args.trace_out and not args.decorrelate, "--trace-out requires --decorrelate"),
         (args.trace_out == "-" and args.output in (None, "-"),
          "--trace-out - needs -o FILE: the design goes to stdout"),
+        (args.trace_out not in (None, "-") and args.output not in (None, "-")
+         and _same_file(args.output, args.trace_out),
+         f"-o and --trace-out name the same file: {args.trace_out}"),
         (args.decorrelate and args.dim < 2, "--decorrelate needs at least two dimensions"),
         (args.decorrelate and sizes.n < 2, "--decorrelate needs at least two runs"),
     )
@@ -128,6 +140,25 @@ def _cmd_generate(args) -> int:
     return rc
 
 
+def _levels_block(lines: list[str]) -> np.ndarray | None:
+    """A levels piece's rows read as integers in one pass, as float64, or None.
+
+    numpy splits no token without whitespace in it, so with as many spaces on
+    each line, no tab and rows x width values, each token was read whole:
+    [+-]digits, or a lone sign as 0. Below 2**53 each is then float()'s value.
+    """
+    text = "\n".join(lines)
+    gaps = set(map(str.count, lines, repeat(" ")))
+    if len(gaps) == 1 and "\t" not in text:
+        with warnings.catch_warnings(), contextlib.suppress(ValueError, DeprecationWarning):
+            warnings.simplefilter("error")
+            ints = np.fromstring(text, dtype=np.int64, sep=" ")
+            if ints.size == len(lines) * (gaps.pop() + 1) and ints.all() and np.all(
+                    (-2**53 < ints) & (ints < 2**53)):
+                return ints.reshape(len(lines), -1).astype(np.float64)
+    return None
+
+
 def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
     try:
         text = Path(path).read_text()
@@ -143,7 +174,8 @@ def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
     start = 0
     while start < len(text):
         stop = text.find("\n", start + _CHUNK) + 1 or len(text)
-        data: list[tuple[int, str]] = []
+        numbers: list[int] = []
+        lines: list[str] = []
         for line in text[start:stop].splitlines():
             lineno += 1
             stripped = line.strip()
@@ -154,17 +186,21 @@ def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
                 if body.startswith("format:"):
                     fmt = body.split(":", 1)[1].strip()
                 continue
-            data.append((lineno, stripped))
+            numbers.append(lineno)
+            lines.append(stripped)
         start = stop
-        if not data:
+        if not lines:
             continue
         try:
-            # One conversion of every token, as float() reads each; it fails
-            # on a non-numeric token or on rows of unequal widths. The pass
-            # below names a non-numeric line; unequal widths wait for the end.
-            block = np.array([line.split() for _, line in data], dtype=np.float64)
+            # One conversion of every token, as float() reads each (a levels
+            # piece first tries one integer read); it fails on a non-numeric
+            # token or on rows of unequal widths. The pass below names a
+            # non-numeric line; unequal widths wait for the end.
+            block = _levels_block(lines) if fmt == "levels" else None
+            if block is None:
+                block = np.array(list(map(str.split, lines)), dtype=np.float64)
         except ValueError:
-            for n, line in data:
+            for n, line in zip(numbers, lines):
                 try:
                     [float(tok) for tok in line.split()]
                 except ValueError:

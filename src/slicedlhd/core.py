@@ -17,6 +17,7 @@ numbers as the per-stream ``generator`` at a small part of its cost.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, takewhile
@@ -312,21 +313,20 @@ def _product_words(ranges: list[range]) -> list[np.ndarray]:
 
 
 # Each step works on uint32 arrays, whose arithmetic wraps mod 2**32; the
-# Python-int constants, all below 2**32, stay uint32. ``h`` may be a column
-# of hash constants, one a pool lane.
-def _hashmix(value, h, mult=_MULT_A):
-    value = (value ^ h) * (h * mult)
+# Python-int constants, all below 2**32, stay uint32.
+@functools.cache
+def _lanes(steps: int, init: int = _INIT_A, mult: int = _MULT_A) -> np.ndarray:
+    """The hash constants h of the _POOL hash steps from step ``steps`` and
+    h * mult, as two read-only uint32 columns, one row a pool lane."""
+    h = [init * pow(mult, steps + k, _M32 + 1) & _M32 for k in range(_POOL)]
+    lanes = np.array([h, [c * mult & _M32 for c in h]], np.uint32)[:, :, None]
+    lanes.flags.writeable = False
+    return lanes
+
+
+def _hashmix(value, lanes: np.ndarray) -> np.ndarray:
+    value = (value ^ lanes[0]) * lanes[1]
     return value ^ value >> 16
-
-
-def _mix(x, y):
-    x = _MIX_L * x - _MIX_R * y
-    return x ^ x >> 16
-
-
-def _lanes(h: int, mult: int) -> np.ndarray:
-    """The hash constants of _POOL successive steps from ``h``, as a uint32 column."""
-    return np.array([h * pow(mult, k, _M32 + 1) & _M32 for k in range(_POOL)], np.uint32)[:, None]
 
 
 def _mix_words(pool: np.ndarray, steps: int, words) -> np.ndarray:
@@ -335,16 +335,16 @@ def _mix_words(pool: np.ndarray, steps: int, words) -> np.ndarray:
     ``generate_state(2, uint64)``: the (m, 2) Philox keys.
 
     A word is a Python int, shared by the m streams, or an (m,) uint32 array.
-    The hash constants of a word's _POOL steps depend only on the step count,
-    so the steps run as one (_POOL, m) operation, one lane a pool entry.
+    The hash constants of a word's _POOL steps depend only on the step count
+    (built once a count, _lanes); the steps run as one (_POOL, m) operation.
     """
     pool = pool[:, None]
-    lanes = _lanes(_INIT_A * pow(_MULT_A, steps, _M32 + 1), _MULT_A)
-    for w in words:
-        pool = _mix(pool, _hashmix(w, lanes))
-        lanes = lanes * pow(_MULT_A, _POOL, _M32 + 1)
-    v = _hashmix(pool, _lanes(_INIT_B, _MULT_B), _MULT_B).astype(np.uint64)
-    return np.stack([v[0] | v[1] << 32, v[2] | v[3] << 32], axis=1)
+    for j, w in enumerate(words):
+        pool = _MIX_L * pool - _MIX_R * _hashmix(w, _lanes(steps + _POOL * j))
+        pool ^= pool >> 16
+    v = _hashmix(pool, _lanes(0, _INIT_B, _MULT_B)).astype(np.uint64)
+    v[::2] |= v[1::2] << 32
+    return v[::2].T
 
 
 def _rekeyed(bitgen: np.random.Philox, keys: np.ndarray):

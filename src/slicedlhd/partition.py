@@ -18,8 +18,8 @@ The walk visits the n stratum closings, not the n levels: numpy sorts the
 closings by (edge, slice) up front, at every n, and the levels up to each
 edge join the working set as the walk reaches it. So the walk holds O(n)
 integers in arrays and bounded chunks of Python lists. delta_sequence needs
-no walk: it counts the edges at each level. The eligibility check runs in
-the walk, so in partition_levels and assignment_steps.
+no walk: it counts the edges at each level. The walk is one plain loop and
+holds the one eligibility check; assignment_steps replays its closings.
 """
 
 from __future__ import annotations
@@ -98,16 +98,18 @@ def _closings(sizes: SliceSizes):
     )
 
 
-def _walk(sizes: SliceSizes):
-    """Yield (i, k, level, working set) for each stratum closing in (i, k)
-    order: level i closes a stratum of slice k and hands ``level`` to it.
+def _walk(sizes: SliceSizes) -> list[list[int]]:
+    """Each slice's levels in the order its strata close: the closing at
+    level i of a stratum of slice k hands k its level.
 
-    The working set is the walk's own sorted list of the levels up to i not
-    yet assigned, valid until the next closing.
+    One plain loop over the closings in (i, k) order. The working set is its
+    sorted list of the levels up to i not yet handed out.
     """
+    sizes = _as_slice_sizes(sizes)
+    groups: list[list[int]] = [[] for _ in range(sizes.t)]
     working: list[int] = []  # stays sorted: extended in increasing order
     top = 0  # levels 1..top have joined the working set
-    for i, k, lo in _closings(_as_slice_sizes(sizes)):
+    for i, k, lo in _closings(sizes):
         if i > top:
             working += range(top + 1, i + 1)
             top = i
@@ -119,7 +121,8 @@ def _walk(sizes: SliceSizes):
                 f"no eligible level for slice {k} at i={i} "
                 f"(sizes={sizes.sizes}, working set={working})"
             )
-        yield i, k, working.pop(pos), working
+        groups[k].append(working.pop(pos))
+    return groups
 
 
 def delta_sequence(sizes: SliceSizes) -> DeltaSequence:
@@ -135,13 +138,16 @@ def delta_sequence(sizes: SliceSizes) -> DeltaSequence:
 
 def assignment_steps(sizes: SliceSizes) -> list[LevelStep]:
     """Run the greedy walk, returning the full per-level trace."""
+    handed = list(map(iter, _walk(sizes)))
     steps: list[LevelStep] = []
-    for i, k, level, working in _walk(sizes):
+    working: list[int] = []
+    for i, k, _ in _closings(sizes):
         while len(steps) < i:  # a level without a closing only joins the working set
-            u = len(steps) + 1
-            steps.append(LevelStep(u, (), (steps[-1].working_set if steps else ()) + (u,)))
-        last = steps[-1]
-        steps[-1] = LevelStep(i, last.assignments + ((k, level),), tuple(working))
+            working.append(len(steps) + 1)
+            steps.append(LevelStep(len(steps) + 1, (), tuple(working)))
+        level = next(handed[k])
+        working.remove(level)
+        steps[-1] = LevelStep(i, steps[-1].assignments + ((k, level),), tuple(working))
     return steps
 
 
@@ -152,7 +158,4 @@ def partition_levels(sizes: SliceSizes) -> LevelPartition:
     ((m-1)/n_j, m/n_j] exactly once; the LevelPartition constructor
     re-checks the cheap structural invariants.
     """
-    groups: list[list[int]] = [[] for _ in range(_as_slice_sizes(sizes).t)]
-    for _, k, level, _ in _walk(sizes):
-        groups[k].append(level)
-    return LevelPartition(groups, sizes)
+    return LevelPartition(_walk(sizes), sizes)

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slicedlhd import (
-    ExperimentConfig, RngStream, SliceSizes, generate_sliced_lhd, levels_from_values,
+    Design, ExperimentConfig, RngStream, SliceSizes, generate_sliced_lhd, levels_from_values,
     reduce_correlations, write_trace_csv,
 )
 from slicedlhd import cli, decorrelate
@@ -264,6 +265,26 @@ def test_trace_and_design_cannot_share_stdout(capsys, output):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("trace", ["same.txt", "./same.txt", "link.txt", "hard.txt"])
+def test_trace_and_design_cannot_share_a_file(tmp_path, monkeypatch, capsys, trace):
+    # The trace CSV would overwrite the design: the same name, another
+    # spelling of it, a symbolic link or a hard link to the design file is a
+    # bad argument, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.txt").symlink_to("same.txt")
+    if trace == "hard.txt":
+        (tmp_path / "same.txt").write_text("kept\n")
+        (tmp_path / "hard.txt").hardlink_to("same.txt")
+    assert run_cli("generate", "--sizes", "3,4", "--dim", "2", "--decorrelate",
+                   "-o", "same.txt", "--trace-out", trace) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: -o and --trace-out name the same file: {trace}\n"
+    assert captured.out == ""
+    kept = trace == "hard.txt"
+    assert (tmp_path / "same.txt").exists() == kept
+    assert not kept or (tmp_path / "same.txt").read_text() == "kept\n"
+
+
 def test_unparseable_design_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 2\nthree four\n")
@@ -349,6 +370,99 @@ def test_design_file_read_in_pieces_reads_as_a_whole(tmp_path, monkeypatch, data
             assert got == want, chunk
         else:
             np.testing.assert_array_equal(got, want, err_msg=f"chunk={chunk}")
+
+
+def _float_oracle(text, sizes):
+    # Every data token converted with float(), line by line: the values the
+    # reader should give, or its message.
+    rows = []
+    for n, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
+                rows.append([float(tok) for tok in line.split()])
+            except ValueError:
+                return f"line {n}: not numeric: {line!r}"
+    if len({len(row) for row in rows}) > 1:
+        return "rows have inconsistent widths"
+    if not rows:
+        return "no data rows"
+    arr = np.array(rows)
+    if not (np.all(np.isfinite(arr)) and np.all(arr == np.rint(arr)) and np.all(arr % 2 == 1)):
+        return "levels format expects odd integer numerators"
+    try:
+        return Design(arr / (2.0 * sizes.n), sizes).values
+    except ValueError as exc:
+        return str(exc)
+
+
+# Odd numerators, mostly, and the spellings on which numpy's integer read and
+# float() could part: signs, -0, leading zeros, a 20-digit token (numpy
+# clamps it to 2**63 - 1), 2**53 + 1 (no float holds it), an underscore, an
+# Arabic-Indic three, a decimal point.
+_LEVEL_TOKENS = ["1", "3", "5", "7", "9", "11"] * 3 + [
+    "+3", "-3", "-0", "007", "12345678901234567890", "9007199254740993", "1_0", "٣", "3.0",
+]
+
+
+@st.composite
+def _levels_texts(draw):
+    # Rows of about one width, tokens one space apart mostly, else a tab or
+    # two spaces; each line ends in \n, \r\n or a form feed.
+    width = draw(st.integers(1, 4))
+    text = "# format: levels\n"
+    for _ in range(draw(st.integers(0, 8))):
+        w = draw(st.sampled_from([width] * 4 + [max(1, width - 1), width + 1]))
+        tokens = draw(st.lists(st.sampled_from(_LEVEL_TOKENS), min_size=w, max_size=w))
+        for tok in tokens[:-1]:
+            text += tok + draw(st.sampled_from([" "] * 6 + ["\t", "  "]))
+        text += tokens[-1] + draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\f"]))
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_levels_texts())
+@example(text="# format: levels\n1 3\n3 -\n")  # a lone sign numpy reads as 0
+@example(text="# format: levels\n1 3\n- 3\n")  # a sign numpy joins to the next token
+@example(text="# format: levels\n1 3 5\n7  9\n")  # as many spaces, fewer tokens
+@example(text="# format: levels\n1\t3 5\n7  9\n")  # a tab and a double space, even counts
+def test_levels_file_integer_read_matches_float_read(text):
+    # However it is spelled and cut into pieces, a levels file gives the
+    # values, or the message, of float() on every token.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "design.txt"
+        path.write_bytes(text.encode())
+        data_rows = sum(1 for line in path.read_text().splitlines()
+                        if line.strip() and not line.startswith("#"))
+        sizes = SliceSizes((max(1, data_rows),))
+        want = _float_oracle(path.read_text(), sizes)
+        for chunk in (1, 5, 13, cli._CHUNK):
+            with mock.patch.object(cli, "_CHUNK", chunk):
+                got = _read(path, sizes.sizes)
+            if isinstance(want, str):
+                assert got == want, chunk
+            else:
+                assert isinstance(got, np.ndarray), (chunk, got)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), chunk
+
+
+def test_generated_levels_files_take_the_integer_read(tmp_path, monkeypatch):
+    # A generated levels file takes the one integer read; a values file
+    # never tries it. Both give the design's values.
+    taken = []
+    read = cli._levels_block
+    monkeypatch.setattr(cli, "_levels_block", lambda lines: taken.append(read(lines)) or taken[-1])
+    sizes = SliceSizes((3, 4, 9))
+    parsed = {}
+    for fmt in ("levels", "values"):
+        path = tmp_path / f"{fmt}.txt"
+        assert run_cli("generate", "--sizes", "3,4,9", "--dim", "4", "--seed", "11",
+                       "--format", fmt, "-o", str(path)) == 0
+        taken.clear()
+        parsed[fmt] = _parse_design_file(str(path), sizes).values
+        assert len(taken) == (fmt == "levels")
+        assert all(block is not None for block in taken)
+    assert np.array_equal(parsed["levels"], parsed["values"])
 
 
 @pytest.mark.parametrize(

@@ -399,6 +399,10 @@ _ranges = st.builds(
 # call with no range at all, which yields one stream.
 @example(seed=2**130 + 9, path=[5], components=[2**40 + 3, range(4), 2])
 @example(seed=11, path=[], components=[3, 2**40])
+# Each word takes its own cached hash constants, one entry a step count:
+# three ranges with an integer after a range, under a three-word seed.
+@example(seed=2**80 + 7, path=[], components=[range(3), range(2), 5, range(4)])
+@example(seed=2**95 + 1, path=[3], components=[range(2), 2**40 + 1, range(3), range(2)])
 def test_batched_keys_match_seed_sequence(seed, path, components):
     # Each yielded generator's Philox holds exactly the state numpy's own
     # SeedSequence + Philox path gives: the key bit for bit, counter 0 and

@@ -164,6 +164,7 @@ _WALK_SIZES = st.one_of(
 # Many slices at n = 10^5, on numpy's sort; only its groups are compared, as
 # its per-level trace would hold n working-set tuples.
 @example([1000] * 100)
+@example(list(SIZES_2_5_10))
 def test_walk_matches_frozen_oracle(sizes_list):
     sizes = SliceSizes(tuple(sizes_list))
     expected = frozen_walk(sizes)
@@ -233,8 +234,9 @@ def test_delta_sequence_counts_the_walks_closings_and_meets_its_closed_form(size
     sizes = SliceSizes(sizes)
     n = sizes.n
     walked = [0] * n
-    for i, _, _, _ in partition._walk(sizes):
+    for i, _, _ in partition._closings(sizes):
         walked[i - 1] += 1
+    assert list(map(len, partition._walk(sizes))) == list(sizes.sizes)
     i = np.arange(1, n + 1)
     closed = sum(ceil_div(m * (2 * i + 1), 2 * n) - ceil_div(m * (2 * i - 1), 2 * n)
                  for m in sizes.sizes)
