@@ -21,8 +21,6 @@ import contextlib
 import functools
 import os
 import sys
-import warnings
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +112,8 @@ def _cmd_generate(args) -> int:
         (args.iterations < 1, "--iterations must be >= 1"),
         (seed is None, f"{_ENV_SEED} must be an integer: {raw!r}"),
         (seed is not None and seed < 0, f"{seed_name} must be >= 0"),
-        (args.trace_out and not args.decorrelate, "--trace-out requires --decorrelate"),
+        (args.trace_out is not None and not args.decorrelate,
+         "--trace-out requires --decorrelate"),
         (args.trace_out == "-" and args.output in (None, "-"),
          "--trace-out - needs -o FILE: the design goes to stdout"),
         (args.trace_out not in (None, "-") and args.output not in (None, "-")
@@ -130,33 +129,14 @@ def _cmd_generate(args) -> int:
     design = generate_sliced_lhd(sizes, args.dim, RngStream(seed))
     # The trace costs a correlation per slice and iteration: only measured
     # when it is written.
-    if args.trace_out:
+    if args.trace_out is not None:
         design, trace = reduce_correlations(design, iterations=args.iterations)
     elif args.decorrelate:
         design = _swept(design, args.iterations)
     rc = _write_text(args.output, _design_text(design, seed, args.decorrelate, args.format))
-    if rc == 0 and args.trace_out:
+    if rc == 0 and args.trace_out is not None:
         rc = _write_text(args.trace_out, _trace_csv(trace))
     return rc
-
-
-def _levels_block(lines: list[str]) -> np.ndarray | None:
-    """A levels piece's rows read as integers in one pass, as float64, or None.
-
-    numpy splits no token without whitespace in it, so with as many spaces on
-    each line, no tab and rows x width values, each token was read whole:
-    [+-]digits, or a lone sign as 0. Below 2**53 each is then float()'s value.
-    """
-    text = "\n".join(lines)
-    gaps = set(map(str.count, lines, repeat(" ")))
-    if len(gaps) == 1 and "\t" not in text:
-        with warnings.catch_warnings(), contextlib.suppress(ValueError, DeprecationWarning):
-            warnings.simplefilter("error")
-            ints = np.fromstring(text, dtype=np.int64, sep=" ")
-            if ints.size == len(lines) * (gaps.pop() + 1) and ints.all() and np.all(
-                    (-2**53 < ints) & (ints < 2**53)):
-                return ints.reshape(len(lines), -1).astype(np.float64)
-    return None
 
 
 def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
@@ -192,21 +172,23 @@ def _parse_design_file(path: str, sizes: SliceSizes) -> Design:
         if not lines:
             continue
         try:
-            # One conversion of every token, as float() reads each (a levels
-            # piece first tries one integer read); it fails on a non-numeric
-            # token or on rows of unequal widths. The pass below names a
-            # non-numeric line; unequal widths wait for the end.
-            block = _levels_block(lines) if fmt == "levels" else None
-            if block is None:
-                block = np.array(list(map(str.split, lines)), dtype=np.float64)
+            # One conversion of the piece, to float()'s value of each token
+            # ("#" is a token, not a comment). It fails on a token float()
+            # refuses, on some it reads (1_0, ٣) and on rows of unequal
+            # widths; float() then reads each line and names a non-numeric
+            # one. Unequal widths are reported at the end, after any such line.
+            block = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
+            rows = []
             for n, line in zip(numbers, lines):
                 try:
-                    [float(tok) for tok in line.split()]
+                    rows.append([float(tok) for tok in line.split()])
                 except ValueError:
                     raise ValueError(f"line {n}: not numeric: {line!r}")
-            ragged = True
-            continue
+            if len(set(map(len, rows))) > 1:
+                ragged = True
+                continue
+            block = np.array(rows)
         ragged = ragged or bool(blocks) and block.shape[1] != blocks[0].shape[1]
         blocks.append(block)
     if ragged:

@@ -173,6 +173,17 @@ def test_unwritable_trace_exits_3(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_empty_trace_path_exits_3(capsys):
+    # An empty trace path is a path like any other, not "no trace": the
+    # design is written, then the trace fails to write, as -o '' does.
+    assert run_cli("generate", "--sizes", "2,5,10", "--dim", "3", "--decorrelate",
+                   "--trace-out", "") == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("# slicedlhd design\n")
+    assert captured.err.startswith("error: cannot write : ")
+    assert captured.err.count("\n") == 1
+
+
 def test_trace_out_dash_prints_the_csv(tmp_path, capsys, monkeypatch):
     # "-" is stdout for the trace as for -o: the design goes to its file,
     # stdout holds exactly the CSV that write_trace_csv writes, and no file
@@ -225,6 +236,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
         (["--seed", "-1", "--dim", "1", "--decorrelate"], "--seed must be >= 0"),
         (["--trace-out", "t.csv"], "--trace-out requires --decorrelate"),
         (["--dim", "1", "--decorrelate"], "--decorrelate needs at least two dimensions"),
+        (["--trace-out", ""], "--trace-out requires --decorrelate"),
     ],
 )
 def test_generate_argument_errors_exit_2_with_one_line(capsys, extra, message):
@@ -322,6 +334,7 @@ def test_design_file_tokens_read_as_float_reads_them(tmp_path, token, value):
         ("1 2 3\nx\n4 5\n", "line 2: not numeric: 'x'"),
         ("1 3\n3 1\n", "design has 2 rows, sizes imply 3"),
         ("# format: grid\n1 3\n3 1\n5 5\n", "unknown format: 'grid'"),
+        ("1 3 # note\n3 1\n5 5\n", "line 1: not numeric: '1 3 # note'"),
     ],
 )
 def test_design_file_errors_name_the_fault(tmp_path, text, message):
@@ -373,8 +386,10 @@ def test_design_file_read_in_pieces_reads_as_a_whole(tmp_path, monkeypatch, data
 
 
 def _float_oracle(text, sizes):
-    # Every data token converted with float(), line by line: the values the
-    # reader should give, or its message.
+    # Every data token converted with float(), line by line, read as the
+    # file's format header says or, with none, as levels when every value is
+    # an integer of at least 1: the values the reader should give, or its
+    # message.
     rows = []
     for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -388,54 +403,71 @@ def _float_oracle(text, sizes):
     if not rows:
         return "no data rows"
     arr = np.array(rows)
-    if not (np.all(np.isfinite(arr)) and np.all(arr == np.rint(arr)) and np.all(arr % 2 == 1)):
-        return "levels format expects odd integer numerators"
+    header = re.match(r"# format: (\w+)\n", text)
+    if header is None:
+        levels = np.all(arr == np.rint(arr)) and np.all(arr >= 1)
+    else:
+        levels = header[1] == "levels"
+    if levels:
+        if not (np.all(np.isfinite(arr)) and np.all(arr == np.rint(arr))
+                and np.all(arr % 2 == 1)):
+            return "levels format expects odd integer numerators"
+        arr = arr / (2.0 * sizes.n)
     try:
-        return Design(arr / (2.0 * sizes.n), sizes).values
+        return Design(arr, sizes).values
     except ValueError as exc:
         return str(exc)
 
 
-# Odd numerators, mostly, and the spellings on which numpy's integer read and
-# float() could part: signs, -0, leading zeros, a 20-digit token (numpy
-# clamps it to 2**63 - 1), 2**53 + 1 (no float holds it), an underscore, an
-# Arabic-Indic three, a decimal point.
+# Odd numerators, mostly, and the spellings on which a conversion and float()
+# could part: signs, -0, leading zeros, a 20-digit token, 2**53 + 1 (no float
+# holds it), an underscore, an Arabic-Indic three, a decimal point.
 _LEVEL_TOKENS = ["1", "3", "5", "7", "9", "11"] * 3 + [
     "+3", "-3", "-0", "007", "12345678901234567890", "9007199254740993", "1_0", "٣", "3.0",
 ]
+# Overflow, nan and inf, bare points, hex, and "#" (a token, not a comment,
+# after a line's first).
+_VALUE_TOKENS = ["1e400", "nan", "-inf", ".5", "1.", "0x10", "#"]
 
 
 @st.composite
-def _levels_texts(draw):
-    # Rows of about one width, tokens one space apart mostly, else a tab or
-    # two spaces; each line ends in \n, \r\n or a form feed.
+def _design_texts(draw):
+    # A levels, values or headerless file; in half of them a token may also
+    # be a value token or the repr of any float. Rows of about one width,
+    # tokens one space apart mostly, else a tab, two spaces, a no-break or
+    # ideographic space, or a vertical tab (a line break to splitlines);
+    # each line ends in \n, \r\n or a form feed.
     width = draw(st.integers(1, 4))
-    text = "# format: levels\n"
+    text = draw(st.sampled_from(["# format: levels\n", "# format: values\n", ""]))
+    token = st.sampled_from(_LEVEL_TOKENS)
+    if draw(st.booleans()):
+        token = st.sampled_from(_LEVEL_TOKENS + _VALUE_TOKENS) | st.floats().map(repr)
     for _ in range(draw(st.integers(0, 8))):
         w = draw(st.sampled_from([width] * 4 + [max(1, width - 1), width + 1]))
-        tokens = draw(st.lists(st.sampled_from(_LEVEL_TOKENS), min_size=w, max_size=w))
+        tokens = draw(st.lists(token, min_size=w, max_size=w))
         for tok in tokens[:-1]:
-            text += tok + draw(st.sampled_from([" "] * 6 + ["\t", "  "]))
+            text += tok + draw(st.sampled_from([" "] * 6 + ["\t", "  ", "\xa0", "\u3000", "\v"]))
         text += tokens[-1] + draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\f"]))
     return text
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=_levels_texts())
-@example(text="# format: levels\n1 3\n3 -\n")  # a lone sign numpy reads as 0
-@example(text="# format: levels\n1 3\n- 3\n")  # a sign numpy joins to the next token
+@given(text=_design_texts())
+@example(text="# format: levels\n1 3\n3 -\n")  # a lone sign
+@example(text="# format: levels\n1 3\n- 3\n")  # a sign apart from its digits
 @example(text="# format: levels\n1 3 5\n7  9\n")  # as many spaces, fewer tokens
 @example(text="# format: levels\n1\t3 5\n7  9\n")  # a tab and a double space, even counts
 def test_levels_file_integer_read_matches_float_read(text):
-    # However it is spelled and cut into pieces, a levels file gives the
-    # values, or the message, of float() on every token.
+    # However it is spelled and cut into pieces, a levels, values or
+    # headerless file gives the values, or the message, of float() on every
+    # token.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "design.txt"
         path.write_bytes(text.encode())
-        data_rows = sum(1 for line in path.read_text().splitlines()
-                        if line.strip() and not line.startswith("#"))
+        text = path.read_text()
+        data_rows = sum(1 for line in text.splitlines() if line.strip()[:1] not in ("", "#"))
         sizes = SliceSizes((max(1, data_rows),))
-        want = _float_oracle(path.read_text(), sizes)
+        want = _float_oracle(text, sizes)
         for chunk in (1, 5, 13, cli._CHUNK):
             with mock.patch.object(cli, "_CHUNK", chunk):
                 got = _read(path, sizes.sizes)
@@ -444,25 +476,6 @@ def test_levels_file_integer_read_matches_float_read(text):
             else:
                 assert isinstance(got, np.ndarray), (chunk, got)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), chunk
-
-
-def test_generated_levels_files_take_the_integer_read(tmp_path, monkeypatch):
-    # A generated levels file takes the one integer read; a values file
-    # never tries it. Both give the design's values.
-    taken = []
-    read = cli._levels_block
-    monkeypatch.setattr(cli, "_levels_block", lambda lines: taken.append(read(lines)) or taken[-1])
-    sizes = SliceSizes((3, 4, 9))
-    parsed = {}
-    for fmt in ("levels", "values"):
-        path = tmp_path / f"{fmt}.txt"
-        assert run_cli("generate", "--sizes", "3,4,9", "--dim", "4", "--seed", "11",
-                       "--format", fmt, "-o", str(path)) == 0
-        taken.clear()
-        parsed[fmt] = _parse_design_file(str(path), sizes).values
-        assert len(taken) == (fmt == "levels")
-        assert all(block is not None for block in taken)
-    assert np.array_equal(parsed["levels"], parsed["values"])
 
 
 @pytest.mark.parametrize(
