@@ -18,6 +18,10 @@ midpoints with one Generator.permuted call along the rows, which runs
 shuffle's Fisher-Yates on each column in turn and so draws exactly what a
 shuffle per column would; RLH shuffles its levels and subtracts its jitter
 from them. A swept method then runs one batch sweep over those same blocks.
+run_experiment sweeps the swept methods whose blocks cut the same rows
+together: ICLH with CSLH (one block a slice), and CLH too when t = 1. Each
+draws its replicates with its own streams into one stacked array, and one
+batch sweep restores each replicate onto its own method's midpoints.
 
 FSD (a flexible sliced design from other work) is recognized by name but
 not constructible here; requesting it is an error and reports mark its
@@ -43,11 +47,12 @@ SeedSequence + Philox per stream would.
 
 method_estimates draws, sweeps, evaluates and estimates one chunk at a
 time: at most _BUDGET design values (one design, if it holds more) and
-_MAX_CHUNK replicates, so memory stays bounded whatever R and n are. The
-draw keys all the chunk's streams in one call and draws them all in one
-pass, so no stream outlives its chunk and the failure step draws nothing.
-Every sum runs along one replicate's row, so the chunks change no bit; a
-custom integrand is called once per chunk.
+_MAX_CHUNK replicates, so memory stays bounded whatever R and n are; a group
+swept together shares the budget. The draw keys all the chunk's streams in
+one call and draws them all in one pass, so no stream outlives its chunk
+and the failure step draws nothing. Every sum runs along one replicate's
+row, so neither the chunks nor the groups change a bit; a custom integrand
+is called once per chunk.
 """
 
 from __future__ import annotations
@@ -315,23 +320,23 @@ def _trace_csv(trace: SweepTrace) -> str:
 
 # Design values drawn, swept, evaluated and estimated at once: every array
 # but the (R,) estimates holds at most this many (or one design's), whatever
-# R and n are.
+# R and n are; a group swept together shares it.
 _BUDGET = 2**16
 # Replicates in a chunk at most: its streams' key lists, about 150 B a stream
 # and up to 3 a replicate, are outside the value budget, so this bounds them.
 _MAX_CHUNK = 1024
 
 
-def _draws(method: str, cfg: ExperimentConfig, blocks, reps: range):
+def _draws(method: str, cfg: ExperimentConfig, blocks, reps: range, out=None):
     """Replicates ``reps``' designs on ``blocks`` (method_blocks of the
-    method's grid), failed blocks (one-slice-fails) and row assignments
-    (permutations of 0..n-1, on the full grid), or None: one pass over their
-    streams, keyed in one call in (replicate, role) order."""
+    method's grid), in ``out`` if given, failed blocks (one-slice-fails) and
+    row assignments (permutations of 0..n-1, on the full grid), or None: one
+    pass over their streams, keyed in one call in (replicate, role) order."""
     code, grid, _ = _METHODS[method]
     n, p, t, m = cfg.sizes.n, cfg.dim, cfg.sizes.t, len(reps)
     roles = 1 if cfg.scenario == SCENARIO_ALL else 3 if grid == "full" else 2
     gens = RngStream(cfg.seed).generators(code, reps, range(roles))
-    V = np.empty((m, n, p))
+    V = np.empty((m, n, p)) if out is None else out
     fail = np.empty(m, dtype=np.int64) if roles > 1 else None
     assign = np.broadcast_to(np.arange(n), (m, n)).copy() if roles > 2 else None
     if method == "RLH":
@@ -438,19 +443,60 @@ def method_estimates(
 ) -> np.ndarray:
     """Per-replicate estimates for one method, one chunk of replicates at a
     time (see the module docstring); exposed for verification."""
+    return _group_estimates((method,), cfg, custom_integrand)[0]
+
+
+def _method_groups(cfg: ExperimentConfig) -> list[tuple[str, ...]]:
+    """cfg.methods in groups, by first member: the swept methods whose
+    blocks cut the same rows (the whole design, or one block a slice) form
+    one, if a design of each fits the value budget; any other method is a
+    group of its own."""
+    groups: dict = {}
+    for method in cfg.methods:
+        _, grid, swept = _METHODS[method]
+        # Equal block counts are equal cuts: the full grid is one block, and
+        # the own and sliced grids are one block a slice.
+        key = (1 if grid == "full" else cfg.sizes.t) if swept else method
+        groups.setdefault(key, []).append(method)
+    out = []
+    for group in groups.values():
+        fits = len(group) * cfg.sizes.n * cfg.dim <= _BUDGET
+        out += [tuple(group)] if fits else [(method,) for method in group]
+    return out
+
+
+def _own_targets(blocks: list, m: int, p: int) -> list:
+    """One group's row blocks, each with every replicate's own targets
+    (k m, p, n_j): member i's midpoints for its m replicates, in order."""
+    return [(per[0][0], np.concatenate([np.broadcast_to(mids, (m, p, mids.size)) for _, mids in per]))
+            for per in zip(*blocks)]
+
+
+def _group_estimates(methods: tuple[str, ...], cfg: ExperimentConfig, custom_integrand) -> list:
+    """Per-replicate estimates for each of ``methods`` (one _method_groups
+    group), one chunk of replicates at a time: each method draws the chunk
+    with its own streams into one stacked array of at most _BUDGET values,
+    which one batch sweep sweeps if the methods are swept, each replicate
+    onto its own method's midpoints. A group of one keeps the shared
+    midpoints."""
     _check_custom(cfg, "custom_integrand", custom_integrand)
-    _, grid, swept = _METHODS[method]
-    blocks = method_blocks(grid, cfg.sizes)
-    chunk = min(_MAX_CHUNK, max(1, _BUDGET // (cfg.sizes.n * cfg.dim)))
-    est = np.empty(cfg.replicates)
+    blocks = [method_blocks(_METHODS[method][1], cfg.sizes) for method in methods]
+    n, p, k = cfg.sizes.n, cfg.dim, len(methods)
+    chunk = min(_MAX_CHUNK, max(1, _BUDGET // (n * p * k)))
+    est = [np.empty(cfg.replicates) for _ in methods]
     for first in range(0, cfg.replicates, chunk):
         reps = range(first, min(first + chunk, cfg.replicates))
-        V, fail, assign = _draws(method, cfg, blocks, reps)
-        if swept:
-            _sweep_batch(V, blocks)
-        F = _integrand_values(method, cfg, V, custom_integrand)
-        est[reps.start : reps.stop] = _scaled(lambda x: _estimates(cfg, x, fail, assign), F)
-        del V, F, assign  # freed before the next chunk is drawn: one chunk at a time
+        m = len(reps)
+        V = np.empty((k * m, n, p))
+        drawn = [_draws(method, cfg, own, reps, V[i * m:(i + 1) * m])
+                 for i, (method, own) in enumerate(zip(methods, blocks))]
+        if _METHODS[methods[0]][2]:
+            _sweep_batch(V, blocks[0] if k == 1 else _own_targets(blocks, m, p))
+        for method, (design, fail, assign), out in zip(methods, drawn, est):
+            F = _integrand_values(method, cfg, design, custom_integrand)
+            out[reps.start : reps.stop] = _scaled(lambda x: _estimates(cfg, x, fail, assign), F)
+        # Freed before the next chunk is drawn: one chunk at a time.
+        del V, F, drawn, design, assign
     return est
 
 
@@ -465,7 +511,16 @@ def run_experiment(
     runs are bit-identical.
     """
     mu = _true_mean(config, custom_true_mean)
-    rmse = {m: _rmse(method_estimates(m, config, custom_integrand) - mu) for m in config.methods}
+    rmse = {}
+    for group in _method_groups(config):
+        # Both arms compute the same estimates. A group of one still goes
+        # through method_estimates, the per-method entry point that
+        # perfbench's tracer spans, so its per-method timings keep their
+        # meaning for every method that is not co-swept.
+        est = ([method_estimates(group[0], config, custom_integrand)] if len(group) == 1
+               else _group_estimates(group, config, custom_integrand))
+        rmse.update((m, _rmse(e - mu)) for m, e in zip(group, est))
+    rmse = {m: rmse[m] for m in config.methods}
     return RmseReport(
         integrand=config.integrand,
         scenario=config.scenario,

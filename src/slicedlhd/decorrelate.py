@@ -36,9 +36,12 @@ sweep runs it, and so does _swept, reduce_correlations' design without the
 trace, which the command line writes unless a trace file is asked for. Both
 library drivers start from _slice_blocks: rms_correlation's checks and each
 slice's sorted columns. A pass reads only its own block's rows, so a block is
-one contiguous (column, row) array per replicate: reduce_correlations and
-_swept sweep each slice as a block of one, the benchmark a chunk of
-replicates at a time, so the chunk bounds its memory. Each replicate is swept
+one contiguous (column, row) array per replicate, and its rank restore takes
+targets shared by every replicate or each replicate's own.
+reduce_correlations and _swept sweep each slice as a block of one; the
+benchmark sweeps a chunk of replicates at a time, and the chunks of its
+methods whose blocks cut the same rows as one block, each replicate onto its
+own method's midpoints, so the chunk bounds its memory. Each replicate is swept
 to its own fixed point, and one check after each pass finds it. Write
 S_k = B(F(S_{k-1})), F the forward pass and its restore, B the backward one.
 If a pass's new output equals its own previous one, the next output of the
@@ -52,7 +55,7 @@ measure the same state, and pads the whole trace once no slice is left.
 Outputs and traces are bit-identical to running all iterations in full,
 unless a slice column holds both 0.0 and -0.0: then the sign of a zero can
 differ. Every sum runs along a block row, as for one replicate swept alone,
-so neither the chunk nor the stop moves a bit.
+so neither the chunk, nor a co-swept method, nor the stop moves a bit.
 
 The dot kernel is the only fork: a pass takes every row's dot with the
 covariate row in one call, a stacked matmul of residualize's 1-D BLAS dot in
@@ -211,9 +214,11 @@ def reduce_correlations(
 
 def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -> bool:
     """Sweep the block ``dest`` (m, n_j, p), a view, in place, in contiguous
-    (m, p, n_j) states, restoring onto ``targets`` (each row's sorted values,
-    or one (n_j,) row for all). A replicate at its fixed point is written
-    back to ``dest`` and drops out, and the rest are written back at the end.
+    (m, p, n_j) states, restoring onto ``targets``: each column's sorted
+    values (p, n_j), or one (n_j,) row for all, shared by every replicate;
+    or (m, p, n_j), each replicate's own. A replicate at its fixed point is
+    written back to ``dest`` and drops out, with its own targets, and the
+    rest are written back at the end.
     Returns whether any replicate still moves: False once every one has
     reached its fixed point."""
     # last[i] is pass i's last output, pass 0 the forward and 1 the backward
@@ -224,15 +229,22 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -
     m, p, n_j = last[1].shape
     # Flat start of each (replicate, column) row, for the rank-restore scatter.
     offsets = np.arange(0, last[1].size, n_j).reshape(m, p, 1)
-    # One midpoint row serves every column as it is (see _residual_pass).
-    forward, backward = (targets, targets) if targets.ndim == 1 else (targets[:-1], targets[1:])
-    passes = ((p - 1, slice(0, p - 1), forward), (0, slice(1, p), backward))
+    # Each pass's targets in C order, as the scatter reads them (see
+    # _residual_pass): one midpoint row serves every column as it is, and
+    # shared columns are views; a replicate's own are copied once.
+    if targets.ndim == 1:
+        pass_targets = [targets, targets]
+    elif targets.ndim == 2:
+        pass_targets = [targets[:-1], targets[1:]]
+    else:
+        pass_targets = [targets[:, :-1].copy(), targets[:, 1:].copy()]
+    steps = ((p - 1, slice(0, p - 1)), (0, slice(1, p)))
     live = np.arange(m)
     for _ in range(iterations):
-        for i, step in enumerate(passes):
+        for i, step in enumerate(steps):
             # Pass i reads the other pass's output and takes the place of its
             # own previous one, which is popped, compared and dropped.
-            last.insert(i, _residual_pass(last[i - 1], *step, offsets, dots))
+            last.insert(i, _residual_pass(last[i - 1], *step, pass_targets[i], offsets, dots))
             if last[i + 1] is None:
                 del last[i + 1]
                 continue
@@ -243,6 +255,8 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -
                 last, live = [out[moved] for out in last], live[moved]
                 if live.size == 0:
                     return False
+                if targets.ndim == 3:
+                    pass_targets = [own[moved] for own in pass_targets]
     dest[live] = last[1].transpose(0, 2, 1)
     return True
 
@@ -266,7 +280,8 @@ def _residual_pass(state, covariate: int, responses: slice, targets, offsets, do
     out[:, covariate] = state[:, covariate]
     # Rank restore, ties by position: each row's stable sort order, as flat
     # indices (``offsets`` is each row's flat start), and one flat scatter,
-    # which repeats ``targets`` for every replicate (a 1-D one every row).
+    # which repeats ``targets`` for every replicate (a 1-D one every row),
+    # or gives each replicate its own (m, r, n_j) rows.
     starts = offsets[: len(out), responses]
     if rows.shape[2] >= _LONG_ROW and rows.size >= _LONG_CALL:
         order = _tie_checked_order(out, rows, starts)
@@ -357,7 +372,8 @@ def _sweep_batch(
 
     ``stacked`` has shape (R, n, p); ``blocks`` pairs each slice's row range
     with its sorted targets: one midpoint vector (n_j,) for every column, or
-    (p, n_j) sorted columns. Each block is swept on its own (_sweep_block):
+    (p, n_j) sorted columns, shared by every design; or (R, p, n_j), each
+    design's own. Each block is swept on its own (_sweep_block):
     a few copies of it bound the temporaries.
     """
     if stacked.shape[2] >= 2:

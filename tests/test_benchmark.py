@@ -619,6 +619,74 @@ def test_estimates_do_not_depend_on_the_chunk(monkeypatch, integrand, dim):
                     assert shapes == want, (R, method, scenario)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4).filter(lambda s: sum(s) >= 2),
+    p=st.integers(2, 5),
+    R=st.integers(1, 12),
+    scenario=st.sampled_from(_SCENARIOS),
+    methods=st.permutations(("CLH", "ICLH", "CSLH", "MLH")),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from([None, 1, 200]),
+    fixed=st.booleans(),
+)
+@example(sizes=[5, 1, 4], p=2, R=98, scenario="one-slice-fails",
+         methods=("CLH", "ICLH", "CSLH", "MLH"), seed=3, budget=None, fixed=False)
+@example(sizes=[7], p=3, R=5, scenario="all-complete",
+         methods=("ICLH", "MLH", "CSLH", "CLH"), seed=1, budget=None, fixed=True)
+@example(sizes=[6, 2, 6], p=4, R=9, scenario="one-slice-fails",
+         methods=("CSLH", "CLH", "ICLH", "MLH"), seed=2, budget=200, fixed=True)
+def test_co_swept_group_estimates_equal_each_method_alone(sizes, p, R, scenario, methods, seed,
+                                                          budget, fixed):
+    # run_experiment sweeps ICLH and CSLH as one stacked batch, CLH too when
+    # t = 1, each replicate restored onto its own method's midpoints. Every
+    # member's estimates, and so its RMSE, must equal method_estimates' for
+    # it alone, bit for bit, in both scenarios and over several chunks (a
+    # patched value budget). A group whose designs pass the budget together
+    # is not formed. With ``fixed``, every other drawn replicate of a swept
+    # method starts at its fixed point (30 iterations in), so it leaves the
+    # stack, targets and all, after its first pass. The first example runs
+    # 98 replicates of (5, 1, 4), p = 2, seed 3; the design of
+    # RngStream(3).split(97), whose exact residual tie the two dot kernels
+    # order differently, is test_decorrelate's co-swept batch example.
+    sizes, methods = SliceSizes(tuple(sizes)), tuple(methods)
+    if scenario == "one-slice-fails" and sizes.t < 2:
+        scenario = "all-complete"
+    cfg = _config(integrand="custom", sizes=sizes, dim=p, methods=methods, replicates=R,
+                  scenario=scenario, seed=seed)
+    integrand = _mixed_integrand(3, "c")
+    groups = []
+    group_estimates, draws = benchmark._group_estimates, benchmark._draws
+
+    def spy(group, *args):
+        groups.append(group)
+        return group_estimates(group, *args)
+
+    def fixed_draws(method, cfg, blocks, reps, out=None):
+        V, fail, assign = draws(method, cfg, blocks, reps, out)
+        if benchmark._METHODS[method][2]:
+            benchmark._sweep_batch(V[::2], blocks, 30)
+        return V, fail, assign
+
+    with pytest.MonkeyPatch.context() as patched:
+        if budget is not None:
+            patched.setattr(benchmark, "_BUDGET", budget * sizes.n * p)
+        if fixed:
+            patched.setattr(benchmark, "_draws", fixed_draws)
+        patched.setattr(benchmark, "_group_estimates", spy)
+        report = run_experiment(cfg, custom_integrand=integrand, custom_true_mean=0.5)
+        swept = tuple(m for m in methods if m != "MLH" and (sizes.t == 1 or m != "CLH"))
+        co_swept = swept if budget != 1 else ()
+        assert [g for g in groups if len(g) > 1] == ([co_swept] if co_swept else [])
+        alone = {m: method_estimates(m, cfg, integrand) for m in methods}
+        for group in groups:
+            for m, est in zip(group, group_estimates(group, cfg, integrand)):
+                assert np.array_equal(est, alone[m]), (m, group)
+    assert tuple(report.rmse) == methods
+    for m in methods:
+        assert report.rmse[m] == benchmark._rmse(alone[m] - 0.5), m
+
+
 @pytest.mark.parametrize(
     "sizes, p, R",
     [((48,), 5, 1024), ((257,), 8, 70), ((12, 12, 12, 12), 5, 1024),
@@ -638,9 +706,9 @@ def test_chunks_tile_the_replicates_within_the_value_budget(monkeypatch, sizes, 
     chunks = []
     draw = benchmark._draws
 
-    def spy(method, cfg, blocks, reps):
+    def spy(method, cfg, blocks, reps, out=None):
         chunks.append(reps)
-        return draw(method, cfg, blocks, reps)
+        return draw(method, cfg, blocks, reps, out)
 
     monkeypatch.setattr(benchmark, "_draws", spy)
     est = method_estimates("MLH", cfg, lambda V: V[:, :, 0] * V[:, :, 1])
@@ -924,9 +992,9 @@ def test_non_callable_custom_integrand_is_rejected_before_any_draw(monkeypatch):
     drawn = []
     draw = benchmark._draws
 
-    def spy(method, cfg, blocks, reps):
+    def spy(method, cfg, blocks, reps, out=None):
         drawn.append(reps)
-        return draw(method, cfg, blocks, reps)
+        return draw(method, cfg, blocks, reps, out)
 
     monkeypatch.setattr(benchmark, "_draws", spy)
     with pytest.raises(ValueError, match="^custom_integrand must be callable, got 3$"):

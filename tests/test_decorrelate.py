@@ -1066,6 +1066,47 @@ def test_batch_sweep_equals_frozen_sweep(grid, sizes, p, R, fixed, seed, iterati
 
 @settings(max_examples=60, deadline=None)
 @given(
+    sizes=st.lists(_EDGE_BLOCK_SIZES, min_size=1, max_size=3).filter(lambda s: sum(s) >= 2),
+    p=st.integers(2, 8),
+    R=st.integers(1, 8),
+    fixed=st.lists(st.booleans(), min_size=8, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.integers(0, 200),
+    iterations=st.integers(1, 10),
+)
+@example(sizes=[5, 1, 4], p=2, R=1, fixed=[False] * 8, seed=3, first=97, iterations=10)
+@example(sizes=[6, 7], p=4, R=3, fixed=[True, False] * 4, seed=0, first=0, iterations=10)
+@example(sizes=[33], p=5, R=8, fixed=[False, True, True, False] * 2, seed=1, first=0,
+         iterations=10)
+def test_batch_sweep_with_own_targets_equals_each_grid_alone(sizes, p, R, fixed, seed, first,
+                                                              iterations):
+    # The benchmark's co-swept batch: R replicates of each grid whose blocks
+    # cut the same rows (own and sliced; full too, when t = 1), stacked, each
+    # restored onto its own grid's midpoints. Every replicate must come out
+    # as the oracle sweeps its grid's batch alone, bit for bit. The first
+    # example holds the design whose exact residual tie the two dot kernels
+    # order differently (see test_swept_equals_reduce_correlations).
+    # Replicates marked ``fixed`` start at the oracle's fixed point (or 30
+    # iterations in), so they leave the stack, targets and all, at once.
+    sizes = SliceSizes(tuple(sizes))
+    grids = ("own", "sliced") + (("full",) if sizes.t == 1 else ())
+    alone, blocks = [], []
+    for grid in grids:
+        blocks.append(method_blocks(grid, sizes))
+        stacked = np.stack([_draw(grid, sizes, p, RngStream(seed).split(first + r))
+                            for r in range(R)])
+        for r in range(R):
+            if fixed[r]:
+                frozen_sweep_batch(stacked[r:r + 1], blocks[-1], 30)
+        alone.append(stacked)
+    want = np.concatenate([frozen_sweep_batch(a.copy(), b, iterations) for a, b in zip(alone, blocks)])
+    batch = np.concatenate(alone)
+    _sweep_batch(batch, benchmark._own_targets(blocks, R, p), iterations)
+    assert np.array_equal(batch, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     family=st.sampled_from(["sliced", "independent", "jittered"]),
     sizes=st.lists(_EDGE_BLOCK_SIZES, min_size=1, max_size=4).filter(lambda s: 2 <= sum(s) <= 300),
     p=st.integers(2, 8),
