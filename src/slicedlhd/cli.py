@@ -20,6 +20,7 @@ import argparse
 import contextlib
 import functools
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -79,12 +80,23 @@ def _design_text(design: Design, seed: int, decorrelated: bool, fmt: str) -> str
     return "\n".join(lines) + "\n"
 
 
+def _keep_contents(path: Path, flags: int) -> int:
+    """open()'s opener for "w" without O_TRUNC: see _write_text."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_text(path: str | None, text: str) -> int:
+    # An existing file is rewritten in place and then cut to length: ext4
+    # flushes a file truncated to zero when it is closed, a stall on every
+    # rewrite. Only a regular file can be cut (not /dev/null or a pipe).
     if path is None or path == "-":
         sys.stdout.write(text)
         return 0
     try:
-        Path(path).write_text(text)
+        with open(Path(path), "w", opener=_keep_contents) as out:
+            out.write(text)
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 3
