@@ -255,9 +255,10 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-# Built once per process: parse_args leaves the parser as it was.
+# Built once per process: parse_args leaves the parsers as they were.
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser, and each command's own parser by command name."""
     parser = argparse.ArgumentParser(
         prog="slicedlhd",
         description="Sliced Latin hypercube designs with unequal batch sizes.",
@@ -291,13 +292,22 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("config", help="JSON experiment config")
     ben.add_argument("-o", "--output", default=None, help="JSON report file (- for stdout)")
     ben.set_defaults(func=_cmd_bench)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        # A known command's arguments go straight to its parser, which the
+        # full parser would hand them to after a scan of its own. Anything
+        # else, extra arguments too, takes the full parse, so argparse's
+        # usage lines and messages are its own.
+        args, extras = None, True
+        if argv and argv[0] in commands:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     return args.func(args)

@@ -540,6 +540,112 @@ _BENCH_CONFIG = {
 }
 
 
+# Argument vectors for main: help, a missing or unknown command, an option
+# before the command, extra arguments, abbreviations, --opt=value, "--",
+# bad types and values, and the validate and bench errors. "design.txt" and
+# "small.cfg" exist in the test's directory; "missing.cfg" does not.
+_ARGV_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-x"],
+    ["nonsense"],
+    ["gen", "--sizes", "3,4"],
+    ["--", "generate", "--sizes", "3,4"],
+    ["--seed", "3", "generate", "--sizes", "3,4"],
+    ["generate"],
+    ["generate", "-h"],
+    ["generate", "--sizes", "3,4", "--help"],
+    ["generate", "--sizes", "3,4", "--bogus"],
+    ["generate", "--sizes", "3,4", "extra"],
+    ["generate", "--sizes", "3,4", "--seed", "2", "--", "extra"],
+    ["generate", "--sizes", "3,4", "--seed", "2", "--"],
+    ["generate", "--", "--sizes", "3,4"],
+    ["generate", "--sizes", "3,4", "--dec", "--iter", "2", "--se", "1"],
+    ["generate", "--sizes=3,4", "--dim=3", "--seed=2", "--format=values"],
+    ["generate", "--sizes", "3,4", "--d", "2"],
+    ["generate", "--sizes", "3,4", "--dim", "x"],
+    ["generate", "--sizes", "3,4", "--dim"],
+    ["generate", "--sizes", "abc"],
+    ["generate", "--sizes", "0,5"],
+    ["generate", "--sizes", "3,4", "--format", "csv"],
+    ["generate", "--sizes", "3,4", "--seed", "-1"],
+    ["generate", "--sizes", "3,4", "--trace-out", "t.csv"],
+    ["validate"],
+    ["validate", "-h"],
+    ["validate", "design.txt"],
+    ["validate", "--sizes", "3,4"],
+    ["validate", "design.txt", "design.txt", "--sizes", "3,4"],
+    ["validate", "design.txt", "--sizes", "3,4", "--bogus"],
+    ["validate", "design.txt", "--sizes", "4,3"],
+    ["validate", "design.txt", "--sizes", "3,4"],
+    ["validate", "--siz", "3,4", "design.txt"],
+    ["validate", "missing.txt", "--sizes", "3,4"],
+    ["bench"],
+    ["bench", "-h"],
+    ["bench", "small.cfg", "small.cfg"],
+    ["bench", "small.cfg", "--output"],
+    ["bench", "small.cfg", "--bogus"],
+    ["bench", "missing.cfg"],
+    ["bench", "small.cfg", "--out", "-"],
+]
+
+
+def _full_parse_main(argv) -> int:
+    # main as it was before each command parsed its own arguments: every
+    # argv through the full parser, which hands the command's part on.
+    try:
+        args = cli._build_parser()[0].parse_args(argv)
+    except SystemExit as exc:
+        return int(exc.code) if exc.code else 0
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", _ARGV_CORPUS, ids=" ".join)
+def test_main_reads_every_argv_as_the_full_parser_does(tmp_path, monkeypatch, capsys, argv):
+    # Same exit code, stdout and stderr: argparse's usage lines and
+    # messages, and the command's own output where the argv parses.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "small.cfg").write_text(json.dumps(_BENCH_CONFIG))
+    assert run_cli("generate", "--sizes", "3,4", "--seed", "2", "-o", "design.txt") == 0
+    capsys.readouterr()
+    want_rc = _full_parse_main(argv)
+    want = capsys.readouterr()
+    assert main(argv) == want_rc
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["generate", "--sizes", "3,4", "--seed", "2", "-o", "design.txt"], 0),
+    (["generate", "--sizes=3,4", "--dec", "--iter", "2", "-o", "design.txt"], 0),
+    (["validate", "design.txt", "--sizes", "3,4"], 0),
+    (["bench", "missing.cfg"], 2),
+])
+def test_a_valid_command_argv_is_parsed_once(tmp_path, monkeypatch, argv, rc):
+    # The command's own parser reads its arguments; the full parser, which
+    # would scan the argv and then hand it on, is never asked.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("generate", "--sizes", "3,4", "-o", "design.txt") == 0
+    parser, _ = cli._build_parser()
+
+    def no_full_parse(*args, **kwargs):
+        raise AssertionError("the full parser parsed a valid command argv")
+
+    monkeypatch.setattr(parser, "parse_known_args", no_full_parse)
+    assert main(argv) == rc
+
+
+def test_main_reads_sys_argv_and_takes_a_tuple(monkeypatch, capsys):
+    argv = ["generate", "--sizes", "3,4", "--dim", "3", "--seed", "9"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["slicedlhd", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == want
+    assert main(tuple(argv)) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_bench_rejects_replicates_past_the_stream_limit(tmp_path, capsys, monkeypatch):
     # More replicates than RngStream.generators can key is a bad config:
     # exit 2 and one line, before anything is drawn or allocated.
