@@ -42,7 +42,14 @@ reduce_correlations and _swept sweep each slice as a block of one; the
 benchmark sweeps a chunk of replicates at a time, and the chunks of its
 methods whose blocks cut the same rows as one block, each replicate onto its
 own method's midpoints, so the chunk bounds its memory. Each replicate is swept
-to its own fixed point, and one check after each pass finds it. Write
+to its own fixed point, and one check after each pass finds it. A block of
+one replicate is swept on its own (p, n_j) state: one whole-array comparison
+after a pass finds its fixed point, which ends the call, and its slope guard
+is one Python scalar. Only a batch of several keeps the bookkeeping of which
+replicates still move: a mask per pass, their indices into the block, and
+the compaction of states, own targets and scatter starts when some stop.
+The pass, the slope step and both dot kernels take either rank, so the two
+run the same arithmetic on the same rows. Write
 S_k = B(F(S_{k-1})), F the forward pass and its restore, B the backward one.
 If a pass's new output equals its own previous one, the next output of the
 other pass does too, and so on: the replicate is at its fixed point. After a
@@ -214,24 +221,31 @@ def reduce_correlations(
 
 def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -> bool:
     """Sweep the block ``dest`` (m, n_j, p), a view, in place, in contiguous
-    (m, p, n_j) states, restoring onto ``targets``: each column's sorted
-    values (p, n_j), or one (n_j,) row for all, shared by every replicate;
-    or (m, p, n_j), each replicate's own. A replicate at its fixed point is
-    written back to ``dest`` and drops out, with its own targets, and the
-    rest are written back at the end.
+    (m, p, n_j) states, or (p, n_j) ones when m = 1, restoring onto
+    ``targets``: each column's sorted values (p, n_j), or one (n_j,) row for
+    all, shared by every replicate; or (m, p, n_j), each replicate's own. A
+    replicate at its fixed point is written back to ``dest`` and drops out,
+    with its own targets, and the rest are written back at the end.
     Returns whether any replicate still moves: False once every one has
     reached its fixed point."""
+    # A block of one replicate is swept as its own (p, n_j) state: its fixed
+    # point ends the call, so it needs none of the batch's bookkeeping below
+    # (which replicates still move, and the compaction when some stop); its
+    # one write-back index is the whole state, ``...``.
+    one = len(dest) == 1
+    home = dest[0] if one else dest
     # last[i] is pass i's last output, pass 0 the forward and 1 the backward
     # pass; None (the first forward pass has nothing to repeat) and the input
     # stand in for them at the start. A spent state is dropped at once, never
     # held under another name.
-    last = [None, dest.transpose(0, 2, 1).copy()]
-    m, p, n_j = last[1].shape
-    # Flat start of each (replicate, column) row, for the rank-restore scatter.
-    offsets = np.arange(0, last[1].size, n_j).reshape(m, p, 1)
-    # Each pass's targets in C order, as the scatter reads them (see
+    last = [None, home.swapaxes(-1, -2).copy()]
+    p, n_j = last[1].shape[-2:]
+    # Each pass's response rows' flat starts, for the rank-restore scatter,
+    # and its targets in C order, as the scatter reads them (see
     # _residual_pass): one midpoint row serves every column as it is, and
     # shared columns are views; a replicate's own are copied once.
+    offsets = np.arange(0, last[1].size, n_j).reshape(last[1].shape[:-1] + (1,))
+    starts = [offsets[..., :-1, :], offsets[..., 1:, :]]
     if targets.ndim == 1:
         pass_targets = [targets, targets]
     elif targets.ndim == 2:
@@ -239,51 +253,58 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -
     else:
         pass_targets = [targets[:, :-1].copy(), targets[:, 1:].copy()]
     steps = ((p - 1, slice(0, p - 1)), (0, slice(1, p)))
-    live = np.arange(m)
+    live = ... if one else np.arange(len(dest))
     for _ in range(iterations):
         for i, step in enumerate(steps):
             # Pass i reads the other pass's output and takes the place of its
             # own previous one, which is popped, compared and dropped.
-            last.insert(i, _residual_pass(last[i - 1], *step, pass_targets[i], offsets, dots))
+            last.insert(i, _residual_pass(last[i - 1], *step, pass_targets[i], starts[i], dots))
             if last[i + 1] is None:
                 del last[i + 1]
                 continue
-            moved = (last.pop(i + 1) != last[i]).any(axis=(1, 2))
+            moved = last.pop(i + 1) != last[i]
+            if one:
+                if np.count_nonzero(moved):
+                    continue
+                home[live] = last[1].T
+                return False
+            moved = moved.any(axis=(1, 2))
             if np.count_nonzero(moved) < live.size:
                 # A repeat is the fixed point, and last[1] holds it.
                 dest[live[~moved]] = last[1][~moved].transpose(0, 2, 1)
                 last, live = [out[moved] for out in last], live[moved]
                 if live.size == 0:
                     return False
+                starts = [rows[: live.size] for rows in starts]
                 if targets.ndim == 3:
                     pass_targets = [own[moved] for own in pass_targets]
-    dest[live] = last[1].transpose(0, 2, 1)
+    home[live] = last[1].swapaxes(-1, -2)
     return True
 
 
-def _residual_pass(state, covariate: int, responses: slice, targets, offsets, dots):
-    """``state`` (m, p, n_j) with its ``responses`` rows residualized on the
-    ``covariate`` row, all read as the pass starts, and rank-restored onto
-    ``targets``, their sorted values: a new array; ``state`` is left as it is.
+def _residual_pass(state, covariate: int, responses: slice, targets, starts, dots):
+    """``state`` (m, p, n_j), or (p, n_j), with its ``responses`` rows
+    residualized on the ``covariate`` row, all read as the pass starts, and
+    rank-restored onto ``targets``, their sorted values: a new array;
+    ``state`` is left as it is.
 
     Each sum runs along one contiguous row, and add.reduce / n_j is
-    np.mean's own arithmetic. ``dots(centred, covariate)`` gives the (m, p)
-    row dots; its kernel sets the order of exactly tied residuals, so
-    neither may change."""
-    out = state - np.add.reduce(state, axis=2, keepdims=True) / state.shape[2]
+    np.mean's own arithmetic. ``dots(centred, covariate)`` gives the (m, p),
+    or (p,), row dots; its kernel sets the order of exactly tied residuals,
+    so neither may change."""
+    out = state - np.add.reduce(state, axis=-1, keepdims=True) / state.shape[-1]
     slope = _slopes(dots(out, covariate), covariate, responses)
     # The responses' centred rows are spent: they take slope * cd, then the
     # residuals, while the covariate row takes its values back.
-    rows = out[:, responses]
-    np.multiply(slope[:, :, None], out[:, covariate, None], out=rows)
-    np.subtract(state[:, responses], rows, out=rows)
-    out[:, covariate] = state[:, covariate]
+    rows = out[..., responses, :]
+    np.multiply(slope[..., None], out[..., covariate, None, :], out=rows)
+    np.subtract(state[..., responses, :], rows, out=rows)
+    out[..., covariate, :] = state[..., covariate, :]
     # Rank restore, ties by position: each row's stable sort order, as flat
-    # indices (``offsets`` is each row's flat start), and one flat scatter,
-    # which repeats ``targets`` for every replicate (a 1-D one every row),
-    # or gives each replicate its own (m, r, n_j) rows.
-    starts = offsets[: len(out), responses]
-    if rows.shape[2] >= _LONG_ROW and rows.size >= _LONG_CALL:
+    # indices (``starts`` is each response row's flat start), and one flat
+    # scatter, which repeats ``targets`` for every replicate (a 1-D one every
+    # row), or gives each replicate its own (m, r, n_j) rows.
+    if rows.shape[-1] >= _LONG_ROW and rows.size >= _LONG_CALL:
         order = _tie_checked_order(out, rows, starts)
     else:
         order = rows.argsort(axis=-1, kind="stable")
@@ -301,12 +322,12 @@ def _tie_checked_order(out, rows, starts):
     returns. Equal neighbours in a row's sorted keys find every tie (+0.0
     and -0.0 too, as they compare equal; no NaN passes rms_correlation's
     checks). The keys are gathered _TIE_PIECE values at a time, whole
-    replicates a piece, so they add a bounded array; the first check runs
-    over a whole piece at once, and a match across two rows only costs the
-    per-row check."""
+    replicates a piece (whole rows, for one replicate's (r, n_j) rows), so
+    they add a bounded array; the first check runs over a whole piece at
+    once, and a match across two rows only costs the per-row check."""
     order = rows.argsort(axis=-1)
     order += starts
-    step = max(1, _TIE_PIECE // (rows.shape[1] * rows.shape[2]))
+    step = max(1, _TIE_PIECE // rows[0].size)
     for at in range(0, len(order), step):
         piece = order[at:at + step]
         keys = out.take(piece)
@@ -320,22 +341,28 @@ def _tie_checked_order(out, rows, starts):
 
 
 def _slopes(dots: np.ndarray, covariate: int, responses: slice) -> np.ndarray:
-    """The (m, r) slopes from a kernel's (m, p) dots, whose covariate entry is
-    the denominator; 0 on a constant covariate, of a sign that moves only a
-    residual's zero, which the rank restore overwrites (+0.0 == -0.0)."""
+    """The (m, r), or (r,), slopes from a kernel's (m, p), or (p,), dots,
+    whose covariate entry is the denominator; 0 on a constant covariate, of a
+    sign that moves only a residual's zero, which the rank restore
+    overwrites (+0.0 == -0.0). One replicate's guard is a Python scalar."""
+    if dots.ndim == 1:
+        den = dots.item(covariate)
+        return dots[responses] / (den if den > 0 else np.inf)
     den = dots[:, covariate, None]
     return dots[:, responses] / np.where(den > 0, den, np.inf)
 
 
 def _einsum_dots(centred, covariate: int) -> np.ndarray:
-    """The (m, p) row dots by one row-wise einsum, which calls no BLAS."""
-    return np.einsum("ikj,ij->ik", centred, centred[:, covariate, :])
+    """The (m, p), or (p,), row dots by one row-wise einsum, which calls no
+    BLAS."""
+    return np.einsum("...kj,...j->...k", centred, centred[..., covariate, :])
 
 
 def _blas_dots(centred, covariate: int) -> np.ndarray:
-    """The (m, p) row dots by one stacked (1, n_j) @ (n_j, 1) matmul: each is
-    residualize's 1-D BLAS dot (``centred @ cd[..., None]``, a gemv, is not)."""
-    return (centred[:, :, None, :] @ centred[:, None, covariate, :, None])[..., 0, 0]
+    """The (m, p), or (p,), row dots by one stacked (1, n_j) @ (n_j, 1)
+    matmul: each is residualize's 1-D BLAS dot (``centred @ cd[..., None]``,
+    a gemv, is not)."""
+    return (centred[..., None, :] @ centred[..., None, covariate, :, None])[..., 0, 0]
 
 
 def _slice_blocks(design: Design) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:

@@ -13,7 +13,8 @@ All strata are checked in one O(n p) pass: each entry is binned at n and at
 its slice's n_j, with no search, and marks its bin in one flat array of
 k + 2 bins per (stratum, column). A stratum's k rows fill its k bins iff all
 are marked, so the binning and counting calls do not grow with the slice
-count.
+count. A one-slice design's slice is the whole grid, so its entries are
+binned once, and the slice's flags are the grid's.
 """
 
 from __future__ import annotations
@@ -86,13 +87,14 @@ def validate_sliced(design: Design) -> ValidationReport:
     # Stratum 0 is the whole grid, stratum j+1 slice j; each has k rows and
     # k bins. Stratum s, column l owns the k_s + 2 flat bins from first[s, l],
     # the outer two for entries outside (0, 1]. Row r is in strata[0, r] = 0
-    # and in its slice's, strata[1, r].
-    k = np.array((n,) + sizes.sizes)
+    # and in its slice's, strata[1, r]. One slice is stratum 0 itself.
+    slices = sizes.sizes if sizes.t > 1 else ()
+    k = np.array((n,) + slices)
     width = np.repeat(k + 2, p)
     ends = np.cumsum(width)
     first, last = (ends - width).reshape(-1, p), (ends - 1).reshape(-1, p)
-    strata = np.zeros((2, n), dtype=np.intp)
-    for j, rows in enumerate(sizes.rows):
+    strata = np.zeros((2 if slices else 1, n), dtype=np.intp)
+    for j, rows in enumerate(sizes.rows if slices else ()):
         strata[1, rows] = j + 1
     row_k = k[strata][..., None].astype(np.float64)
     hit = np.zeros(ends[-1], dtype=bool)
@@ -113,9 +115,10 @@ def validate_sliced(design: Design) -> ValidationReport:
     # A stratum's k rows fill its k bins iff every one is marked; so are the outer two.
     hit[first] = hit[last] = True
     ok = np.logical_and.reduceat(hit, first.ravel()).reshape(-1, p)
+    # The last t strata are the slices: with one slice, the whole grid.
     return ValidationReport(
         column_ok=tuple(ok[0].tolist()),
-        slice_ok=tuple(map(tuple, ok[1:].tolist())),
+        slice_ok=tuple(map(tuple, ok[-sizes.t:].tolist())),
         midpoints_exact=exact,
         n=n,
         p=p,

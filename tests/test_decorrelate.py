@@ -329,7 +329,7 @@ def test_reduce_correlations_equals_literal_loops(sizes, p, seed, first, iterati
 
 @settings(max_examples=60, deadline=None)
 @given(
-    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6).filter(lambda s: sum(s) >= 2),
+    sizes=st.lists(st.integers(1, 60), min_size=1, max_size=6).filter(lambda s: sum(s) >= 2),
     p=st.integers(2, 8),
     seed=st.integers(0, 2**32 - 1),
     first=st.integers(0, 200),
@@ -788,6 +788,81 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
     assert np.array_equal(batch, want)
 
 
+def _settled(block, targets, dots):
+    # ``block`` (1, n_j, p) moved to its fixed point under ``dots``, by a
+    # batch of two copies of it (or 30 iterations in, where it has none);
+    # returns whether it is there.
+    twice = np.concatenate([block] * 2)
+    own = np.concatenate([targets] * 2) if targets.ndim == 3 else targets
+    moving = _sweep_block(twice, own, 30, dots)
+    block[0] = twice[0]
+    return not moving
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 60), min_size=1, max_size=4),
+    p=st.integers(2, 8),
+    R=st.integers(2, 5),
+    fixed=st.lists(st.booleans(), min_size=5, max_size=5),
+    kind=st.sampled_from(["row", "columns", "own"]),
+    dots=st.sampled_from([_blas_dots, _einsum_dots]),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.integers(0, 200),
+    iterations=st.sampled_from([1, 10]),
+)
+@example(sizes=[5, 1, 4], p=2, R=2, fixed=[False] * 5, kind="columns", dots=_blas_dots,
+         seed=3, first=97, iterations=10)
+@example(sizes=[5, 1, 4], p=2, R=2, fixed=[False] * 5, kind="columns", dots=_blas_dots,
+         seed=3, first=97, iterations=1)
+@example(sizes=[5, 1, 4], p=2, R=2, fixed=[False] * 5, kind="row", dots=_einsum_dots,
+         seed=3, first=97, iterations=10)
+@example(sizes=[6, 7], p=4, R=3, fixed=[True] * 5, kind="columns", dots=_blas_dots,
+         seed=0, first=0, iterations=1)
+@example(sizes=[6, 7], p=4, R=3, fixed=[True] * 5, kind="own", dots=_einsum_dots,
+         seed=0, first=0, iterations=10)
+def test_a_replicate_swept_alone_equals_it_swept_in_a_batch(sizes, p, R, fixed, kind, dots, seed,
+                                                             first, iterations):
+    # A block of one replicate is swept on its own (p, n_j) state, without
+    # the batch's bookkeeping; it must leave each replicate, bit for bit, as
+    # a batch of several does, under either dot kernel, for one iteration
+    # (reduce_correlations' call) and for ten (_swept's). Its flag must say
+    # whether it still moves: the batch moves iff some replicate does, and a
+    # stack of two copies of a replicate as that replicate alone. The first
+    # examples are the exact residual tie of the library kernel (slice 0 of
+    # sizes (5, 1, 4), p = 2, RngStream(3).split(97)); a ``fixed`` replicate
+    # starts at its own fixed point, so the one-replicate call stops after
+    # its first backward pass.
+    sizes = SliceSizes(tuple(sizes))
+    stacked = np.stack([_draw("sliced", sizes, p, RngStream(seed).split(first + r))
+                        for r in range(R)])
+    for rows, mids in method_blocks("sliced", sizes):
+        if mids.size < 2:
+            continue
+        if kind == "row":
+            targets = [mids] * R
+        elif kind == "columns":
+            targets = [np.tile(mids, (p, 1))] * R
+        else:  # each replicate its own columns: its block's, sorted
+            targets = [np.sort(stacked[r, rows].T, axis=1)[None] for r in range(R)]
+        blocks = stacked[:, rows, :].copy()
+        settled = [fixed[r] and _settled(blocks[r:r + 1], targets[r], dots) for r in range(R)]
+        batch = blocks.copy()
+        batch_targets = np.concatenate(targets) if kind == "own" else targets[0]
+        moves = _sweep_block(batch, batch_targets, iterations, dots)
+        flags = []
+        for r in range(R):
+            alone = blocks[r:r + 1].copy()
+            flags.append(_sweep_block(alone, targets[r], iterations, dots))
+            assert alone[0].tobytes() == batch[r].tobytes(), (rows, r)
+            twice = np.concatenate([blocks[r:r + 1]] * 2)
+            two_targets = np.concatenate([targets[r]] * 2) if kind == "own" else targets[r]
+            assert _sweep_block(twice, two_targets, iterations, dots) is flags[-1], (rows, r)
+            if settled[r]:
+                assert flags[-1] is False
+        assert moves is any(flags), rows
+
+
 def test_reduce_correlations_holds_no_sweep_state_between_iterations():
     # The sweep copies the design once and each slice's sorted columns once;
     # a slice's sweep states live only through its own call, and each trace
@@ -929,8 +1004,8 @@ def _pass_case(m, p, n_j, seed, dots):
     state = rng.integers(0, 4, (m, p, n_j)).astype(np.float64)
     state[:, 0] = 0.5
     targets = np.broadcast_to(np.arange(n_j) / n_j, (p - 1, n_j))
-    offsets = np.arange(0, state.size, n_j).reshape(m, p, 1)
-    return state, (0, slice(1, p), targets, offsets, dots)
+    starts = np.arange(0, state.size, n_j).reshape(m, p, 1)[:, 1:]
+    return state, (0, slice(1, p), targets, starts, dots)
 
 
 def _calls_of_the_tie_check(monkeypatch):
@@ -974,6 +1049,39 @@ def test_residual_pass_takes_the_tie_check_by_its_rule_and_restores_stably(
     monkeypatch.setattr(decorrelate, "_LONG_ROW", 0)
     monkeypatch.setattr(decorrelate, "_LONG_CALL", 0)
     assert np.array_equal(got, decorrelate._residual_pass(state, *step))
+
+
+@pytest.mark.parametrize("n_j, p, checked", [
+    (400, 4, True),      # 1,200 response values a pass, rows of 400
+    (12, 87, True),      # rows of 12, the shortest the rule takes: 1,032 values
+    (1024, 2, True),     # one row of 1,024 values
+    (11, 100, False),    # rows of 11: 1,089 values, too short a row
+    (1023, 2, False),    # too small a call
+    (60, 8, False),      # the command line's largest slice: 420 values
+])
+def test_one_replicate_block_keeps_the_rank_restore_rule(monkeypatch, n_j, p, checked):
+    # A block of one replicate is swept on its (p, n_j) state, and its rank
+    # restore keeps the rule: rows of _LONG_ROW values or more, in passes of
+    # _LONG_CALL response values or more, take _tie_checked_order, and a
+    # command-line-sized block does not. Either way it restores as the
+    # stable sort does, so every bit is the all-stable sweep's.
+    design = generate_sliced_lhd(SliceSizes((n_j,)), p, RngStream(n_j * p)).values
+    (_, mids), = method_blocks("full", SliceSizes((n_j,)))
+    calls = _calls_of_the_tie_check(monkeypatch)
+    got = design[None].copy()
+    _sweep_block(got, mids, 3, _blas_dots)
+    if checked:
+        assert calls and all(len(shape) == 2 for shape in calls)
+        assert all(shape[1] >= decorrelate._LONG_ROW for shape in calls)
+        assert all(shape[0] * shape[1] >= decorrelate._LONG_CALL for shape in calls)
+    else:
+        assert calls == []
+    monkeypatch.setattr(decorrelate, "_tie_checked_order", _stable_order)
+    monkeypatch.setattr(decorrelate, "_LONG_ROW", 0)
+    monkeypatch.setattr(decorrelate, "_LONG_CALL", 0)
+    want = design[None].copy()
+    _sweep_block(want, mids, 3, _blas_dots)
+    assert np.array_equal(got, want)
 
 
 def test_clh_block_takes_the_tie_check_and_cli_blocks_do_not(monkeypatch):

@@ -162,6 +162,63 @@ def test_validate_sliced_bins_midpoints_on_slice_edges_exactly():
         assert validate_sliced(d).all_pass, seed
 
 
+def _one_slice_columns(n, seed):
+    # A one-slice design of n runs whose columns are, in order: midpoints,
+    # jittered within their bins, midpoints with a NaN, with an entry above
+    # 1, with an entry at 0, and with two entries in one bin.
+    rng = np.random.default_rng(seed)
+    mids = level_midpoints(rng.permutation(np.arange(1, n + 1)), n)
+    jittered = (np.ceil(mids * n) - rng.uniform(0.05, 0.95, n)) / n
+    broken = np.tile(mids, (4, 1))
+    broken[0, rng.integers(n)] = np.nan
+    broken[1, rng.integers(n)] = np.nextafter(1.0, 2.0)
+    broken[2, rng.integers(n)] = 0.0
+    i, k = rng.choice(n, 2, replace=False)
+    broken[3, i] = mids[k]
+    return np.column_stack([mids, jittered, *broken])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+@example(n=3, seed=0)
+def test_one_slice_design_reports_the_grid_flags_for_its_slice(n, seed):
+    # A one-slice design's slice is the whole grid: its slice flags are the
+    # grid's, as when both were binned, column by column, with midpoints,
+    # jittered, NaN, out-of-range and doubled-bin columns. Each verdict is
+    # the brute-force counter's, and the report reads as it did.
+    values = _one_slice_columns(n, seed)
+    report = validate_sliced(Design(values, SliceSizes((n,))))
+    want = (True, True, False, False, False, False)
+    assert report.column_ok == want
+    assert report.column_ok == tuple(_brute_force_fills(values[:, l], n, n) for l in range(6))
+    assert report.slice_ok == (want,)
+    assert not report.midpoints_exact
+    assert report.render().splitlines()[-2:] == ["midpoint exactness: FAIL", "overall: FAIL"]
+    clean = validate_sliced(Design(values[:, :1], SliceSizes((n,))))
+    assert (clean.column_ok, clean.slice_ok, clean.midpoints_exact) == ((True,), ((True,),), True)
+
+
+def test_one_slice_design_bins_each_entry_once(monkeypatch):
+    # The one slice is the whole grid, so each entry is binned once; a
+    # design of more slices bins each at n and at its slice's n_j. 50,000
+    # rows at p = 3 take three chunks of the pass.
+    import slicedlhd.validate as validate
+
+    binned = []
+    bin_index = validate._bin_index
+
+    def spy(values, k):
+        binned.append(np.broadcast(values, k).size)
+        return bin_index(values, k)
+
+    monkeypatch.setattr(validate, "_bin_index", spy)
+    for sizes, once in [((7,), True), ((50_000,), True), ((3, 4), False)]:
+        binned.clear()
+        design = generate_sliced_lhd(SliceSizes(sizes), 3, RngStream(0))
+        assert validate_sliced(design).all_pass
+        assert sum(binned) == (1 if once else 2) * design.values.size, sizes
+
+
 def _brute_force_fills(column, bins, n):
     # Does each right-closed bin ((m-1)/bins, m/bins] hold one entry,
     # counted in exact rationals? A float equal to a midpoint (2a-1)/(2n)
