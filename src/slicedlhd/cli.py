@@ -250,7 +250,7 @@ def _cmd_bench(args) -> int:
     report = run_experiment(config)
     print(render_table([report]))
     print(f"replicates: {report.replicates}   true mean: {report.true_mean!r}")
-    if args.output:
+    if args.output is not None:
         return _write_text(args.output, report.to_json() + "\n")
     return 0
 

@@ -6,13 +6,13 @@ partitions, design matrices, the grid's one bin rule (``_bin_index``), and a
 reproducible RNG stream that can be split per (slice, column) or per (method,
 replicate) without aliasing.
 
-A stream's generator is numpy's own SeedSequence + Philox. For the streams
+A stream draws what numpy's own SeedSequence + Philox draw. For the streams
 of a product of path components, such as one per (slice, column) of a design
 or one per benchmark replicate, ``RngStream.generators`` lets SeedSequence
 hash the seed and the fixed path prefix, then goes on with its hash in uint32
 array arithmetic: every further word for all the streams and all four pool
-lanes at once, and one Philox is re-keyed to each result. It draws the same
-numbers as the per-stream ``generator`` at a small part of its cost.
+lanes at once, and one Philox is re-keyed to each result. ``generator`` is
+its one-stream case, so a SeedSequence is built in that one place.
 """
 
 from __future__ import annotations
@@ -226,12 +226,12 @@ class RngStream:
 
     A stream is identified by (seed, path). ``split`` extends the path;
     distinct paths never alias because they map to distinct SeedSequence
-    spawn keys. ``generator`` materializes a fresh counter-based generator,
-    so the same stream always replays the same draws. ``generators(*c)``
-    yields the generators of every stream in a row-major product of path
-    components, such as ``generators(range(t), range(p))``, keyed in one
-    batched hash. The seed and every path component must be nonnegative
-    integers.
+    spawn keys. ``generators(*c)`` yields the generators of every stream in
+    a row-major product of path components, such as
+    ``generators(range(t), range(p))``, keyed in one batched hash, and
+    ``generator`` is its one-stream case, ``generators()``: a fresh
+    counter-based generator, so the same stream always replays the same
+    draws. The seed and every path component must be nonnegative integers.
     """
 
     seed: int
@@ -248,18 +248,17 @@ class RngStream:
         return RngStream(self.seed, self.path + components)
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(seq))
+        return next(self.generators())
 
     def generators(self, *components):
         """The generator of ``self.split(*c)`` for each c in the row-major
         product of ``components``: an integer is fixed, and a range of step 1
         within [0, 2**32] varies.
 
-        Draws what ``generator`` draws on each stream, but keys them all in
-        one vectorized SeedSequence hash and re-keys a single Philox for each.
-        That one Generator is yielded every time: each is valid only until
-        the next one is drawn.
+        Draws what numpy's own SeedSequence + Philox draw on each stream,
+        but keys them all in one vectorized SeedSequence hash and re-keys a
+        single Philox for each. That one Generator is yielded every time:
+        each is valid only until the next one is drawn.
         """
         fixed = tuple(takewhile(lambda c: not isinstance(c, range), components))
         prefix = self.path + _path_components(fixed)

@@ -30,26 +30,27 @@ rows with an equal pair are sorted again, stably (_tie_checked_order).
 One loop (_sweep_block) and one pass (_residual_pass) serve every caller.
 reduce_correlations calls the loop one iteration a call on each slice still
 moving, each call from a fresh copy of the slice, and measures the trace
-between calls. _sweep_batch calls it once a
-block for all the iterations and measures nothing: the benchmark's batch
-sweep runs it, and so does _swept, reduce_correlations' design without the
-trace, which the command line writes unless a trace file is asked for. Both
-library drivers start from _slice_blocks: rms_correlation's checks and each
-slice's sorted columns. A pass reads only its own block's rows, so a block is
-one contiguous (column, row) array per replicate, and its rank restore takes
-targets shared by every replicate or each replicate's own.
-reduce_correlations and _swept sweep each slice as a block of one; the
-benchmark sweeps a chunk of replicates at a time, and the chunks of its
-methods whose blocks cut the same rows as one block, each replicate onto its
-own method's midpoints, so the chunk bounds its memory. Each replicate is swept
-to its own fixed point, and one check after each pass finds it. A block of
-one replicate is swept on its own (p, n_j) state: one whole-array comparison
-after a pass finds its fixed point, which ends the call, and its slope guard
-is one Python scalar. Only a batch of several keeps the bookkeeping of which
-replicates still move: a mask per pass, their indices into the block, and
-the compaction of states, own targets and scatter starts when some stop.
-The pass, the slope step and both dot kernels take either rank, so the two
-run the same arithmetic on the same rows. Write
+between calls. _sweep_batch calls it once a block for all the iterations and
+measures nothing: the benchmark's batch sweep runs it, and so does _swept,
+reduce_correlations' design without the trace, which the command line writes
+unless a trace file is asked for. Both library drivers start from
+_slice_blocks: rms_correlation's checks, made once on the design with the
+constant-column test on each slice too, and each slice's sorted columns. A
+pass reads only its own block's rows, so a block is one contiguous (column,
+row) array per replicate, and its rank restore takes targets shared by every
+replicate or each replicate's own. reduce_correlations and _swept sweep each
+slice as itself, its (n_j, p) rows; the benchmark sweeps a chunk of
+replicates at a time, (m, n_j, p), and the chunks of its methods whose blocks
+cut the same rows as one block, each replicate onto its own method's
+midpoints, so the chunk bounds its memory. Each replicate is swept to its own
+fixed point, and one check after each pass finds it. One design is swept on
+its own (p, n_j) state: one whole-array comparison after a pass finds its
+fixed point, which ends the call, and its slope guard is one Python scalar.
+Only a batch, even of one, keeps the bookkeeping of which replicates still
+move: a mask per pass, their indices into the block, and the compaction of
+states, own targets and scatter starts when some stop. The pass, the slope
+step and both dot kernels take either rank, so the two run the same
+arithmetic on the same rows. Write
 S_k = B(F(S_{k-1})), F the forward pass and its restore, B the backward one.
 If a pass's new output equals its own previous one, the next output of the
 other pass does too, and so on: the replicate is at its fixed point. After a
@@ -112,8 +113,9 @@ def rms_correlation(matrix) -> float:
     return _rms(_checked(matrix))
 
 
-def _checked(matrix) -> np.ndarray:
-    """``matrix`` as a float64 array, once it has a correlation to take."""
+def _checked(matrix, slices=()) -> np.ndarray:
+    """``matrix`` as a float64 array, once it has a correlation to take, and
+    so has each row range in ``slices`` of two or more rows (no constant column)."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[1] < 2:
         raise ValueError("need a matrix with at least two columns")
@@ -121,8 +123,9 @@ def _checked(matrix) -> np.ndarray:
         raise ValueError("need at least two rows to correlate")
     if not np.isfinite(m).all():
         raise ValueError("matrix values must be finite")
-    if (m == m[0]).all(axis=0).any():
-        raise ValueError("zero-variance column has undefined correlation")
+    for block in (m, *(m[rows] for rows in slices)):
+        if len(block) > 1 and (block == block[0]).all(axis=0).any():
+            raise ValueError("zero-variance column has undefined correlation")
     return m
 
 
@@ -202,15 +205,15 @@ def reduce_correlations(
     values, blocks = _slice_blocks(design)
     views = [values[rows] for rows, _ in blocks]
     # A slice too small to correlate has trace entries of 0.0, so every entry
-    # stays within [0, 1]; each larger one is swept as a block of one,
-    # restored onto its own sorted columns, one iteration a call.
+    # stays within [0, 1]; each larger one is swept as itself, restored onto
+    # its own sorted columns, one iteration a call.
     whole_trace = [_rms(values)]
     slice_traces = [[_rms(view) if len(view) > 1 else 0.0] for view in views]
     live = [j for j, view in enumerate(views) if len(view) > 1]
     for _ in range(iterations):
         # A slice at its fixed point drops out and repeats its last trace
         # entry. Restores keep each column's multiset: no _rms check needed.
-        live = [j for j in live if _sweep_block(views[j][None], blocks[j][1], 1, _blas_dots)]
+        live = [j for j in live if _sweep_block(views[j], blocks[j][1], 1, _blas_dots)]
         whole_trace.append(_rms(values) if live else whole_trace[-1])
         moving = set(live)
         for j, row in enumerate(slice_traces):
@@ -220,25 +223,24 @@ def reduce_correlations(
 
 
 def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -> bool:
-    """Sweep the block ``dest`` (m, n_j, p), a view, in place, in contiguous
-    (m, p, n_j) states, or (p, n_j) ones when m = 1, restoring onto
-    ``targets``: each column's sorted values (p, n_j), or one (n_j,) row for
-    all, shared by every replicate; or (m, p, n_j), each replicate's own. A
-    replicate at its fixed point is written back to ``dest`` and drops out,
-    with its own targets, and the rest are written back at the end.
-    Returns whether any replicate still moves: False once every one has
-    reached its fixed point."""
-    # A block of one replicate is swept as its own (p, n_j) state: its fixed
-    # point ends the call, so it needs none of the batch's bookkeeping below
-    # (which replicates still move, and the compaction when some stop); its
-    # one write-back index is the whole state, ``...``.
-    one = len(dest) == 1
-    home = dest[0] if one else dest
+    """Sweep the block ``dest``, a view, in place: one design's (n_j, p) rows
+    in a contiguous (p, n_j) state, or a batch's (m, n_j, p) in (m, p, n_j)
+    states, restoring onto ``targets``: each column's sorted values (p, n_j),
+    or one (n_j,) row for all, shared by every replicate; or a batch's
+    (m, p, n_j), each replicate's own. A replicate at its fixed point is
+    written back to ``dest`` and drops out, with its own targets, and the
+    rest are written back at the end. Returns whether any replicate still
+    moves: False once every one has reached its fixed point."""
+    # One design is swept as its own (p, n_j) state: its fixed point ends
+    # the call, so it needs none of the batch's bookkeeping below (which
+    # replicates still move, and the compaction when some stop); its one
+    # write-back index is the whole state, ``...``. A batch of one is a batch.
+    one = dest.ndim == 2
     # last[i] is pass i's last output, pass 0 the forward and 1 the backward
     # pass; None (the first forward pass has nothing to repeat) and the input
     # stand in for them at the start. A spent state is dropped at once, never
     # held under another name.
-    last = [None, home.swapaxes(-1, -2).copy()]
+    last = [None, dest.swapaxes(-1, -2).copy()]
     p, n_j = last[1].shape[-2:]
     # Each pass's response rows' flat starts, for the rank-restore scatter,
     # and its targets in C order, as the scatter reads them (see
@@ -266,7 +268,7 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -
             if one:
                 if np.count_nonzero(moved):
                     continue
-                home[live] = last[1].T
+                dest[live] = last[1].T
                 return False
             moved = moved.any(axis=(1, 2))
             if np.count_nonzero(moved) < live.size:
@@ -278,7 +280,7 @@ def _sweep_block(dest: np.ndarray, targets: np.ndarray, iterations: int, dots) -
                 starts = [rows[: live.size] for rows in starts]
                 if targets.ndim == 3:
                     pass_targets = [own[moved] for own in pass_targets]
-    home[live] = last[1].swapaxes(-1, -2)
+    dest[live] = last[1].swapaxes(-1, -2)
     return True
 
 
@@ -367,13 +369,11 @@ def _blas_dots(centred, covariate: int) -> np.ndarray:
 
 def _slice_blocks(design: Design) -> tuple[np.ndarray, list[tuple[slice, np.ndarray]]]:
     """A copy of the design's values, and each slice's rows paired with its
-    sorted columns, once rms_correlation's checks pass on the design and
-    then on each slice of two or more rows."""
-    values = _checked(design.values).copy()
+    sorted columns, once rms_correlation's checks pass on the design, with
+    no column constant on a slice of two or more rows either."""
+    values = _checked(design.values, design.sizes.rows).copy()
     blocks = []
     for rows in design.sizes.rows:
-        if rows.stop - rows.start > 1:
-            _checked(values[rows])
         # In C order, as the rank-restore scatter reads them without a copy.
         columns = values[rows].T.copy()
         columns.sort(axis=1)
@@ -385,7 +385,7 @@ def _swept(design: Design, iterations: int) -> Design:
     """reduce_correlations(design, iterations=iterations)[0], bit for bit,
     without its trace: the same checks, and the same dot kernel."""
     values, blocks = _slice_blocks(design)
-    _sweep_batch(values[None], blocks, iterations, _blas_dots)
+    _sweep_batch(values, blocks, iterations, _blas_dots)
     return Design(values, design.sizes)
 
 
@@ -395,16 +395,16 @@ def _sweep_batch(
     iterations: int = 10,
     dots=_einsum_dots,
 ) -> np.ndarray:
-    """Vectorized sweep over a batch of designs, in place.
+    """Vectorized sweep, in place, of one design (n, p) or a batch (R, n, p).
 
-    ``stacked`` has shape (R, n, p); ``blocks`` pairs each slice's row range
-    with its sorted targets: one midpoint vector (n_j,) for every column, or
-    (p, n_j) sorted columns, shared by every design; or (R, p, n_j), each
-    design's own. Each block is swept on its own (_sweep_block):
+    ``blocks`` pairs each slice's row range with its sorted targets: one
+    midpoint vector (n_j,) for every column, or (p, n_j) sorted columns,
+    shared by every design; or a batch's (R, p, n_j), each design's own.
+    Each block is swept on its own (_sweep_block), one design's as itself:
     a few copies of it bound the temporaries.
     """
-    if stacked.shape[2] >= 2:
+    if stacked.shape[-1] >= 2:
         for rows, targets in blocks:
             if targets.shape[-1] >= 2:
-                _sweep_block(stacked[:, rows, :], targets, iterations, dots)
+                _sweep_block(stacked[..., rows, :], targets, iterations, dots)
     return stacked

@@ -36,6 +36,7 @@ from slicedlhd.generate import method_blocks
 
 from _monte_carlo import mc_mean
 from _quadrature import f2_quadrature
+from _streams import numpy_generator
 
 
 def _config(**overrides):
@@ -362,8 +363,8 @@ def test_replicate_streams_are_prefix_stable():
 @pytest.mark.parametrize("scenario", _SCENARIOS)
 @pytest.mark.parametrize("method", _ALL_METHODS)
 def test_batched_streams_match_per_replicate_streams(monkeypatch, method, scenario):
-    # The batched stream builder must draw what one SeedSequence + Philox
-    # per (method, replicate, role) draws, through every method's path.
+    # The batched stream builder must draw what numpy's own SeedSequence +
+    # Philox per (method, replicate, role) draw, through every method's path.
     cfg = _config(replicates=45, scenario=scenario)
     batched = method_estimates(method, cfg)
 
@@ -371,7 +372,7 @@ def test_batched_streams_match_per_replicate_streams(monkeypatch, method, scenar
         # Any row-major product of fixed and ranged components, one stream
         # at a time.
         axes = [c if isinstance(c, range) else (c,) for c in components]
-        return (stream.split(*path).generator() for path in itertools.product(*axes))
+        return (numpy_generator(stream.split(*path)) for path in itertools.product(*axes))
 
     monkeypatch.setattr(RngStream, "generators", per_replicate)
     assert np.array_equal(batched, method_estimates(method, cfg))
@@ -465,24 +466,25 @@ def test_shuffled_levels_and_jitter_buffer_draw_as_permutation_and_random(n):
 
 def _reference_estimates(method, cfg, F):
     # The failure step with the full-grid assignment as one gathered
-    # permutation(n) per replicate; F is only read.
+    # permutation(n) per replicate, each role's stream keyed by numpy's own
+    # SeedSequence + Philox; F is only read.
     R, n = F.shape
     if cfg.scenario == "all-complete":
         return F.mean(axis=1)
     code, grid, _ = benchmark._METHODS[method]
     sizes = np.asarray(cfg.sizes.sizes)
     rows, t = cfg.sizes.rows, cfg.sizes.t
-    failure = RngStream(cfg.seed).generators(code, range(R), benchmark._ROLE_FAILURE)
-    fail = np.fromiter((gen.integers(t) for gen in failure), dtype=np.int64, count=R)
+    stream = RngStream(cfg.seed)
+    fail = np.array([numpy_generator(stream.split(code, r, benchmark._ROLE_FAILURE)).integers(t)
+                     for r in range(R)], dtype=np.int64)
     totals = F.sum(axis=1)
     if grid != "full":
         block_sums = np.stack([F[:, block].sum(axis=1) for block in rows], axis=1)
         dropped = block_sums[np.arange(R), fail]
     else:
         dropped = np.empty(R)
-        assignment = RngStream(cfg.seed).generators(code, range(R), benchmark._ROLE_ASSIGNMENT)
-        for r, gen in enumerate(assignment):
-            perm = gen.permutation(n)
+        for r in range(R):
+            perm = numpy_generator(stream.split(code, r, benchmark._ROLE_ASSIGNMENT)).permutation(n)
             j = fail[r]
             dropped[r] = F[r, perm[rows[j]]].sum()
     kept = n - sizes[fail]

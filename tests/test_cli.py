@@ -737,6 +737,14 @@ def test_a_shorter_output_over_a_longer_file_holds_a_fresh_write(tmp_path, capsy
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("kind", _OUTPUT_KINDS)
+def test_empty_output_path_exits_3(tmp_path, capsys, kind):
+    # An empty path is a path like any other, for every output kind: it
+    # names no file, so the write fails with exit 3 and one line.
+    assert main(_output_argv(kind, "", tmp_path)) == 3
+    assert capsys.readouterr().err == "error: cannot write : [Errno 21] Is a directory: '.'\n"
+
+
 def test_no_output_is_opened_with_o_trunc(tmp_path, capsys, monkeypatch):
     # Truncating a file to zero makes ext4 flush it on close: every output,
     # new or existing, is opened without O_TRUNC.

@@ -24,6 +24,8 @@ from slicedlhd import (
 from slicedlhd import core
 from slicedlhd.generate import method_blocks
 
+from _streams import numpy_generator
+
 
 @pytest.mark.parametrize("n", [1, 2, 7, 17, 400])
 def test_level_midpoints_roundtrip(n):
@@ -423,6 +425,25 @@ def test_batched_keys_match_seed_sequence(seed, path, components):
         ]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**130)),
+    path=st.lists(_words, max_size=4),
+)
+@example(seed=0, path=[])
+@example(seed=2**130 + 9, path=[5, 2**40 + 3])
+def test_generator_draws_as_numpy_seed_sequence(seed, path):
+    # generator() is generators()'s one-stream case: it must draw what
+    # numpy's own SeedSequence + Philox draw on the stream, and a copy of its
+    # bit generator's state must be theirs too.
+    stream = RngStream(seed, tuple(path))
+    got, want = stream.generator(), numpy_generator(stream)
+    assert str(got.bit_generator.state) == str(want.bit_generator.state)
+    assert np.array_equal(got.random(7), want.random(7))
+    assert np.array_equal(got.permutation(23), want.permutation(23))
+    assert got.integers(2**63) == want.integers(2**63)
+
+
 _BAD_RANGE = r"^stream path range must be a range of step 1 within \[0, 2\*\*32\], got "
 
 _DRAWS = {
@@ -443,7 +464,7 @@ def test_batched_generators_draw_as_per_replicate_generators(draw, role):
         batched = [fn(gen) for gen in RngStream(seed).generators(code, replicates, role)]
         assert len(batched) == len(replicates)
         for r, got in zip(replicates, batched):
-            want = fn(RngStream(seed).split(code, r, role).generator())
+            want = fn(numpy_generator(RngStream(seed).split(code, r, role)))
             assert np.array_equal(got, want)
 
 
@@ -491,7 +512,7 @@ def test_batched_generators_reject_a_bad_replicate_range(replicates, message):
 
 def test_library_generators_draw_as_per_stream_generators():
     # Each library generator keys its (block, column) streams in one call;
-    # it draws what each stream's own generator() draws.
+    # it draws what numpy's own SeedSequence + Philox draw on each stream.
     rng = RngStream(2**70 + 3, (4,))
     for sizes, p in [((2, 5, 10), 3), ((7, 1, 12, 5, 3, 9), 8), ((1,), 1)]:
         sizes = SliceSizes(sizes)
@@ -499,10 +520,10 @@ def test_library_generators_draw_as_per_stream_generators():
             want = np.empty((sizes.n, p))
             for j, (rows, mids) in enumerate(method_blocks(grid, sizes)):
                 for l in range(p):
-                    want[rows, l] = rng.split(j, l).generator().permutation(mids)
+                    want[rows, l] = numpy_generator(rng.split(j, l)).permutation(mids)
             assert np.array_equal(generate(sizes, p, rng).values, want)
         want = np.empty((sizes.n, p))
         for l in range(p):
-            gen = rng.split(0, l).generator()
+            gen = numpy_generator(rng.split(0, l))
             want[:, l] = (gen.permutation(sizes.n) + 1 - gen.random(sizes.n)) / sizes.n
         assert np.array_equal(generate_randomized_lhd(sizes.n, p, rng).values, want)

@@ -358,16 +358,38 @@ def test_swept_equals_reduce_correlations(sizes, p, seed, first, iterations):
         ([[0.1, 0.2], [np.nan, 0.5], [0.3, 0.9]], (3,), "^matrix values must be finite$"),
         ([[0.1, 0.2], [0.1, 0.5], [0.1, 0.3]], (3,), _CONSTANT_MESSAGE),
         ([[0.1, 0.2], [0.1, 0.5], [0.1, 0.3], [0.7, 0.9]], (3, 1), _CONSTANT_MESSAGE),
+        ([[0.9, 0.1], [0.2, 0.4], [0.3, 0.4], [0.5, 0.4], [0.6, 0.7], [0.8, 0.2]], (1, 3, 2),
+         _CONSTANT_MESSAGE),
         ([[0.1, 0.2]], (1,), "^need at least two rows to correlate$"),
         ([[0.1], [0.5]], (2,), "^need a matrix with at least two columns$"),
     ],
-    ids=["nan", "constant-column", "constant-slice-column", "one-row", "one-column"],
+    ids=["nan", "constant-column", "constant-slice-column", "constant-later-slice-column",
+         "one-row", "one-column"],
 )
 def test_swept_raises_rms_correlations_messages(values, sizes, message):
     design = Design(np.array(values), SliceSizes(sizes))
     for sweep in (reduce_correlations, lambda d: _swept(d, 10)):
         with pytest.raises(ValueError, match=message):
             sweep(design)
+
+
+@pytest.mark.parametrize("sizes", [(1, 6, 1, 5), (3,) * 40, (2, 60, 17, 33, 5, 41)])
+def test_each_sweep_tests_finiteness_once(monkeypatch, sizes):
+    # Both drivers check the design once: the finiteness test runs on the
+    # whole design and on no slice, whose values it has already passed.
+    design = generate_sliced_lhd(SliceSizes(sizes), 3, RngStream(len(sizes)))
+    shapes = []
+    isfinite = np.isfinite
+
+    def spy(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    for sweep in (reduce_correlations, lambda d: _swept(d, 10)):
+        shapes.clear()
+        sweep(design)
+        assert shapes == [design.values.shape]
 
 
 def test_sweep_input_checks():
@@ -565,7 +587,7 @@ def _unchunked_sweep(stacked, blocks, iterations):
 
 def _assert_chunked_sweep_is_exact(stacked, blocks, iterations):
     want = _unchunked_sweep(stacked, blocks, iterations)
-    alone = [_sweep_batch(d[None].copy(), blocks, iterations)[0] for d in stacked]
+    alone = [_sweep_batch(d.copy(), blocks, iterations) for d in stacked]
     _sweep_batch(stacked, blocks, iterations=iterations)
     assert np.array_equal(stacked, want)
     assert np.array_equal(stacked, np.stack(alone))
@@ -757,9 +779,9 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
         dest = np.stack([SWEEP_FINAL[rows]] * 3)
         assert _sweep_block(dest, mids, 1, _einsum_dots) is False
         assert np.array_equal(dest, np.broadcast_to(SWEEP_FINAL[rows], dest.shape))
-        dest = SWEEP_START[None, rows].copy()
+        dest = SWEEP_START[rows].copy()
         assert _sweep_block(dest, mids, 1, _blas_dots) is True
-        assert not np.array_equal(dest[0], SWEEP_START[rows])
+        assert not np.array_equal(dest, SWEEP_START[rows])
     # A batch whose replicates stop at different iterations: one call of k
     # iterations writes back each replicate as k one-iteration calls leave
     # it alone, and returns True while any of them has not yet stopped.
@@ -770,7 +792,7 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
     stacked = np.stack([_draw("full", sizes, 5, RngStream(4).split(r)) for r in range(8)])
     alone = []
     for design in stacked:
-        states = [design[None]]
+        states = [design]
         moving = True
         while moving:
             states.append(states[-1].copy())
@@ -781,7 +803,7 @@ def test_sweep_block_returns_whether_a_replicate_still_moves():
     for k in range(1, max(stops) + 1):
         batch = stacked.copy()
         assert _sweep_block(batch, mids, k, _einsum_dots) is (k < max(stops)), k
-        want = np.stack([states[min(k, len(states) - 1)][0] for states in alone])
+        want = np.stack([states[min(k, len(states) - 1)] for states in alone])
         assert np.array_equal(batch, want), k
     # Swept to convergence, the batch is at its fixed point.
     assert _sweep_block(batch, mids, 1, _einsum_dots) is False
@@ -823,12 +845,13 @@ def _settled(block, targets, dots):
          seed=0, first=0, iterations=10)
 def test_a_replicate_swept_alone_equals_it_swept_in_a_batch(sizes, p, R, fixed, kind, dots, seed,
                                                              first, iterations):
-    # A block of one replicate is swept on its own (p, n_j) state, without
-    # the batch's bookkeeping; it must leave each replicate, bit for bit, as
-    # a batch of several does, under either dot kernel, for one iteration
-    # (reduce_correlations' call) and for ten (_swept's). Its flag must say
-    # whether it still moves: the batch moves iff some replicate does, and a
-    # stack of two copies of a replicate as that replicate alone. The first
+    # One design, (n_j, p), is swept on its own (p, n_j) state, without the
+    # batch's bookkeeping; it must leave each replicate, bit for bit, as a
+    # batch of several does, and so must a batch of one, (1, n_j, p), under
+    # either dot kernel, for one iteration (reduce_correlations' call) and
+    # for ten (_swept's). Each flag must say whether it still moves: the
+    # batch moves iff some replicate does, and a batch of one or of two
+    # copies of a replicate as that replicate alone. The first
     # examples are the exact residual tie of the library kernel (slice 0 of
     # sizes (5, 1, 4), p = 2, RngStream(3).split(97)); a ``fixed`` replicate
     # starts at its own fixed point, so the one-replicate call stops after
@@ -852,9 +875,13 @@ def test_a_replicate_swept_alone_equals_it_swept_in_a_batch(sizes, p, R, fixed, 
         moves = _sweep_block(batch, batch_targets, iterations, dots)
         flags = []
         for r in range(R):
-            alone = blocks[r:r + 1].copy()
-            flags.append(_sweep_block(alone, targets[r], iterations, dots))
-            assert alone[0].tobytes() == batch[r].tobytes(), (rows, r)
+            alone = blocks[r].copy()
+            own = targets[r][0] if kind == "own" else targets[r]
+            flags.append(_sweep_block(alone, own, iterations, dots))
+            assert alone.tobytes() == batch[r].tobytes(), (rows, r)
+            once = blocks[r:r + 1].copy()
+            assert _sweep_block(once, targets[r], iterations, dots) is flags[-1], (rows, r)
+            assert once.tobytes() == batch[r].tobytes(), (rows, r)
             twice = np.concatenate([blocks[r:r + 1]] * 2)
             two_targets = np.concatenate([targets[r]] * 2) if kind == "own" else targets[r]
             assert _sweep_block(twice, two_targets, iterations, dots) is flags[-1], (rows, r)
@@ -1060,15 +1087,16 @@ def test_residual_pass_takes_the_tie_check_by_its_rule_and_restores_stably(
     (60, 8, False),      # the command line's largest slice: 420 values
 ])
 def test_one_replicate_block_keeps_the_rank_restore_rule(monkeypatch, n_j, p, checked):
-    # A block of one replicate is swept on its (p, n_j) state, and its rank
-    # restore keeps the rule: rows of _LONG_ROW values or more, in passes of
-    # _LONG_CALL response values or more, take _tie_checked_order, and a
-    # command-line-sized block does not. Either way it restores as the
-    # stable sort does, so every bit is the all-stable sweep's.
+    # One design, passed as its (n_j, p) rows, is swept on its (p, n_j)
+    # state, and its rank restore keeps the rule: rows of _LONG_ROW values or
+    # more, in passes of _LONG_CALL response values or more, take
+    # _tie_checked_order, and a command-line-sized block does not. Either
+    # way it restores as the stable sort does, so every bit is the
+    # all-stable sweep's.
     design = generate_sliced_lhd(SliceSizes((n_j,)), p, RngStream(n_j * p)).values
     (_, mids), = method_blocks("full", SliceSizes((n_j,)))
     calls = _calls_of_the_tie_check(monkeypatch)
-    got = design[None].copy()
+    got = design.copy()
     _sweep_block(got, mids, 3, _blas_dots)
     if checked:
         assert calls and all(len(shape) == 2 for shape in calls)
@@ -1079,16 +1107,16 @@ def test_one_replicate_block_keeps_the_rank_restore_rule(monkeypatch, n_j, p, ch
     monkeypatch.setattr(decorrelate, "_tie_checked_order", _stable_order)
     monkeypatch.setattr(decorrelate, "_LONG_ROW", 0)
     monkeypatch.setattr(decorrelate, "_LONG_CALL", 0)
-    want = design[None].copy()
+    want = design.copy()
     _sweep_block(want, mids, 3, _blas_dots)
     assert np.array_equal(got, want)
 
 
 def test_clh_block_takes_the_tie_check_and_cli_blocks_do_not(monkeypatch):
     # The benchmark's CLH block of 48 runs at 40 replicates (mc-f1-fail's
-    # request) is sorted by the tie check. No block of one replicate at the
-    # command line's largest sizes (6 slices of 60 runs, 8 columns: 420
-    # response values a pass) reaches it.
+    # request) is sorted by the tie check. No slice of a design swept as
+    # itself at the command line's largest sizes (6 slices of 60 runs, 8
+    # columns: 420 response values a pass) reaches it.
     calls = _calls_of_the_tie_check(monkeypatch)
     cfg = ExperimentConfig.from_path(_CONFIGS / "table1-f1-failures.cfg")
     blocks = method_blocks(benchmark._METHODS["CLH"][1], cfg.sizes)
